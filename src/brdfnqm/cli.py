@@ -346,10 +346,9 @@ def cmd_predict(checkpoint_path, pairs_file, ref_file, dist_file, out):
             click.echo(repr(nn.predict_jod(model, ref, dist)))
             return
         _, pcols, prows = read_table(pairs_file, "pairs")
-        rows = []
-        for r in prows:
-            ref, dist = read_pair(r[pcols.index("ref_samples")], r[pcols.index("dist_samples")])
-            rows.append([r[pcols.index("pair_id")], nn.predict_jod(model, ref, dist)])
+        pairs = [read_pair(r[pcols.index("ref_samples")], r[pcols.index("dist_samples")]) for r in prows]
+        jods = nn.predict_jods(model, pairs)
+        rows = [[r[pcols.index("pair_id")], float(j)] for r, j in zip(prows, jods)]
         write_table(out, "predictions", ["pair_id", "jod_pred"], rows)
     except (BrdfError, OSError) as exc:
         _fail(exc)
@@ -394,6 +393,9 @@ def cmd_correlate(metrics_file, predictions_file, labels_file, pairs_file, out, 
             out_ = []
             for r in rows_:
                 pid = r[cols_.index("pair_id")]
+                for table, known in (("pairs", material_of), ("labels", jod_of)):
+                    if pid not in known:
+                        raise BrdfError(f"pair {pid!r} scored for {column} is missing from the {table} table")
                 out_.append(
                     evaluate.ScoredPair(
                         pair_id=pid,
@@ -414,7 +416,7 @@ def cmd_correlate(metrics_file, predictions_file, labels_file, pairs_file, out, 
             rep = evaluate.correlate_per_material(scored(qrows, qcols, "jod_pred"), sign=1)
             report_rows.append(("brdf-nqm", rep.average))
         evaluate.emit_report(report_rows, out, fmt=fmt)
-    except (BrdfError, OSError, KeyError) as exc:
+    except (BrdfError, OSError, ValueError) as exc:
         _fail(exc)
     click.echo(f"wrote {len(report_rows)} metric rows to {out}")
 

@@ -58,7 +58,9 @@ def correlate_per_material(scored: list[ScoredPair], sign: int = 1) -> Correlati
     excluded: list[str] = []
     for mat, items in by_material.items():
         if len(items) < 2:
-            raise ValueError(f"material {mat!r} has fewer than 2 pairs")
+            raise ValueError(
+                f"material {mat!r} has {len(items)} pair; per-material Spearman needs at least 2"
+            )
         preds = [sign * s.predicted for s in items]
         truths = [s.ground_truth_jod for s in items]
         try:

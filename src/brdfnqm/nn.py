@@ -7,14 +7,17 @@ rescales the output into [jod_min, jod_max]. The whitening statistics and
 JOD range live inside the model so inference is self-contained.
 
 Everything runs on plain numpy arrays (float32 by default, float64 for
-gradient-check shadow models); gradients are hand-derived reverse-mode.
+gradient-check shadow models) and stays in the model's dtype, gradients and
+Adam moments included; gradients are hand-derived reverse-mode. Parameters,
+gradients and Adam moments each live in one contiguous vector in checkpoint
+blob order, cut into per-array views (see `FlatParams`).
 """
 
 from __future__ import annotations
 
-import copy
 import io
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
@@ -29,15 +32,59 @@ LN_EPS = 1e-5
 CHECKPOINT_MAGIC = "brdfnqm-checkpoint"
 CHECKPOINT_VERSION = 1
 
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# a Python float, so that float32 arrays stay float32 (NEP 50 scalar promotion)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_PARAM_KEYS = ("weights", "biases", "gammas", "betas")
 
 
-@dataclass
+def _layout(input_dim: int, hidden: tuple[int, ...]):
+    """(key, shape) of every parameter array in checkpoint blob order.
+
+    Per hidden layer W, b, gamma, beta; then the final W, b. The input
+    layer's W and b therefore come first.
+    """
+    dims = [input_dim, *hidden, 1]
+    for i, h in enumerate(hidden):
+        yield from (("weights", (h, dims[i])), ("biases", (h,)), ("gammas", (h,)), ("betas", (h,)))
+    yield from (("weights", (1, dims[-2])), ("biases", (1,)))
+
+
+def _size(input_dim: int, hidden: tuple[int, ...]) -> int:
+    return sum(math.prod(shape) for _, shape in _layout(input_dim, hidden))
+
+
+class FlatParams(dict):
+    """Per-key lists of views into one contiguous vector ``flat``.
+
+    The keys are "weights", "biases", "gammas" and "betas", as on the model;
+    the views are cut in checkpoint blob order. Write through the views in
+    place: rebinding a list entry detaches it from ``flat``.
+    """
+
+    def __init__(self, flat: np.ndarray, input_dim: int, hidden: tuple[int, ...]):
+        if flat.ndim != 1 or flat.size != _size(input_dim, hidden):
+            raise ValueError(f"flat vector of shape {flat.shape} does not fit {input_dim}->{hidden}->1")
+        super().__init__((k, []) for k in _PARAM_KEYS)
+        pos = 0
+        for key, shape in _layout(input_dim, hidden):
+            size = math.prod(shape)
+            self[key].append(flat[pos : pos + size].reshape(shape))
+            pos += size
+        self.flat = flat
+
+
+@dataclass(eq=False)
 class MlpModel:
-    weights: list[np.ndarray]          # per dense layer, shape (out, in)
-    biases: list[np.ndarray]
-    gammas: list[np.ndarray]           # layer-norm scale per hidden layer
-    betas: list[np.ndarray]
+    """Network parameters plus the embedded preprocessing.
+
+    Every parameter lives in ``flat``; ``weights`` (per dense layer, shape
+    (out, in)), ``biases``, ``gammas`` and ``betas`` (layer norm per hidden
+    layer) are lists of views into it, set up from ``flat`` on construction.
+    """
+
+    flat: np.ndarray
+    input_dim: int
+    hidden_widths: tuple[int, ...]
     jod_min: float
     jod_max: float
     whitening: WhiteningStats
@@ -45,38 +92,18 @@ class MlpModel:
     dropout: float = 0.2
 
     def __post_init__(self):
-        if len(self.weights) != len(self.gammas) + 1:
-            raise ValueError("need one more dense layer than layer norms")
         if not self.jod_min < self.jod_max:
             raise ValueError("jod_min must be < jod_max")
-
-    @property
-    def input_dim(self) -> int:
-        return self.weights[0].shape[1]
-
-    @property
-    def hidden_widths(self) -> tuple[int, ...]:
-        return tuple(w.shape[0] for w in self.weights[:-1])
+        params = FlatParams(self.flat, self.input_dim, self.hidden_widths)
+        self.weights, self.biases, self.gammas, self.betas = (params[k] for k in _PARAM_KEYS)
 
     @property
     def dtype(self):
-        return self.weights[0].dtype
-
-    def parameters(self):
-        """Flat list of (group, name, array); group 0 is the input layer."""
-        out = []
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            g = 0 if i == 0 else 1
-            out.append((g, f"w{i}", w))
-            out.append((g, f"b{i}", b))
-        for i, (ga, be) in enumerate(zip(self.gammas, self.betas)):
-            out.append((1, f"gamma{i}", ga))
-            out.append((1, f"beta{i}", be))
-        return out
+        return self.flat.dtype
 
 
 def param_count(model: MlpModel) -> int:
-    return sum(arr.size for _, _, arr in model.parameters())
+    return model.flat.size
 
 
 def init_model(
@@ -91,25 +118,22 @@ def init_model(
 ) -> MlpModel:
     """Fan-in uniform weights, zero biases, identity layer norms."""
     rng = np.random.default_rng(seed)
-    dims = [input_dim, *hidden, 1]
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        bound = np.sqrt(1.0 / fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)).astype(dtype))
-        biases.append(np.zeros(fan_out, dtype=dtype))
-    gammas = [np.ones(h, dtype=dtype) for h in hidden]
-    betas = [np.zeros(h, dtype=dtype) for h in hidden]
-    return MlpModel(
-        weights=weights,
-        biases=biases,
-        gammas=gammas,
-        betas=betas,
+    model = MlpModel(
+        flat=np.zeros(_size(input_dim, hidden), dtype=dtype),
+        input_dim=input_dim,
+        hidden_widths=tuple(hidden),
         jod_min=float(jod_min),
         jod_max=float(jod_max),
         whitening=whitening,
         seed=seed,
         dropout=dropout,
     )
+    for w in model.weights:
+        bound = np.sqrt(1.0 / w.shape[1])
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    for g in model.gammas:
+        g.fill(1.0)
+    return model
 
 
 def gelu(x):
@@ -189,22 +213,21 @@ def logcosh_loss(pred: np.ndarray, target: np.ndarray):
     return loss, grad
 
 
-def backward(model: MlpModel, cache: dict, loss_grad: np.ndarray) -> dict:
-    """Gradients of the loss w.r.t. every parameter, mirroring the model."""
+def backward(model: MlpModel, cache: dict, loss_grad: np.ndarray) -> FlatParams:
+    """Gradients of the loss w.r.t. every parameter, mirroring the model.
+
+    They come back in the model's dtype, as views into one flat gradient
+    vector laid out like ``model.flat``.
+    """
     if cache.get("mode") != "train":
         raise ValueError("backward requires a cache from a train-mode forward pass")
     keep = 1.0 - model.dropout
     s = cache["s"]
     dzf = loss_grad * (model.jod_max - model.jod_min) * s * (1.0 - s)
-    grads = {
-        "weights": [None] * len(model.weights),
-        "biases": [None] * len(model.biases),
-        "gammas": [None] * len(model.gammas),
-        "betas": [None] * len(model.betas),
-    }
+    grads = FlatParams(np.empty_like(model.flat), model.input_dim, model.hidden_widths)
     a_last = cache["inputs"][-1]
-    grads["weights"][-1] = dzf.T @ a_last
-    grads["biases"][-1] = dzf.sum(axis=0)
+    np.matmul(dzf.T, a_last, out=grads["weights"][-1])
+    dzf.sum(axis=0, out=grads["biases"][-1])
     da = dzf @ model.weights[-1]
     for i in reversed(range(len(model.gammas))):
         mask = cache["masks"][i]
@@ -213,8 +236,8 @@ def backward(model: MlpModel, cache: dict, loss_grad: np.ndarray) -> dict:
         y = cache["y"][i]
         dy = da * _gelu_grad(y)
         xhat = cache["xhat"][i]
-        grads["gammas"][i] = (dy * xhat).sum(axis=0)
-        grads["betas"][i] = dy.sum(axis=0)
+        (dy * xhat).sum(axis=0, out=grads["gammas"][i])
+        dy.sum(axis=0, out=grads["betas"][i])
         dxhat = dy * model.gammas[i]
         inv_std = cache["inv_std"][i]
         dz = inv_std * (
@@ -223,16 +246,19 @@ def backward(model: MlpModel, cache: dict, loss_grad: np.ndarray) -> dict:
             - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
         )
         x_in = cache["inputs"][i]
-        grads["weights"][i] = dz.T @ x_in
-        grads["biases"][i] = dz.sum(axis=0)
-        da = dz @ model.weights[i]
+        np.matmul(dz.T, x_in, out=grads["weights"][i])
+        dz.sum(axis=0, out=grads["biases"][i])
+        if i > 0:  # below layer 0 lies the input batch, which needs no gradient
+            da = dz @ model.weights[i]
     return grads
 
 
 @dataclass
 class AdamState:
-    m: dict
-    v: dict
+    """Adam moments in the model's dtype, laid out like ``model.flat``."""
+
+    m: FlatParams
+    v: FlatParams
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
@@ -240,15 +266,15 @@ class AdamState:
 
 
 def adam_init(model: MlpModel) -> AdamState:
-    zeros = lambda arrs: [np.zeros_like(a, dtype=np.float64) for a in arrs]
-    m = {k: zeros(getattr(model, k)) for k in ("weights", "biases", "gammas", "betas")}
-    v = {k: zeros(getattr(model, k)) for k in ("weights", "biases", "gammas", "betas")}
-    return AdamState(m=m, v=v)
+    def zeros():
+        return FlatParams(np.zeros_like(model.flat), model.input_dim, model.hidden_widths)
+
+    return AdamState(m=zeros(), v=zeros())
 
 
 def adam_step(
     model: MlpModel,
-    grads: dict,
+    grads: FlatParams,
     state: AdamState,
     lr_input: float,
     lr_deep: float,
@@ -257,27 +283,36 @@ def adam_step(
     """In-place Adam update with coupled L2 decay and two learning-rate groups.
 
     The input dense layer (weights[0], biases[0]) uses lr_input; every other
-    parameter, including all layer norms, uses lr_deep.
+    parameter, including all layer norms, uses lr_deep. ``grads`` is what
+    `backward` returns; it is only read.
     """
     state.step += 1
     t = state.step
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
-    for key in ("weights", "biases", "gammas", "betas"):
-        params = getattr(model, key)
-        for i, p in enumerate(params):
-            g = np.asarray(grads[key][i], dtype=np.float64)
-            if weight_decay > 0.0:
-                g = g + weight_decay * p
-            m = state.m[key][i]
-            v = state.v[key][i]
-            m *= state.beta1
-            m += (1.0 - state.beta1) * g
-            v *= state.beta2
-            v += (1.0 - state.beta2) * g * g
-            lr = lr_input if (key in ("weights", "biases") and i == 0) else lr_deep
-            update = lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-            params[i] = (p - update).astype(p.dtype)
+    b1, b2 = state.beta1, state.beta2
+    bc1 = 1.0 - b1**t
+    sqrt_bc2 = math.sqrt(1.0 - b2**t)
+    p, m, v, g = model.flat, state.m.flat, state.v.flat, grads.flat
+    if weight_decay > 0.0:
+        decayed = np.multiply(p, float(weight_decay))
+        decayed += g
+        g = decayed
+    scratch = np.multiply(g, 1.0 - b1)
+    m *= b1
+    m += scratch
+    np.square(g, out=scratch)
+    scratch *= 1.0 - b2
+    v *= b2
+    v += scratch
+    # lr * (m / bc1) / (sqrt(v / bc2) + eps), with sqrt(bc2) folded into the constants
+    np.sqrt(v, out=scratch)
+    scratch += state.eps * sqrt_bc2
+    np.divide(m, scratch, out=scratch)
+    n_input = model.weights[0].size + model.biases[0].size
+    for group, lr in ((slice(0, n_input), lr_input), (slice(n_input, None), lr_deep)):
+        step = scratch[group]
+        step *= float(lr) * sqrt_bc2 / bc1
+        params = p[group]
+        params -= step
 
 
 @dataclass
@@ -371,7 +406,7 @@ def train(
             val_loss = train_loss
         if val_loss < best_val:
             best_val = val_loss
-            best_params = _snapshot(model)
+            best_params = model.flat.copy()
         sched.step(val_loss)
         history.append(
             {
@@ -383,20 +418,8 @@ def train(
             }
         )
     if best_params is not None:
-        _restore(model, best_params)
+        np.copyto(model.flat, best_params)
     return model, history
-
-
-def _snapshot(model: MlpModel) -> dict:
-    return {
-        k: [a.copy() for a in getattr(model, k)]
-        for k in ("weights", "biases", "gammas", "betas")
-    }
-
-
-def _restore(model: MlpModel, params: dict) -> None:
-    for k, arrs in params.items():
-        setattr(model, k, [a.copy() for a in arrs])
 
 
 def pair_to_input(ref: SampledBrdf, dist: SampledBrdf, whitening: WhiteningStats) -> np.ndarray:
@@ -407,19 +430,27 @@ def pair_to_input(ref: SampledBrdf, dist: SampledBrdf, whitening: WhiteningStats
     return np.concatenate([r.values.ravel(), d.values.ravel()])
 
 
+def predict_jods(model: MlpModel, pairs) -> np.ndarray:
+    """Score raw sampled (ref, dist) pairs, in order, in one eval-mode pass."""
+    x = np.empty((len(pairs), model.input_dim), dtype=model.dtype)
+    for row, (ref, dist) in zip(x, pairs):
+        inp = pair_to_input(ref, dist, model.whitening)
+        if inp.shape[0] != model.input_dim:
+            raise PairingError(
+                f"pair produces input of length {inp.shape[0]}, model expects {model.input_dim}"
+            )
+        row[:] = inp
+    pred, _ = forward(model, x, mode="eval")
+    return pred[:, 0]
+
+
 def predict_jod(model: MlpModel, ref: SampledBrdf, dist: SampledBrdf) -> float:
     """Score one raw sampled pair with the embedded preprocessing."""
-    x = pair_to_input(ref, dist, model.whitening)
-    if x.shape[0] != model.input_dim:
-        raise PairingError(
-            f"pair produces input of length {x.shape[0]}, model expects {model.input_dim}"
-        )
-    pred, _ = forward(model, x[None, :], mode="eval")
-    return float(pred[0, 0])
+    return float(predict_jods(model, [(ref, dist)])[0])
 
 
 def save_checkpoint(model: MlpModel, path) -> None:
-    """Text header + little-endian float32 blobs in fixed layer order.
+    """Text header + the model's flat parameter vector as little-endian float32.
 
     Blob order: per hidden layer W, b, gamma, beta; then the final W, b.
     """
@@ -433,11 +464,7 @@ def save_checkpoint(model: MlpModel, path) -> None:
     header.write("whitening_std " + " ".join(repr(float(v)) for v in model.whitening.std) + "\n")
     header.write(f"seed {model.seed}\n")
     header.write(f"dropout {model.dropout!r}\n")
-    blobs = []
-    for i in range(len(model.gammas)):
-        blobs += [model.weights[i], model.biases[i], model.gammas[i], model.betas[i]]
-    blobs += [model.weights[-1], model.biases[-1]]
-    payload = b"".join(np.ascontiguousarray(b, dtype="<f4").tobytes() for b in blobs)
+    payload = model.flat.astype("<f4", copy=False).tobytes()
     header.write(f"payload_bytes {len(payload)}\n")
     with open(str(path), "wb") as f:
         f.write(header.getvalue().encode("ascii"))
@@ -478,33 +505,13 @@ def load_checkpoint(path) -> MlpModel:
     payload = data[sep + 2 :]
     if len(payload) != payload_bytes:
         raise CheckpointError(f"payload is {len(payload)} bytes, header says {payload_bytes}")
-    dims = [input_dim, *hidden, 1]
-    expected = sum(o * i + o for i, o in zip(dims[:-1], dims[1:])) + 2 * sum(hidden)
+    expected = _size(input_dim, hidden)
     if payload_bytes != 4 * expected:
         raise CheckpointError(f"payload holds {payload_bytes // 4} floats, expected {expected}")
-    flat = np.frombuffer(payload, dtype="<f4")
-    pos = 0
-
-    def take(shape):
-        nonlocal pos
-        size = int(np.prod(shape))
-        out = flat[pos : pos + size].reshape(shape).copy()
-        pos += size
-        return out
-
-    weights, biases, gammas, betas = [], [], [], []
-    for i, h in enumerate(hidden):
-        weights.append(take((h, dims[i])))
-        biases.append(take((h,)))
-        gammas.append(take((h,)))
-        betas.append(take((h,)))
-    weights.append(take((1, hidden[-1])))
-    biases.append(take((1,)))
     return MlpModel(
-        weights=weights,
-        biases=biases,
-        gammas=gammas,
-        betas=betas,
+        flat=np.frombuffer(payload, dtype="<f4").astype(np.float32),
+        input_dim=input_dim,
+        hidden_widths=hidden,
         jod_min=jod_min,
         jod_max=jod_max,
         whitening=whitening,

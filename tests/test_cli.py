@@ -222,6 +222,44 @@ def test_corrupt_manifest_is_runtime_error(runner, tmp_path):
     assert result.exit_code == 1
 
 
+def _correlate_args(pairs, labels, metrics, out):
+    return ["correlate", "--metrics", str(metrics), "--labels", str(labels),
+            "--pairs", str(pairs), "--out", str(out)]
+
+
+def _assert_one_line_error(result, *fragments):
+    assert result.exit_code == 1, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error: "), result.output
+    for fragment in fragments:
+        assert fragment in lines[0]
+
+
+def test_correlate_single_variant_material_is_runtime_error(pipeline, runner, tmp_path):
+    meta, cols, rows = read_table(pipeline / "samples" / "pairs.txt", "pairs")
+    kept = [r for r in rows if r[cols.index("material")] != "mat001" or r[0] == "mat001_l00"]
+    pairs = tmp_path / "pairs.txt"
+    write_table(pairs, "pairs", cols, kept, meta=meta)
+    metrics = tmp_path / "metrics.txt"
+    _run(runner, ["eval-baselines", "--pairs", str(pairs), "--out", str(metrics)])
+    result = runner.invoke(cli.main, _correlate_args(
+        pairs, pipeline / "labels.txt", metrics, tmp_path / "report.txt"))
+    _assert_one_line_error(result, "'mat001'", "at least 2")
+
+
+def test_correlate_unlabelled_pair_is_runtime_error(pipeline, runner, tmp_path):
+    pairs = pipeline / "samples" / "pairs.txt"
+    metrics = tmp_path / "metrics.txt"
+    _run(runner, ["eval-baselines", "--pairs", str(pairs), "--out", str(metrics)])
+    _, cols, rows = read_table(pipeline / "labels.txt", "labels")
+    labels = tmp_path / "labels.txt"
+    write_table(labels, "labels", cols, [r for r in rows if r[0] != "mat001_l01"])
+    result = runner.invoke(cli.main, _correlate_args(
+        pairs, labels, metrics, tmp_path / "report.txt"))
+    _assert_one_line_error(result, "'mat001_l01'", "labels")
+
+
 def test_rerun_is_byte_identical(runner, tmp_path):
     """Every command rerun with identical seeds writes identical bytes."""
     outs = []

@@ -191,7 +191,7 @@ def test_backward_requires_train_cache():
 def test_adam_single_step_matches_hand_computation():
     model = _small_model(dtype=np.float64)
     state = nn.adam_init(model)
-    grads = {k: [np.ones_like(a) for a in getattr(model, k)] for k in ("weights", "biases", "gammas", "betas")}
+    grads = nn.FlatParams(np.ones_like(model.flat), model.input_dim, model.hidden_widths)
     w0 = model.weights[0].copy()
     w1 = model.weights[1].copy()
     nn.adam_step(model, grads, state, lr_input=1e-4, lr_deep=1e-3, weight_decay=0.0)
@@ -203,7 +203,7 @@ def test_adam_single_step_matches_hand_computation():
 
 def test_adam_weight_decay_is_coupled_l2():
     model = _small_model(dtype=np.float64)
-    zero_grads = {k: [np.zeros_like(a) for a in getattr(model, k)] for k in ("weights", "biases", "gammas", "betas")}
+    zero_grads = nn.FlatParams(np.zeros_like(model.flat), model.input_dim, model.hidden_widths)
     w1 = model.weights[1].copy()
     nn.adam_step(model, zero_grads, state := nn.adam_init(model), 1e-4, 1e-3, weight_decay=1e-4)
     # with g = wd * p, the first-step update direction is sign(p) * lr
@@ -347,3 +347,123 @@ def test_checkpoint_fail_closed(tmp_path):
     garbled.write_bytes(data.replace(b"jod_min", b"jod_mix", 1))
     with pytest.raises(CheckpointError):
         nn.load_checkpoint(garbled)
+
+
+def _train_step_grads(model, seed=0, batch=5):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(batch, model.input_dim))
+    y = rng.uniform(0, 10, size=(batch, 1)).astype(model.dtype)
+    pred, cache = nn.forward(model, x, mode="train", rng=rng)
+    _, dpred = nn.logcosh_loss(pred, y)
+    return nn.backward(model, cache, dpred)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_backward_returns_gradients_in_model_dtype(dtype):
+    model = _small_model(dtype=dtype)
+    grads = _train_step_grads(model)
+    for key in ("weights", "biases", "gammas", "betas"):
+        for g, p in zip(grads[key], getattr(model, key)):
+            assert g.dtype == dtype, key
+            assert g.shape == p.shape, key
+
+
+def test_gelu_grad_keeps_float32():
+    x = np.linspace(-3, 3, 7, dtype=np.float32)
+    assert nn._gelu_grad(x).dtype == np.float32
+    assert nn.gelu(x).dtype == np.float32
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_state_matches_parameter_dtype(dtype):
+    model = _small_model(dtype=dtype)
+    state = nn.adam_init(model)
+    for moments in (state.m, state.v):
+        for key in ("weights", "biases", "gammas", "betas"):
+            for mom, p in zip(moments[key], getattr(model, key)):
+                assert mom.dtype == dtype and mom.shape == p.shape
+                assert not mom.any()
+
+
+def _reference_adam(params, grads, m, v, t, lr_input, lr_deep, weight_decay, b1=0.9, b2=0.999, eps=1e-8):
+    """Textbook per-array Adam in float64, updating ``params``, ``m`` and ``v`` in place."""
+    for key in ("weights", "biases", "gammas", "betas"):
+        for i, p in enumerate(params[key]):
+            g = np.asarray(grads[key][i], dtype=np.float64) + weight_decay * p
+            m[key][i] = b1 * m[key][i] + (1 - b1) * g
+            v[key][i] = b2 * v[key][i] + (1 - b2) * g * g
+            lr = lr_input if (key in ("weights", "biases") and i == 0) else lr_deep
+            p -= lr * (m[key][i] / (1 - b1**t)) / (np.sqrt(v[key][i] / (1 - b2**t)) + eps)
+
+
+def test_float32_adam_tracks_float64_reference():
+    model = _small_model(seed=4, dtype=np.float32)
+    keys = ("weights", "biases", "gammas", "betas")
+    ref = {k: [a.astype(np.float64) for a in getattr(model, k)] for k in keys}
+    m = {k: [np.zeros_like(a) for a in ref[k]] for k in keys}
+    v = {k: [np.zeros_like(a) for a in ref[k]] for k in keys}
+    state = nn.adam_init(model)
+    for t in range(1, 6):
+        grads = _train_step_grads(model, seed=t)
+        nn.adam_step(model, grads, state, lr_input=1e-3, lr_deep=1e-2, weight_decay=1e-2)
+        _reference_adam(ref, grads, m, v, t, 1e-3, 1e-2, 1e-2)
+    for key in keys:
+        for p, r in zip(getattr(model, key), ref[key]):
+            assert p.dtype == np.float32
+            # float32 rounding of the moments and parameters, a few ulps per step
+            np.testing.assert_allclose(p, r, rtol=1e-5, atol=1e-6)
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
+def test_adam_step_leaves_gradients_unmodified(weight_decay):
+    model = _small_model(dtype=np.float32)
+    state = nn.adam_init(model)
+    grads = _train_step_grads(model)
+    before = grads.flat.copy()
+    nn.adam_step(model, grads, state, 1e-3, 1e-3, weight_decay=weight_decay)
+    np.testing.assert_array_equal(grads.flat, before)
+
+
+def test_parameters_are_views_of_the_flat_buffer_after_train():
+    rng = np.random.default_rng(3)
+    model = _small_model(seed=1, dtype=np.float32)
+    x = rng.normal(size=(16, 12))
+    y = rng.uniform(0, 10, size=16)
+    cfg = nn.TrainConfig(epochs=4, batch_size=8, lr_input=1e-2, lr_deep=1e-2)
+    model, _ = nn.train(model, x, y, x[:4], y[:4], cfg)
+    for key in ("weights", "biases", "gammas", "betas"):
+        for arr in getattr(model, key):
+            assert np.shares_memory(arr, model.flat), key
+    before = [w.copy() for w in model.weights]
+    nn.adam_step(model, _train_step_grads(model), nn.adam_init(model), 1e-2, 1e-2)
+    for w, b in zip(model.weights, before):
+        assert not np.array_equal(w, b)
+
+
+def test_loaded_checkpoint_parameters_view_one_float32_buffer(tmp_path):
+    p = tmp_path / "m.ckpt"
+    nn.save_checkpoint(_small_model(dtype=np.float64), p)
+    loaded = nn.load_checkpoint(p)
+    assert loaded.dtype == np.float32 and loaded.flat.flags.writeable
+    assert loaded.flat.size == nn.param_count(loaded)
+    for key in ("weights", "biases", "gammas", "betas"):
+        for arr in getattr(loaded, key):
+            assert np.shares_memory(arr, loaded.flat), key
+
+
+def test_predict_jods_matches_one_pair_at_a_time():
+    ds = tiny_direction_set(k=4, seed=0)
+    rng = np.random.default_rng(5)
+    pairs = [
+        (SampledBrdf(values=rng.uniform(0, 2, (4, 3)), directions=ds),
+         SampledBrdf(values=rng.uniform(0, 2, (4, 3)), directions=ds))
+        for _ in range(5)
+    ]
+    model = _small_model(input_dim=24, hidden=(6, 5, 4), dtype=np.float32)
+    batch = nn.predict_jods(model, pairs)
+    assert batch.shape == (5,)
+    single = [nn.predict_jod(model, ref, dist) for ref, dist in pairs]
+    np.testing.assert_allclose(batch, single, rtol=1e-6)
+    assert nn.predict_jods(model, []).shape == (0,)
+    with pytest.raises(PairingError):
+        nn.predict_jods(_small_model(input_dim=30, hidden=(6, 5, 4)), pairs)
