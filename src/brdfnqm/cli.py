@@ -3,6 +3,9 @@
 All randomness flows from explicit --seed flags; any command rerun with
 identical inputs and seeds writes byte-identical outputs. Exit codes:
 0 success, 1 runtime/data error, 2 usage error.
+
+Only ``train`` and ``predict`` import :mod:`brdfnqm.nn` (and with it
+``scipy.special``), so every other command starts with numpy and click alone.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import sys
 import click
 import numpy as np
 
-from . import baselines, evaluate, jod, nn, preprocess, sampling, synth
+from . import baselines, evaluate, jod, preprocess, sampling, synth
 from .errors import BrdfError
 from .merl import CANONICAL_RES, load_merl, save_merl
 from .pairio import read_pair, write_samples
@@ -47,7 +50,7 @@ def _parse_level(text: str) -> synth.DistortionSpec:
 @main.command("gen-synthetic")
 @click.option("--n", type=int, required=True, help="Number of reference materials.")
 @click.option("--level", "levels", multiple=True, required=True, help="Distortion level kind:magnitude; repeatable.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out-dir", type=click.Path(), required=True)
 @click.option("--res", nargs=3, type=int, default=CANONICAL_RES, show_default=True, help="Table resolution (theta_h theta_d phi_d).")
 def cmd_gen_synthetic(n, levels, seed, out_dir, res):
@@ -78,7 +81,7 @@ def cmd_gen_synthetic(n, levels, seed, out_dir, res):
 @main.command("sample")
 @click.option("--manifest", type=click.Path(exists=True), required=True)
 @click.option("--k", type=int, default=sampling.DEFAULT_K, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--grid", nargs=3, type=int, default=sampling.DEFAULT_GRID, show_default=True)
 @click.option("--out-dir", type=click.Path(), required=True)
 def cmd_sample(manifest, k, seed, grid, out_dir):
@@ -177,7 +180,7 @@ def cmd_label(deitp_file, params_file, pairs_file, out):
 @main.command("split")
 @click.option("--pairs", "pairs_file", type=click.Path(exists=True), required=True)
 @click.option("--test-material", "test_materials", multiple=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", type=click.Path(), required=True)
 def cmd_split(pairs_file, test_materials, seed, out):
     """Hold out test materials and split the rest 80/20 by pair."""
@@ -211,7 +214,7 @@ def cmd_split(pairs_file, test_materials, seed, out):
 @click.option("--splits", "splits_file", type=click.Path(exists=True), required=True)
 @click.option("--lo", type=float, default=0.95, show_default=True)
 @click.option("--hi", type=float, default=1.05, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out-dir", type=click.Path(), required=True)
 def cmd_augment(pairs_file, labels_file, splits_file, lo, hi, seed, out_dir):
     """Double the training set by random-scale augmentation of each pair."""
@@ -236,7 +239,7 @@ def cmd_augment(pairs_file, labels_file, splits_file, lo, hi, seed, out_dir):
                 provenance=preprocess.Provenance(labels[pid][lcols.index("provenance")]),
                 material=r[pcols.index("material")],
             )
-            aug = preprocess.augment_scale(src, lo=lo, hi=hi, seed=hash((seed, i)) & 0x7FFFFFFF)
+            aug = preprocess.augment_scale(src, lo=lo, hi=hi, seed=(seed, i))
             aug_id = f"{pid}_s"
             ref_path = out / f"{aug_id}_ref.txt"
             dist_path = out / f"{aug_id}_dist.txt"
@@ -276,11 +279,13 @@ def _load_dataset(pairs_file, labels_file, splits_file):
 @click.option("--splits", "splits_file", type=click.Path(exists=True), required=True)
 @click.option("--epochs", type=int, default=100, show_default=True)
 @click.option("--batch-size", type=int, default=512, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--checkpoint", "checkpoint_path", type=click.Path(), required=True)
 @click.option("--history", "history_path", type=click.Path(), required=True)
 def cmd_train(pairs_file, labels_file, splits_file, epochs, batch_size, seed, checkpoint_path, history_path):
     """Train the quality network on labelled sampled pairs."""
+    from . import nn
+
     try:
         dataset = _load_dataset(pairs_file, labels_file, splits_file)
         if not dataset["train"]:
@@ -339,6 +344,8 @@ def cmd_predict(checkpoint_path, pairs_file, ref_file, dist_file, out):
         raise click.UsageError("give either --pairs or --ref/--dist")
     if pairs_file and not out:
         raise click.UsageError("--out is required with --pairs")
+    from . import nn
+
     try:
         model = nn.load_checkpoint(checkpoint_path)
         if single:

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import ConstantInputError
 
@@ -27,14 +26,32 @@ class CorrelationReport:
     excluded: tuple[str, ...] = ()
 
 
+def _average_ranks(a: np.ndarray) -> np.ndarray:
+    """1-based ranks of a 1-D array; each tie group shares its mean rank.
+
+    The group starting at sorted position i with c members gets
+    i + (c + 1) / 2, an exact half, so the result equals
+    ``scipy.stats.rankdata(a)`` bit for bit without importing scipy.
+    """
+    order = np.argsort(a, kind="stable")
+    s = a[order]
+    starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
+    counts = np.diff(np.r_[starts, len(a)])
+    ranks = np.empty(len(a))
+    ranks[order] = np.repeat(starts + (counts + 1) / 2.0, counts)
+    return ranks
+
+
 def spearman(x, y) -> float:
     """Pearson correlation of average ranks (ties share their mean rank)."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1 or len(x) < 2:
         raise ValueError("need two equal-length vectors of length >= 2")
-    rx = rankdata(x)
-    ry = rankdata(y)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("correlation needs finite values")
+    rx = _average_ranks(x)
+    ry = _average_ranks(y)
     if np.all(rx == rx[0]) or np.all(ry == ry[0]):
         raise ConstantInputError("correlation undefined for a constant vector")
     rx -= rx.mean()

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import FitError
 
@@ -65,11 +64,17 @@ def jod_from_deitp(deitp, p: JodRegressionParams = REFERENCE_PARAMS):
     with np.errstate(divide="ignore", over="ignore"):
         u = np.where(tiny, 1.0, d) ** p.b3
         z = p.b1 * (-u - p.b2)
-    # 10 * (1 - 1/(1 + exp(z))) = 10 * sigmoid(z), computed stably
-    jod = 10.0 * expit(z)
+    # 10 * (1 - 1/(1 + exp(z))) = 10 * sigmoid(z)
+    jod = 10.0 * _logistic(z)
     jod = np.where(tiny, 10.0, jod)
     jod = np.clip(jod, 0.0, 10.0)
     return float(jod) if jod.ndim == 0 else jod
+
+
+def _logistic(z):
+    """1 / (1 + exp(-z)); exp overflows to inf for z < -709, giving exactly 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
 
 
 def fit_jod_regression(

@@ -71,6 +71,7 @@ def load_merl(path, name: str | None = None, strict_resolution: bool = True) -> 
 
     strict_resolution=False admits non-canonical dimensions (used for
     reduced-resolution synthetic tables); the byte-level layout is identical.
+    NaN or infinite values raise FormatError; negative sentinels load as-is.
     """
     path = str(path)
     with open(path, "rb") as f:
@@ -91,6 +92,8 @@ def load_merl(path, name: str | None = None, strict_resolution: bool = True) -> 
     if strict_resolution and tuple(dims) != CANONICAL_RES:
         raise UnsupportedResolutionError(f"{path}: dimensions {dims} != {CANONICAL_RES}")
     raw = np.frombuffer(payload, dtype="<f8").reshape(3, dims[0], dims[1], dims[2])
+    if not np.isfinite(raw).all():
+        raise FormatError(f"{path}: NaN or infinite values in the payload")
     scales = np.array(CHANNEL_SCALES).reshape(3, 1, 1, 1)
     # scale measured values; keep negative sentinels as-is so I/O is lossless
     vals = np.where(raw < 0.0, raw, raw * scales)

@@ -36,6 +36,8 @@ def read_samples(path, directions: DirectionSet | None = None) -> SampledBrdf:
     if columns != SAMPLE_COLUMNS:
         raise FormatError(f"{path}: unexpected columns {columns}")
     data = np.array([[float(v) for v in r] for r in rows])
+    if not np.isfinite(data).all():
+        raise FormatError(f"{path}: NaN or infinite values in the samples")
     if len(data) != int(meta.get("k", len(data))):
         raise FormatError(f"{path}: row count {len(data)} != header k={meta.get('k')}")
     if directions is None:

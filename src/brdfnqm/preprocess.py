@@ -107,8 +107,13 @@ def augment_noise(pair: LabeledPair, sigma: float = 0.01, seed: int = 0, labelle
     return out
 
 
-def augment_scale(pair: LabeledPair, lo: float = 0.95, hi: float = 1.05, seed: int = 0) -> LabeledPair:
-    """Scale both members by one uniform random factor; the label is kept."""
+def augment_scale(
+    pair: LabeledPair, lo: float = 0.95, hi: float = 1.05, seed: int | tuple[int, ...] = 0
+) -> LabeledPair:
+    """Scale both members by one uniform random factor; the label is kept.
+
+    seed is an int or a tuple of ints, as np.random.default_rng takes them.
+    """
     if lo > hi:
         raise ValueError("lo must be <= hi")
     f = float(np.random.default_rng(seed).uniform(lo, hi))

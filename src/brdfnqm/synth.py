@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import gaussian_filter1d
 
 from .errors import BrdfError
 from .geometry import halfdiff_to_io_arrays, _sph_to_cart
@@ -53,7 +52,8 @@ class AnalyticBrdfParams:
 class DistortionSpec:
     kind: DistortionKind
     magnitude: float
-    seed: int = 0
+    # an int or a tuple of ints, as np.random.default_rng takes them
+    seed: int | tuple[int, ...] = 0
 
     def __post_init__(self):
         if not (math.isfinite(self.magnitude) and self.magnitude >= 0.0):
@@ -134,6 +134,8 @@ def distort(brdf: TabulatedBrdf, spec: DistortionSpec) -> TabulatedBrdf:
     elif spec.kind is DistortionKind.ROUGHNESS_SHIFT:
         # widen the specular lobe: gaussian blur along the theta_h axis
         if m > 0.0:
+            from scipy.ndimage import gaussian_filter1d  # only this branch needs scipy
+
             sigma = m * brdf.res_theta_h
             filled = np.where(invalid[None, ...], 0.0, out)
             out = gaussian_filter1d(filled, sigma=sigma, axis=1, mode="nearest")
@@ -194,8 +196,8 @@ def iter_dataset(
         params = random_params(rng, model=model)
         ref = tabulate(params, res=res, name=f"mat{mat:03d}")
         for li, lv in enumerate(levels):
-            # per-pair noise stream keyed by (seed, material, level)
-            pair_spec = DistortionSpec(lv.kind, lv.magnitude, seed=hash((seed, mat, li)) & 0x7FFFFFFF)
+            # per-pair noise stream keyed by (seed, material, level) on every build
+            pair_spec = DistortionSpec(lv.kind, lv.magnitude, seed=(seed, mat, li))
             dist = distort(ref, pair_spec)
             sev = lv.magnitude / scale[lv.kind] if scale[lv.kind] > 0.0 else 0.0
             yield ref, dist, sev

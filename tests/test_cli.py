@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -63,6 +68,8 @@ def test_gen_synthetic_usage_errors(runner, tmp_path):
     result = runner.invoke(cli.main, ["gen-synthetic", "--n", "1", "--level", "wobble:0.1", "--out-dir", str(tmp_path)])
     assert result.exit_code == 2
     assert "bad level spec" in result.output
+    result = runner.invoke(cli.main, ["gen-synthetic", "--n", "1", "--level", "spec:0.1", "--seed", "-1", "--out-dir", str(tmp_path)])
+    assert result.exit_code == 2
 
 
 def test_sample_outputs(pipeline):
@@ -124,6 +131,17 @@ def test_augment_doubles_training_rows(pipeline, runner, tmp_path):
     for r in rows:
         if r[0].endswith("_s"):
             assert jod_of[r[0]] == pytest.approx(jod_of[r[0][:-2]])
+    # row i of the input pairs is scaled by a draw keyed by (seed, i)
+    scaled = {r[0][:-2]: r for r in rows if r[0].endswith("_s")}
+    _, _, src_rows = read_table(pipeline / "samples" / "pairs.txt", "pairs")
+    for i, src in enumerate(src_rows):
+        if src[0] in scaled:
+            factor = np.random.default_rng((4, i)).uniform(0.95, 1.05)
+            for col in ("ref_samples", "dist_samples"):
+                _, _, before = read_table(src[cols.index(col)], "samples")
+                _, _, after = read_table(scaled[src[0]][cols.index(col)], "samples")
+                np.testing.assert_allclose(
+                    np.array(after, dtype=float)[:, 5:], factor * np.array(before, dtype=float)[:, 5:], rtol=1e-15)
 
 
 def test_train_predict_correlate(pipeline, runner, tmp_path):
@@ -234,6 +252,46 @@ def _assert_one_line_error(result, *fragments):
     assert len(lines) == 1 and lines[0].startswith("Error: "), result.output
     for fragment in fragments:
         assert fragment in lines[0]
+
+
+def test_sample_nan_table_is_runtime_error(runner, tmp_path):
+    tables = tmp_path / "t"
+    _run(runner, ["gen-synthetic", "--n", "1", "--level", "spec:0.5", "--out-dir", str(tables), *RES])
+    dist = tables / "mat000_l00.binary"
+    payload = bytearray(dist.read_bytes())
+    payload[12:20] = np.array([np.nan], dtype="<f8").tobytes()
+    dist.write_bytes(bytes(payload))
+    result = runner.invoke(cli.main, [
+        "sample", "--manifest", str(tables / "manifest.txt"), "--k", "5", *GRID, "--out-dir", str(tmp_path / "s"),
+    ])
+    _assert_one_line_error(result, "mat000_l00.binary", "NaN")
+
+
+def test_train_nan_samples_is_runtime_error(pipeline, runner, tmp_path):
+    meta, cols, rows = read_table(pipeline / "samples" / "pairs.txt", "pairs")
+    src = rows[0][cols.index("dist_samples")]
+    smeta, scols, srows = read_table(src, "samples")
+    srows[3][scols.index("g")] = "nan"
+    bad = tmp_path / "bad_dist.txt"
+    write_table(bad, "samples", scols, srows, meta=smeta)
+    rows[0][cols.index("dist_samples")] = str(bad)
+    pairs = tmp_path / "pairs.txt"
+    write_table(pairs, "pairs", cols, rows, meta=meta)
+    result = runner.invoke(cli.main, [
+        "train", "--pairs", str(pairs), "--labels", str(pipeline / "labels.txt"),
+        "--splits", str(pipeline / "splits.txt"), "--epochs", "1", "--batch-size", "4",
+        "--checkpoint", str(tmp_path / "m.ckpt"), "--history", str(tmp_path / "h.txt"),
+    ])
+    _assert_one_line_error(result, "bad_dist.txt", "NaN")
+
+
+def test_cli_import_loads_no_scipy():
+    """Only train/predict (scipy.special) and rough: levels (scipy.ndimage) need scipy."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, brdfnqm.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_correlate_single_variant_material_is_runtime_error(pipeline, runner, tmp_path):

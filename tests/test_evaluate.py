@@ -2,11 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brdfnqm.errors import ConstantInputError
 from brdfnqm.evaluate import (
     CorrelationReport,
     ScoredPair,
+    _average_ranks,
     correlate_per_material,
     emit_report,
     spearman,
@@ -49,9 +52,22 @@ def test_matches_brute_force_oracle(seed):
     assert spearman(x, y) == pytest.approx(_spearman_oracle(x, y), abs=1e-12)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=40))
+def test_average_ranks_equal_scipy_rankdata(values):
+    from scipy.stats import rankdata
+
+    a = np.array(values, dtype=np.float64)
+    ranks = _average_ranks(a)
+    assert ranks.dtype == np.float64
+    np.testing.assert_array_equal(ranks, rankdata(a))
+
+
 def test_spearman_validation():
     with pytest.raises(ValueError):
         spearman([1.0], [2.0])
+    with pytest.raises(ValueError):
+        spearman([1.0, float("nan"), 3.0], [1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         spearman([1.0, 2.0], [1.0, 2.0, 3.0])
     with pytest.raises(ConstantInputError):

@@ -120,3 +120,11 @@ def test_label_dataset_maps_ids():
     assert out[0] == ("a", 10.0)
     assert out[1][0] == "b"
     assert out[1][1] == pytest.approx(_oracle(1.0, -14.11, -0.47, -0.21))
+
+
+def test_logistic_matches_scipy_expit():
+    from scipy.special import expit
+
+    z = np.concatenate([np.linspace(-800.0, 800.0, 200_001), np.random.default_rng(0).uniform(-800.0, 800.0, 100_000)])
+    np.testing.assert_allclose(jm._logistic(z), expit(z), rtol=0, atol=4.5e-16)
+    assert jm._logistic(-800.0) == 0.0 and jm._logistic(800.0) == 1.0

@@ -213,3 +213,17 @@ def test_random_params_in_documented_ranges():
         assert 0.02 <= p.specular.r <= 0.9
         assert p.specular.r == p.specular.g == p.specular.b
         assert 0.1 <= p.roughness <= 0.7
+
+
+def test_noise_stream_is_keyed_by_seed_material_level():
+    """Each pair's noise comes from default_rng((seed, material, level)), so
+    the draw below is the same on every Python build."""
+    levels = [
+        DistortionSpec(DistortionKind.GAUSSIAN_NOISE, 0.01),
+        DistortionSpec(DistortionKind.GAUSSIAN_NOISE, 0.02),
+    ]
+    ref, dist, _ = list(synth.iter_dataset(2, levels, seed=5, res=SMALL))[3]  # material 1, level 1
+    noise = np.random.default_rng((5, 1, 1)).normal(0.0, 0.02, size=ref.values.shape)
+    kept = (ref.values + noise > 0.0) & ~ref.invalid_mask()[None]
+    np.testing.assert_allclose((dist.values - ref.values)[kept], noise[kept], rtol=0, atol=1e-12)
+    assert dist.values[1, 0, 0, 0] - ref.values[1, 0, 0, 0] == pytest.approx(-0.030220563344388243, abs=1e-12)
