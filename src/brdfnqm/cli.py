@@ -17,9 +17,9 @@ import click
 import numpy as np
 
 from . import baselines, evaluate, jod, preprocess, sampling, synth
-from .errors import BrdfError
+from .errors import BrdfError, FormatError
 from .merl import CANONICAL_RES, load_merl, save_merl
-from .pairio import read_pair, write_samples
+from .pairio import read_pair, read_pairs, write_samples
 from .tables import read_table, write_table
 
 MANIFEST_COLUMNS = ["ref_path", "dist_path", "severity", "seed", "kind", "magnitude", "material"]
@@ -31,6 +31,28 @@ HISTORY_COLUMNS = ["epoch", "train_loss", "val_loss", "lr_input", "lr_deep"]
 
 def _fail(exc: Exception):
     raise click.ClickException(str(exc))
+
+
+def _read_sampled_pairs(pcols, prows):
+    """The (ref, dist) SampledBrdf pairs of pairs-table rows, in row order."""
+    i_ref, i_dist = pcols.index("ref_samples"), pcols.index("dist_samples")
+    return read_pairs([(r[i_ref], r[i_dist]) for r in prows])
+
+
+def _read_jods(labels_file) -> dict[str, float]:
+    """pair_id -> JOD of a labels table; a malformed or non-finite JOD is a FormatError."""
+    _, cols, rows = read_table(labels_file, "labels")
+    i_id, i_jod = cols.index("pair_id"), cols.index("jod")
+    jods = {}
+    for r in rows:
+        try:
+            value = float(r[i_jod])
+        except ValueError:
+            value = float("nan")
+        if not np.isfinite(value):
+            raise FormatError(f"{labels_file}: JOD {r[i_jod]!r} of pair {r[i_id]!r} is not a finite number")
+        jods[r[i_id]] = value
+    return jods
 
 
 @click.group()
@@ -229,11 +251,10 @@ def cmd_augment(pairs_file, labels_file, splits_file, lo, hi, seed, out_dir):
         labels = {r[lcols.index("pair_id")]: r for r in lrows}
         split_of = {r[scols.index("pair_id")]: r[scols.index("split")] for r in srows}
         new_pairs, new_labels, new_splits = list(prows), list(lrows), list(srows)
-        for i, r in enumerate(prows):
+        train_rows = [(i, r) for i, r in enumerate(prows) if split_of.get(r[pcols.index("pair_id")]) == "train"]
+        sampled = _read_sampled_pairs(pcols, [r for _, r in train_rows])
+        for (i, r), (ref, dist) in zip(train_rows, sampled):
             pid = r[pcols.index("pair_id")]
-            if split_of.get(pid) != "train":
-                continue
-            ref, dist = read_pair(r[pcols.index("ref_samples")], r[pcols.index("dist_samples")])
             src = preprocess.LabeledPair(
                 ref=ref, dist=dist, jod=float(labels[pid][lcols.index("jod")]),
                 provenance=preprocess.Provenance(labels[pid][lcols.index("provenance")]),
@@ -258,15 +279,13 @@ def cmd_augment(pairs_file, labels_file, splits_file, lo, hi, seed, out_dir):
 
 def _load_dataset(pairs_file, labels_file, splits_file):
     _, pcols, prows = read_table(pairs_file, "pairs")
-    _, lcols, lrows = read_table(labels_file, "labels")
+    labels = _read_jods(labels_file)
     _, scols, srows = read_table(splits_file, "splits")
-    labels = {r[lcols.index("pair_id")]: float(r[lcols.index("jod")]) for r in lrows}
     split_of = {r[scols.index("pair_id")]: r[scols.index("split")] for r in srows}
     dataset = {"train": [], "val": [], "test": []}
-    for r in prows:
+    for r, (ref, dist) in zip(prows, _read_sampled_pairs(pcols, prows)):
         pid = r[pcols.index("pair_id")]
         split = split_of[pid]
-        ref, dist = read_pair(r[pcols.index("ref_samples")], r[pcols.index("dist_samples")])
         dataset[split].append(
             {"pair_id": pid, "material": r[pcols.index("material")], "ref": ref, "dist": dist, "jod": labels[pid]}
         )
@@ -353,8 +372,7 @@ def cmd_predict(checkpoint_path, pairs_file, ref_file, dist_file, out):
             click.echo(repr(nn.predict_jod(model, ref, dist)))
             return
         _, pcols, prows = read_table(pairs_file, "pairs")
-        pairs = [read_pair(r[pcols.index("ref_samples")], r[pcols.index("dist_samples")]) for r in prows]
-        jods = nn.predict_jods(model, pairs)
+        jods = nn.predict_jods(model, _read_sampled_pairs(pcols, prows))
         rows = [[r[pcols.index("pair_id")], float(j)] for r, j in zip(prows, jods)]
         write_table(out, "predictions", ["pair_id", "jod_pred"], rows)
     except (BrdfError, OSError) as exc:
@@ -371,8 +389,7 @@ def cmd_eval_baselines(pairs_file, out):
     try:
         _, pcols, prows = read_table(pairs_file, "pairs")
         rows = []
-        for r in prows:
-            ref, dist = read_pair(r[pcols.index("ref_samples")], r[pcols.index("dist_samples")])
+        for r, (ref, dist) in zip(prows, _read_sampled_pairs(pcols, prows)):
             metrics = baselines.all_metrics(ref, dist)
             rows.append([r[pcols.index("pair_id")], *(metrics[k] for k in kinds)])
         write_table(out, "metrics", ["pair_id", *(k.value for k in kinds)], rows)
@@ -393,8 +410,7 @@ def cmd_correlate(metrics_file, predictions_file, labels_file, pairs_file, out, 
     try:
         _, pcols, prows = read_table(pairs_file, "pairs")
         material_of = {r[pcols.index("pair_id")]: r[pcols.index("material")] for r in prows}
-        _, lcols, lrows = read_table(labels_file, "labels")
-        jod_of = {r[lcols.index("pair_id")]: float(r[lcols.index("jod")]) for r in lrows}
+        jod_of = _read_jods(labels_file)
 
         def scored(rows_, cols_, column):
             out_ = []

@@ -35,6 +35,8 @@ CHECKPOINT_VERSION = 1
 # a Python float, so that float32 arrays stay float32 (NEP 50 scalar promotion)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _PARAM_KEYS = ("weights", "biases", "gammas", "betas")
+# elements per Adam block: its six operands (64 KB each in float32) stay in L2 cache
+_ADAM_BLOCK = 16384
 
 
 def _layout(input_dim: int, hidden: tuple[int, ...]):
@@ -285,34 +287,45 @@ def adam_step(
     The input dense layer (weights[0], biases[0]) uses lr_input; every other
     parameter, including all layer norms, uses lr_deep. ``grads`` is what
     `backward` returns; it is only read.
+
+    The vectors are updated in blocks of `_ADAM_BLOCK` elements, each inside
+    one learning-rate group, so that the ufunc sequence runs on data that
+    stays in cache. Every operation is elementwise and exactly rounded, so
+    the result does not depend on the block size.
     """
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1**t
     sqrt_bc2 = math.sqrt(1.0 - b2**t)
-    p, m, v, g = model.flat, state.m.flat, state.v.flat, grads.flat
-    if weight_decay > 0.0:
-        decayed = np.multiply(p, float(weight_decay))
-        decayed += g
-        g = decayed
-    scratch = np.multiply(g, 1.0 - b1)
-    m *= b1
-    m += scratch
-    np.square(g, out=scratch)
-    scratch *= 1.0 - b2
-    v *= b2
-    v += scratch
     # lr * (m / bc1) / (sqrt(v / bc2) + eps), with sqrt(bc2) folded into the constants
-    np.sqrt(v, out=scratch)
-    scratch += state.eps * sqrt_bc2
-    np.divide(m, scratch, out=scratch)
+    eps_hat = state.eps * sqrt_bc2
+    p, m, v, g = model.flat, state.m.flat, state.v.flat, grads.flat
+    decay = float(weight_decay)
+    scratch = np.empty(min(_ADAM_BLOCK, p.size), dtype=p.dtype)
+    decayed = np.empty_like(scratch) if decay > 0.0 else None
     n_input = model.weights[0].size + model.biases[0].size
-    for group, lr in ((slice(0, n_input), lr_input), (slice(n_input, None), lr_deep)):
-        step = scratch[group]
-        step *= float(lr) * sqrt_bc2 / bc1
-        params = p[group]
-        params -= step
+    for lo, hi, lr in ((0, n_input, lr_input), (n_input, p.size, lr_deep)):
+        step_size = float(lr) * sqrt_bc2 / bc1
+        for start in range(lo, hi, _ADAM_BLOCK):
+            block = slice(start, min(start + _ADAM_BLOCK, hi))
+            gb, mb, vb, pb = g[block], m[block], v[block], p[block]
+            s = scratch[: pb.size]
+            if decayed is not None:
+                gb = np.multiply(pb, decay, out=decayed[: pb.size])
+                gb += g[block]
+            np.multiply(gb, 1.0 - b1, out=s)
+            mb *= b1
+            mb += s
+            np.square(gb, out=s)
+            s *= 1.0 - b2
+            vb *= b2
+            vb += s
+            np.sqrt(vb, out=s)
+            s += eps_hat
+            np.divide(mb, s, out=s)
+            s *= step_size
+            pb -= s
 
 
 @dataclass

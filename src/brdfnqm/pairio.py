@@ -6,7 +6,7 @@ import numpy as np
 
 from .errors import FormatError, PairingError
 from .sampling import DirectionSet, SampledBrdf
-from .tables import read_table, write_table
+from .tables import read_numeric_table, write_table
 
 SAMPLE_COLUMNS = ["theta_h", "theta_d", "phi_d", "cos_wi", "cos_wo", "r", "g", "b"]
 
@@ -32,14 +32,15 @@ def write_samples(path, sampled: SampledBrdf) -> None:
 
 def read_samples(path, directions: DirectionSet | None = None) -> SampledBrdf:
     """Load a sample file; pass a DirectionSet to share it across a pair."""
-    meta, columns, rows = read_table(path, "samples")
+    meta, columns, data = read_numeric_table(path, "samples")
     if columns != SAMPLE_COLUMNS:
         raise FormatError(f"{path}: unexpected columns {columns}")
-    data = np.array([[float(v) for v in r] for r in rows])
-    if not np.isfinite(data).all():
-        raise FormatError(f"{path}: NaN or infinite values in the samples")
-    if len(data) != int(meta.get("k", len(data))):
-        raise FormatError(f"{path}: row count {len(data)} != header k={meta.get('k')}")
+    try:
+        k, seed = int(meta.get("k", len(data))), int(meta.get("seed", 0))
+    except ValueError:
+        raise FormatError(f"{path}: header k={meta.get('k')} seed={meta.get('seed')} is not integral") from None
+    if len(data) != k:
+        raise FormatError(f"{path}: row count {len(data)} != header k={k}")
     if directions is None:
         directions = DirectionSet(
             theta_h=data[:, 0].copy(),
@@ -47,7 +48,7 @@ def read_samples(path, directions: DirectionSet | None = None) -> SampledBrdf:
             phi_d=data[:, 2].copy(),
             cos_wi=data[:, 3].copy(),
             cos_wo=data[:, 4].copy(),
-            seed=int(meta.get("seed", 0)),
+            seed=seed,
             source_material=meta.get("material", ""),
         )
     else:
@@ -56,8 +57,23 @@ def read_samples(path, directions: DirectionSet | None = None) -> SampledBrdf:
     return SampledBrdf(values=data[:, 5:8].copy(), directions=directions)
 
 
+def read_pairs(paths) -> list[tuple[SampledBrdf, SampledBrdf]]:
+    """Load (ref_path, dist_path) rows as pairs, in row order.
+
+    Each distinct reference path is parsed once; its SampledBrdf, and so its
+    DirectionSet object, is shared by every pair that names it.
+    """
+    refs: dict = {}
+    pairs = []
+    for ref_path, dist_path in paths:
+        ref = refs.get(ref_path)
+        if ref is None:
+            ref = refs[ref_path] = read_samples(ref_path)
+        pairs.append((ref, read_samples(dist_path, directions=ref.directions)))
+    return pairs
+
+
 def read_pair(ref_path, dist_path) -> tuple[SampledBrdf, SampledBrdf]:
     """Load both members of a pair sharing one DirectionSet object."""
-    ref = read_samples(ref_path)
-    dist = read_samples(dist_path, directions=ref.directions)
-    return ref, dist
+    (pair,) = read_pairs([(ref_path, dist_path)])
+    return pair

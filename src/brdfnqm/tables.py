@@ -30,29 +30,57 @@ def write_table(path, kind: str, columns: list[str], rows, meta: dict | None = N
             f.write(" ".join(_fmt(v) for v in row) + "\n")
 
 
-def read_table(path, kind: str):
-    """Returns (meta dict of strings, column names, rows of string fields)."""
-    with open(str(path), "r", encoding="ascii") as f:
-        lines = f.read().splitlines()
+def _read_parts(path, kind: str):
+    """Returns (meta dict of strings, column names, body lines after the column header)."""
+    try:
+        with open(str(path), "r", encoding="ascii") as f:
+            lines = f.read().splitlines()
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: not an ASCII brdfnqm-{kind} table") from None
     if not lines or not lines[0].startswith(f"# brdfnqm-{kind} v"):
         raise FormatError(f"{path}: not a brdfnqm-{kind} table")
     version = lines[0].rsplit("v", 1)[-1]
-    if int(version) != FORMAT_VERSION:
+    if version != str(FORMAT_VERSION):
         raise FormatError(f"{path}: unsupported table version {version}")
     meta: dict[str, str] = {}
-    columns: list[str] = []
-    rows: list[list[str]] = []
-    for line in lines[1:]:
-        if line.startswith("# ") and "=" in line and not columns:
+    for body_start, line in enumerate(lines[1:], start=2):
+        if line.startswith("# ") and "=" in line:
             key, _, value = line[2:].partition("=")
             meta[key] = value
         elif line.startswith("# "):
-            columns = line[2:].split()
+            return meta, line[2:].split(), lines[body_start:]
         elif line.strip():
-            rows.append(line.split())
-    if not columns:
-        raise FormatError(f"{path}: missing column header")
+            break
+    raise FormatError(f"{path}: missing column header")
+
+
+def read_table(path, kind: str):
+    """Returns (meta dict of strings, column names, rows of string fields)."""
+    meta, columns, body = _read_parts(path, kind)
+    rows = [r for r in map(str.split, body) if r]
     for r in rows:
         if len(r) != len(columns):
             raise FormatError(f"{path}: row width {len(r)} != {len(columns)} columns")
     return meta, columns, rows
+
+
+def read_numeric_table(path, kind: str):
+    """Returns (meta, column names, float64 array of shape (rows, columns)).
+
+    The body is parsed in one vectorised pass that rounds exactly as
+    ``float()`` does; a malformed number, a ragged row or a NaN/infinite
+    value raises `FormatError`.
+    """
+    meta, columns, body = _read_parts(path, kind)
+    if any(map(str.strip, body)):
+        try:
+            data = np.loadtxt(body, dtype=np.float64, comments=None, ndmin=2)
+        except ValueError as exc:
+            raise FormatError(f"{path}: {exc}") from None
+    else:
+        data = np.empty((0, len(columns)))
+    if data.shape[1] != len(columns):
+        raise FormatError(f"{path}: row width {data.shape[1]} != {len(columns)} columns")
+    if not np.isfinite(data).all():
+        raise FormatError(f"{path}: NaN or infinite values in the table")
+    return meta, columns, data

@@ -267,22 +267,63 @@ def test_sample_nan_table_is_runtime_error(runner, tmp_path):
     _assert_one_line_error(result, "mat000_l00.binary", "NaN")
 
 
-def test_train_nan_samples_is_runtime_error(pipeline, runner, tmp_path):
+def _pairs_with_bad_dist(pipeline, tmp_path, token):
+    """A copy of the pipeline's pairs table whose first dist file has ``token`` as one value."""
     meta, cols, rows = read_table(pipeline / "samples" / "pairs.txt", "pairs")
     src = rows[0][cols.index("dist_samples")]
     smeta, scols, srows = read_table(src, "samples")
-    srows[3][scols.index("g")] = "nan"
+    srows[3][scols.index("g")] = token
     bad = tmp_path / "bad_dist.txt"
     write_table(bad, "samples", scols, srows, meta=smeta)
     rows[0][cols.index("dist_samples")] = str(bad)
     pairs = tmp_path / "pairs.txt"
     write_table(pairs, "pairs", cols, rows, meta=meta)
-    result = runner.invoke(cli.main, [
-        "train", "--pairs", str(pairs), "--labels", str(pipeline / "labels.txt"),
-        "--splits", str(pipeline / "splits.txt"), "--epochs", "1", "--batch-size", "4",
-        "--checkpoint", str(tmp_path / "m.ckpt"), "--history", str(tmp_path / "h.txt"),
-    ])
+    return pairs
+
+
+def _train_args(pairs, labels, splits, out_dir):
+    return ["train", "--pairs", str(pairs), "--labels", str(labels), "--splits", str(splits),
+            "--epochs", "1", "--batch-size", "4",
+            "--checkpoint", str(out_dir / "m.ckpt"), "--history", str(out_dir / "h.txt")]
+
+
+def test_train_nan_samples_is_runtime_error(pipeline, runner, tmp_path):
+    pairs = _pairs_with_bad_dist(pipeline, tmp_path, "nan")
+    result = runner.invoke(cli.main, _train_args(pairs, pipeline / "labels.txt", pipeline / "splits.txt", tmp_path))
     _assert_one_line_error(result, "bad_dist.txt", "NaN")
+
+
+@pytest.fixture(scope="module")
+def checkpoint(pipeline, runner, tmp_path_factory):
+    out = tmp_path_factory.mktemp("ckpt")
+    _run(runner, _train_args(pipeline / "samples" / "pairs.txt", pipeline / "labels.txt", pipeline / "splits.txt", out))
+    return out / "m.ckpt"
+
+
+def test_malformed_sample_number_is_runtime_error(pipeline, runner, tmp_path, checkpoint):
+    pairs = _pairs_with_bad_dist(pipeline, tmp_path, "0.1x")
+    for args in (
+        ["predict", "--checkpoint", str(checkpoint), "--pairs", str(pairs), "--out", str(tmp_path / "p.txt")],
+        ["eval-baselines", "--pairs", str(pairs), "--out", str(tmp_path / "m.txt")],
+        _train_args(pairs, pipeline / "labels.txt", pipeline / "splits.txt", tmp_path),
+    ):
+        _assert_one_line_error(runner.invoke(cli.main, args), "bad_dist.txt", "0.1x")
+
+
+@pytest.mark.parametrize("token", ["nan", "-inf", "high"])
+def test_non_finite_label_is_runtime_error(pipeline, runner, tmp_path, token):
+    _, cols, rows = read_table(pipeline / "labels.txt", "labels")
+    rows[0][cols.index("jod")] = token
+    labels = tmp_path / "labels.txt"
+    write_table(labels, "labels", cols, rows)
+    result = runner.invoke(cli.main, _train_args(pipeline / "samples" / "pairs.txt", labels, pipeline / "splits.txt", tmp_path))
+    _assert_one_line_error(result, "labels.txt", repr(token), rows[0][cols.index("pair_id")])
+    assert not (tmp_path / "m.ckpt").exists()
+    metrics = tmp_path / "metrics.txt"
+    _run(runner, ["eval-baselines", "--pairs", str(pipeline / "samples" / "pairs.txt"), "--out", str(metrics)])
+    result = runner.invoke(cli.main, _correlate_args(
+        pipeline / "samples" / "pairs.txt", labels, metrics, tmp_path / "report.txt"))
+    _assert_one_line_error(result, "labels.txt", repr(token))
 
 
 def test_cli_import_loads_no_scipy():

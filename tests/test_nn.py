@@ -424,6 +424,52 @@ def test_adam_step_leaves_gradients_unmodified(weight_decay):
     np.testing.assert_array_equal(grads.flat, before)
 
 
+def _unblocked_adam(model, grads, state, lr_input, lr_deep, weight_decay):
+    """Adam as one pass of each ufunc over the whole flat vectors: the blocked update's reference."""
+    state.step += 1
+    t = state.step
+    b1, b2 = state.beta1, state.beta2
+    bc1 = 1.0 - b1**t
+    sqrt_bc2 = math.sqrt(1.0 - b2**t)
+    p, m, v, g = model.flat, state.m.flat, state.v.flat, grads.flat
+    if weight_decay > 0.0:
+        g = np.multiply(p, float(weight_decay)) + g
+    scratch = np.multiply(g, 1.0 - b1)
+    m *= b1
+    m += scratch
+    np.square(g, out=scratch)
+    scratch *= 1.0 - b2
+    v *= b2
+    v += scratch
+    np.sqrt(v, out=scratch)
+    scratch += state.eps * sqrt_bc2
+    np.divide(m, scratch, out=scratch)
+    n_input = model.weights[0].size + model.biases[0].size
+    for group, lr in ((slice(0, n_input), lr_input), (slice(n_input, None), lr_deep)):
+        step = scratch[group]
+        step *= float(lr) * sqrt_bc2 / bc1
+        p[group] -= step
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
+@pytest.mark.parametrize("block, input_dim, hidden", [(None, 200, (90, 40, 8)), (16, 12, (8, 6, 4))])
+def test_blocked_adam_matches_unblocked_bit_for_bit(monkeypatch, weight_decay, block, input_dim, hidden):
+    if block is not None:
+        monkeypatch.setattr(nn, "_ADAM_BLOCK", block)
+    model = _small_model(seed=2, input_dim=input_dim, hidden=hidden, dtype=np.float32)
+    n_input = model.weights[0].size + model.biases[0].size
+    # the group boundary and the total size both fall inside a block
+    assert n_input > nn._ADAM_BLOCK and n_input % nn._ADAM_BLOCK and model.flat.size % nn._ADAM_BLOCK
+    ref = _small_model(seed=2, input_dim=input_dim, hidden=hidden, dtype=np.float32)
+    state, ref_state = nn.adam_init(model), nn.adam_init(ref)
+    for t in range(1, 6):
+        grads = _train_step_grads(model, seed=t)
+        nn.adam_step(model, grads, state, lr_input=1e-3, lr_deep=1e-2, weight_decay=weight_decay)
+        _unblocked_adam(ref, grads, ref_state, 1e-3, 1e-2, weight_decay)
+        for ours, theirs in ((model.flat, ref.flat), (state.m.flat, ref_state.m.flat), (state.v.flat, ref_state.v.flat)):
+            assert ours.tobytes() == theirs.tobytes()
+
+
 def test_parameters_are_views_of_the_flat_buffer_after_train():
     rng = np.random.default_rng(3)
     model = _small_model(seed=1, dtype=np.float32)
