@@ -29,8 +29,36 @@ SPLIT_COLUMNS = ["pair_id", "split"]
 HISTORY_COLUMNS = ["epoch", "train_loss", "val_loss", "lr_input", "lr_deep"]
 
 
-def _fail(exc: Exception):
-    raise click.ClickException(str(exc))
+class _PipelineGroup(click.Group):
+    """The command group; the one error boundary of every command.
+
+    A data or file error (``BrdfError``, ``OSError``, ``ValueError``) ends the
+    command with a one-line ``Error:`` message and exit 1, never a traceback.
+    """
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (BrdfError, OSError, ValueError) as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+class _ByPair(dict):
+    """pair_id -> value of one table; an absent pair is a BrdfError naming it and the file."""
+
+    def __init__(self, path, kind: str, items=()):
+        super().__init__(items)
+        self.path, self.kind = path, kind
+
+    def __missing__(self, pid):
+        raise BrdfError(f"{self.path}: pair {pid!r} is missing from the {self.kind} table")
+
+
+def _by_pair(path, kind: str, cols, rows, column: str | None = None) -> _ByPair:
+    """pair_id -> ``column`` of each table row (the whole row when column is None)."""
+    i_id = cols.index("pair_id")
+    i_val = None if column is None else cols.index(column)
+    return _ByPair(path, kind, ((r[i_id], r if i_val is None else r[i_val]) for r in rows))
 
 
 def _read_sampled_pairs(pcols, prows):
@@ -39,11 +67,11 @@ def _read_sampled_pairs(pcols, prows):
     return read_pairs([(r[i_ref], r[i_dist]) for r in prows])
 
 
-def _read_jods(labels_file) -> dict[str, float]:
+def _read_jods(labels_file) -> _ByPair:
     """pair_id -> JOD of a labels table; a malformed or non-finite JOD is a FormatError."""
     _, cols, rows = read_table(labels_file, "labels")
     i_id, i_jod = cols.index("pair_id"), cols.index("jod")
-    jods = {}
+    jods = _ByPair(labels_file, "labels")
     for r in rows:
         try:
             value = float(r[i_jod])
@@ -55,7 +83,7 @@ def _read_jods(labels_file) -> dict[str, float]:
     return jods
 
 
-@click.group()
+@click.group(cls=_PipelineGroup)
 def main():
     """Perceptual quality toolkit for tabulated BRDFs."""
 
@@ -83,20 +111,17 @@ def cmd_gen_synthetic(n, levels, seed, out_dir, res):
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    try:
-        current_ref = None
-        for i, (ref, dist, severity) in enumerate(synth.iter_dataset(n, specs, seed, res=tuple(res))):
-            li = i % len(specs)
-            if li == 0:
-                current_ref = out / f"{ref.name}.binary"
-                save_merl(ref, current_ref)
-            dist_path = out / f"{ref.name}_l{li:02d}.binary"
-            save_merl(dist, dist_path)
-            lv = specs[li]
-            rows.append([str(current_ref), str(dist_path), float(severity), seed, lv.kind.value, float(lv.magnitude), ref.name])
-        write_table(out / "manifest.txt", "manifest", MANIFEST_COLUMNS, rows, meta={"seed": seed, "n": n})
-    except (BrdfError, OSError) as exc:
-        _fail(exc)
+    current_ref = None
+    for i, (ref, dist, severity) in enumerate(synth.iter_dataset(n, specs, seed, res=tuple(res))):
+        li = i % len(specs)
+        if li == 0:
+            current_ref = out / f"{ref.name}.binary"
+            save_merl(ref, current_ref)
+        dist_path = out / f"{ref.name}_l{li:02d}.binary"
+        save_merl(dist, dist_path)
+        lv = specs[li]
+        rows.append([str(current_ref), str(dist_path), float(severity), seed, lv.kind.value, float(lv.magnitude), ref.name])
+    write_table(out / "manifest.txt", "manifest", MANIFEST_COLUMNS, rows, meta={"seed": seed, "n": n})
     click.echo(f"wrote {len(rows)} pairs to {out}/manifest.txt")
 
 
@@ -110,33 +135,30 @@ def cmd_sample(manifest, k, seed, grid, out_dir):
     """Sample every manifest pair at directions chosen from its reference."""
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        _, _, rows = read_table(manifest, "manifest")
-        cands = sampling.build_candidate_grid(*grid)
-        pair_rows = []
-        dirsets: dict[str, tuple] = {}
-        counters: dict[str, int] = {}
-        for r in rows:
-            ref_path, dist_path, severity, _, _, _, material = r
-            if ref_path not in dirsets:
-                ref_brdf = load_merl(ref_path, strict_resolution=False)
-                ds = sampling.select_samples(ref_brdf, cands, k=k, seed=seed)
-                ref_sampled = sampling.sample_brdf(ref_brdf, ds)
-                ref_out = out / f"{material}_ref.txt"
-                write_samples(ref_out, ref_sampled)
-                dirsets[ref_path] = (ds, str(ref_out))
-            ds, ref_out = dirsets[ref_path]
-            li = counters.get(material, 0)
-            counters[material] = li + 1
-            pair_id = f"{material}_l{li:02d}"
-            dist_brdf = load_merl(dist_path, strict_resolution=False)
-            dist_sampled = sampling.sample_brdf(dist_brdf, ds)
-            dist_out = out / f"{pair_id}_dist.txt"
-            write_samples(dist_out, dist_sampled)
-            pair_rows.append([pair_id, material, float(severity), ref_out, str(dist_out)])
-        write_table(out / "pairs.txt", "pairs", PAIRS_COLUMNS, pair_rows, meta={"k": k, "seed": seed})
-    except (BrdfError, OSError) as exc:
-        _fail(exc)
+    _, _, rows = read_table(manifest, "manifest")
+    cands = sampling.build_candidate_grid(*grid)
+    pair_rows = []
+    dirsets: dict[str, tuple] = {}
+    counters: dict[str, int] = {}
+    for r in rows:
+        ref_path, dist_path, severity, _, _, _, material = r
+        if ref_path not in dirsets:
+            ref_brdf = load_merl(ref_path, strict_resolution=False)
+            ds = sampling.select_samples(ref_brdf, cands, k=k, seed=seed)
+            ref_sampled = sampling.sample_brdf(ref_brdf, ds)
+            ref_out = out / f"{material}_ref.txt"
+            write_samples(ref_out, ref_sampled)
+            dirsets[ref_path] = (ds, str(ref_out))
+        ds, ref_out = dirsets[ref_path]
+        li = counters.get(material, 0)
+        counters[material] = li + 1
+        pair_id = f"{material}_l{li:02d}"
+        dist_brdf = load_merl(dist_path, strict_resolution=False)
+        dist_sampled = sampling.sample_brdf(dist_brdf, ds)
+        dist_out = out / f"{pair_id}_dist.txt"
+        write_samples(dist_out, dist_sampled)
+        pair_rows.append([pair_id, material, float(severity), ref_out, str(dist_out)])
+    write_table(out / "pairs.txt", "pairs", PAIRS_COLUMNS, pair_rows, meta={"k": k, "seed": seed})
     click.echo(f"sampled {len(pair_rows)} pairs into {out}")
 
 
@@ -146,21 +168,15 @@ def cmd_sample(manifest, k, seed, grid, out_dir):
 @click.option("--out", type=click.Path(), required=True)
 def cmd_fit_jod(calibration, init, out):
     """Fit the logistic deitp->JOD regression by Levenberg-Marquardt."""
-    try:
-        _, cols, rows = read_table(calibration, "calibration")
-        points = [
-            jod.CalibrationPoint(deitp=float(r[cols.index("deitp")]), jod=float(r[cols.index("jod")]))
-            for r in rows
-        ]
-    except (BrdfError, OSError) as exc:
-        _fail(exc)
+    _, cols, rows = read_table(calibration, "calibration")
+    points = [
+        jod.CalibrationPoint(deitp=float(r[cols.index("deitp")]), jod=float(r[cols.index("jod")]))
+        for r in rows
+    ]
     if len(points) < 3:
         raise click.UsageError("calibration needs at least 3 rows")
-    try:
-        params = jod.fit_jod_regression(points, jod.JodRegressionParams(*init))
-        write_table(out, "jodparams", ["b1", "b2", "b3"], [[params.b1, params.b2, params.b3]])
-    except (BrdfError, OSError, ValueError) as exc:
-        _fail(exc)
+    params = jod.fit_jod_regression(points, jod.JodRegressionParams(*init))
+    write_table(out, "jodparams", ["b1", "b2", "b3"], [[params.b1, params.b2, params.b3]])
     click.echo(f"fitted b1={params.b1:.4f} b2={params.b2:.4f} b3={params.b3:.4f}")
 
 
@@ -180,22 +196,19 @@ def cmd_label(deitp_file, params_file, pairs_file, out):
     if bool(deitp_file) == bool(pairs_file):
         raise click.UsageError("give either --deitp (with --params) or --from-severity")
     rows = []
-    try:
-        if pairs_file:
-            _, cols, prows = read_table(pairs_file, "pairs")
-            for r in prows:
-                sev = float(r[cols.index("severity")])
-                rows.append([r[cols.index("pair_id")], preprocess.severity_oracle_jod(sev), preprocess.Provenance.SYNTHETIC_ORACLE.value])
-        else:
-            params = _load_params(params_file) if params_file else jod.REFERENCE_PARAMS
-            _, cols, drows = read_table(deitp_file, "deitp")
-            labelled = jod.label_dataset(
-                [(r[cols.index("pair_id")], float(r[cols.index("deitp")])) for r in drows], params
-            )
-            rows = [[pid, value, preprocess.Provenance.PSEUDO_DEITP.value] for pid, value in labelled]
-        write_table(out, "labels", LABEL_COLUMNS, rows)
-    except (BrdfError, OSError, ValueError) as exc:
-        _fail(exc)
+    if pairs_file:
+        _, cols, prows = read_table(pairs_file, "pairs")
+        for r in prows:
+            sev = float(r[cols.index("severity")])
+            rows.append([r[cols.index("pair_id")], preprocess.severity_oracle_jod(sev), preprocess.Provenance.SYNTHETIC_ORACLE.value])
+    else:
+        params = _load_params(params_file) if params_file else jod.REFERENCE_PARAMS
+        _, cols, drows = read_table(deitp_file, "deitp")
+        labelled = jod.label_dataset(
+            [(r[cols.index("pair_id")], float(r[cols.index("deitp")])) for r in drows], params
+        )
+        rows = [[pid, value, preprocess.Provenance.PSEUDO_DEITP.value] for pid, value in labelled]
+    write_table(out, "labels", LABEL_COLUMNS, rows)
     click.echo(f"labelled {len(rows)} pairs")
 
 
@@ -206,28 +219,11 @@ def cmd_label(deitp_file, params_file, pairs_file, out):
 @click.option("--out", type=click.Path(), required=True)
 def cmd_split(pairs_file, test_materials, seed, out):
     """Hold out test materials and split the rest 80/20 by pair."""
-    try:
-        _, cols, prows = read_table(pairs_file, "pairs")
-        ids = [r[cols.index("pair_id")] for r in prows]
-        mats = [r[cols.index("material")] for r in prows]
-        test_set = set(test_materials)
-        test_idx = [i for i, m in enumerate(mats) if m in test_set]
-        rest = [i for i, m in enumerate(mats) if m not in test_set]
-        perm = np.random.default_rng(seed).permutation(len(rest))
-        n_train = round(0.8 * len(rest))
-        assign = {}
-        for j in perm[:n_train]:
-            assign[rest[j]] = "train"
-        for j in perm[n_train:]:
-            assign[rest[j]] = "val"
-        for i in test_idx:
-            assign[i] = "test"
-        rows = [[ids[i], assign[i]] for i in range(len(ids))]
-        write_table(out, "splits", SPLIT_COLUMNS, rows, meta={"seed": seed})
-    except (BrdfError, OSError) as exc:
-        _fail(exc)
-    counts = {s: sum(1 for r in rows if r[1] == s) for s in ("train", "val", "test")}
-    click.echo(f"split {counts['train']}/{counts['val']}/{counts['test']}")
+    _, cols, prows = read_table(pairs_file, "pairs")
+    splits = preprocess.make_splits([r[cols.index("material")] for r in prows], test_materials, seed)
+    rows = [[r[cols.index("pair_id")], s] for r, s in zip(prows, splits)]
+    write_table(out, "splits", SPLIT_COLUMNS, rows, meta={"seed": seed})
+    click.echo(f"split {splits.count('train')}/{splits.count('val')}/{splits.count('test')}")
 
 
 @main.command("augment")
@@ -244,36 +240,33 @@ def cmd_augment(pairs_file, labels_file, splits_file, lo, hi, seed, out_dir):
         raise click.UsageError("--lo must be <= --hi")
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        pairs_meta, pcols, prows = read_table(pairs_file, "pairs")
-        _, lcols, lrows = read_table(labels_file, "labels")
-        _, scols, srows = read_table(splits_file, "splits")
-        labels = {r[lcols.index("pair_id")]: r for r in lrows}
-        split_of = {r[scols.index("pair_id")]: r[scols.index("split")] for r in srows}
-        new_pairs, new_labels, new_splits = list(prows), list(lrows), list(srows)
-        train_rows = [(i, r) for i, r in enumerate(prows) if split_of.get(r[pcols.index("pair_id")]) == "train"]
-        sampled = _read_sampled_pairs(pcols, [r for _, r in train_rows])
-        for (i, r), (ref, dist) in zip(train_rows, sampled):
-            pid = r[pcols.index("pair_id")]
-            src = preprocess.LabeledPair(
-                ref=ref, dist=dist, jod=float(labels[pid][lcols.index("jod")]),
-                provenance=preprocess.Provenance(labels[pid][lcols.index("provenance")]),
-                material=r[pcols.index("material")],
-            )
-            aug = preprocess.augment_scale(src, lo=lo, hi=hi, seed=(seed, i))
-            aug_id = f"{pid}_s"
-            ref_path = out / f"{aug_id}_ref.txt"
-            dist_path = out / f"{aug_id}_dist.txt"
-            write_samples(ref_path, aug.ref)
-            write_samples(dist_path, aug.dist)
-            new_pairs.append([aug_id, aug.material, r[pcols.index("severity")], str(ref_path), str(dist_path)])
-            new_labels.append([aug_id, aug.jod, aug.provenance.value])
-            new_splits.append([aug_id, "train"])
-        write_table(out / "pairs.txt", "pairs", PAIRS_COLUMNS, new_pairs, meta=pairs_meta)
-        write_table(out / "labels.txt", "labels", LABEL_COLUMNS, new_labels)
-        write_table(out / "splits.txt", "splits", SPLIT_COLUMNS, new_splits, meta={"seed": seed})
-    except (BrdfError, OSError, KeyError) as exc:
-        _fail(exc)
+    pairs_meta, pcols, prows = read_table(pairs_file, "pairs")
+    _, lcols, lrows = read_table(labels_file, "labels")
+    _, scols, srows = read_table(splits_file, "splits")
+    labels = _by_pair(labels_file, "labels", lcols, lrows)
+    split_of = _by_pair(splits_file, "splits", scols, srows, "split")
+    new_pairs, new_labels, new_splits = list(prows), list(lrows), list(srows)
+    train_rows = [(i, r) for i, r in enumerate(prows) if split_of[r[pcols.index("pair_id")]] == "train"]
+    sampled = _read_sampled_pairs(pcols, [r for _, r in train_rows])
+    for (i, r), (ref, dist) in zip(train_rows, sampled):
+        pid = r[pcols.index("pair_id")]
+        src = preprocess.LabeledPair(
+            ref=ref, dist=dist, jod=float(labels[pid][lcols.index("jod")]),
+            provenance=preprocess.Provenance(labels[pid][lcols.index("provenance")]),
+            material=r[pcols.index("material")],
+        )
+        aug = preprocess.augment_scale(src, lo=lo, hi=hi, seed=(seed, i))
+        aug_id = f"{pid}_s"
+        ref_path = out / f"{aug_id}_ref.txt"
+        dist_path = out / f"{aug_id}_dist.txt"
+        write_samples(ref_path, aug.ref)
+        write_samples(dist_path, aug.dist)
+        new_pairs.append([aug_id, aug.material, r[pcols.index("severity")], str(ref_path), str(dist_path)])
+        new_labels.append([aug_id, aug.jod, aug.provenance.value])
+        new_splits.append([aug_id, "train"])
+    write_table(out / "pairs.txt", "pairs", PAIRS_COLUMNS, new_pairs, meta=pairs_meta)
+    write_table(out / "labels.txt", "labels", LABEL_COLUMNS, new_labels)
+    write_table(out / "splits.txt", "splits", SPLIT_COLUMNS, new_splits, meta={"seed": seed})
     click.echo(f"training pairs: {len(prows)} rows -> {len(new_pairs)} rows total")
 
 
@@ -281,11 +274,13 @@ def _load_dataset(pairs_file, labels_file, splits_file):
     _, pcols, prows = read_table(pairs_file, "pairs")
     labels = _read_jods(labels_file)
     _, scols, srows = read_table(splits_file, "splits")
-    split_of = {r[scols.index("pair_id")]: r[scols.index("split")] for r in srows}
+    split_of = _by_pair(splits_file, "splits", scols, srows, "split")
     dataset = {"train": [], "val": [], "test": []}
     for r, (ref, dist) in zip(prows, _read_sampled_pairs(pcols, prows)):
         pid = r[pcols.index("pair_id")]
         split = split_of[pid]
+        if split not in dataset:
+            raise FormatError(f"{splits_file}: pair {pid!r} has split {split!r}, want train, val or test")
         dataset[split].append(
             {"pair_id": pid, "material": r[pcols.index("material")], "ref": ref, "dist": dist, "jod": labels[pid]}
         )
@@ -305,46 +300,34 @@ def cmd_train(pairs_file, labels_file, splits_file, epochs, batch_size, seed, ch
     """Train the quality network on labelled sampled pairs."""
     from . import nn
 
-    try:
-        dataset = _load_dataset(pairs_file, labels_file, splits_file)
-        if not dataset["train"]:
-            raise BrdfError("empty training set")
-        seen = set()
-        train_refs = []
-        for item in dataset["train"]:
-            if item["material"] not in seen:
-                seen.add(item["material"])
-                train_refs.append(preprocess.transform_sampled(item["ref"]))
-        stats = preprocess.compute_whitening(train_refs, already_transformed=True)
-        pool = dataset["train"] + dataset["val"]
-        jods = [it["jod"] for it in pool]
-        jod_min, jod_max = min(jods), max(jods)
-        if jod_min == jod_max:
-            jod_min, jod_max = jod_min - 0.5, jod_max + 0.5
-        k = dataset["train"][0]["ref"].directions.k
-        model = nn.init_model(seed, jod_min, jod_max, stats, input_dim=6 * k)
-
-        def matrix(items):
-            if not items:
-                return np.zeros((0, 6 * k)), np.zeros((0,))
-            x = np.stack([nn.pair_to_input(it["ref"], it["dist"], stats) for it in items])
-            y = np.array([it["jod"] for it in items])
-            return x, y
-
-        x_tr, y_tr = matrix(dataset["train"])
-        x_va, y_va = matrix(dataset["val"])
-        cfg = nn.TrainConfig(epochs=epochs, batch_size=batch_size, shuffle_seed=seed)
-        model, history = nn.train(model, x_tr, y_tr, x_va, y_va, cfg)
-        nn.save_checkpoint(model, checkpoint_path)
-        write_table(
-            history_path,
-            "history",
-            HISTORY_COLUMNS,
-            [[h["epoch"], h["train_loss"], h["val_loss"], h["lr_input"], h["lr_deep"]] for h in history],
-            meta={"params": nn.param_count(model), "seed": seed},
-        )
-    except (BrdfError, OSError, ValueError, KeyError) as exc:
-        _fail(exc)
+    dataset = _load_dataset(pairs_file, labels_file, splits_file)
+    train_items, val_items = dataset["train"], dataset["val"]
+    if not train_items:
+        raise BrdfError("empty training set")
+    ref_of_material = {}
+    for it in train_items:
+        ref_of_material.setdefault(it["material"], it["ref"])
+    stats = preprocess.compute_whitening(list(ref_of_material.values()))
+    jods = [it["jod"] for it in train_items + val_items]
+    jod_min, jod_max = min(jods), max(jods)
+    if jod_min == jod_max:
+        jod_min, jod_max = jod_min - 0.5, jod_max + 0.5
+    k = train_items[0]["ref"].directions.k
+    model = nn.init_model(seed, jod_min, jod_max, stats, input_dim=6 * k)
+    x_tr = nn.input_matrix(model, [(it["ref"], it["dist"]) for it in train_items])
+    x_va = nn.input_matrix(model, [(it["ref"], it["dist"]) for it in val_items])
+    y_tr = np.array([it["jod"] for it in train_items])
+    y_va = np.array([it["jod"] for it in val_items])
+    cfg = nn.TrainConfig(epochs=epochs, batch_size=batch_size, shuffle_seed=seed)
+    model, history = nn.train(model, x_tr, y_tr, x_va, y_va, cfg)
+    nn.save_checkpoint(model, checkpoint_path)
+    write_table(
+        history_path,
+        "history",
+        HISTORY_COLUMNS,
+        [[h["epoch"], h["train_loss"], h["val_loss"], h["lr_input"], h["lr_deep"]] for h in history],
+        meta={"params": nn.param_count(model), "seed": seed},
+    )
     click.echo(f"trained {nn.param_count(model)} parameters; checkpoint at {checkpoint_path}")
 
 
@@ -365,18 +348,15 @@ def cmd_predict(checkpoint_path, pairs_file, ref_file, dist_file, out):
         raise click.UsageError("--out is required with --pairs")
     from . import nn
 
-    try:
-        model = nn.load_checkpoint(checkpoint_path)
-        if single:
-            ref, dist = read_pair(ref_file, dist_file)
-            click.echo(repr(nn.predict_jod(model, ref, dist)))
-            return
-        _, pcols, prows = read_table(pairs_file, "pairs")
-        jods = nn.predict_jods(model, _read_sampled_pairs(pcols, prows))
-        rows = [[r[pcols.index("pair_id")], float(j)] for r, j in zip(prows, jods)]
-        write_table(out, "predictions", ["pair_id", "jod_pred"], rows)
-    except (BrdfError, OSError) as exc:
-        _fail(exc)
+    model = nn.load_checkpoint(checkpoint_path)
+    if single:
+        ref, dist = read_pair(ref_file, dist_file)
+        click.echo(repr(nn.predict_jod(model, ref, dist)))
+        return
+    _, pcols, prows = read_table(pairs_file, "pairs")
+    jods = nn.predict_jods(model, _read_sampled_pairs(pcols, prows))
+    rows = [[r[pcols.index("pair_id")], float(j)] for r, j in zip(prows, jods)]
+    write_table(out, "predictions", ["pair_id", "jod_pred"], rows)
     click.echo(f"scored {len(rows)} pairs")
 
 
@@ -386,15 +366,12 @@ def cmd_predict(checkpoint_path, pairs_file, ref_file, dist_file, out):
 def cmd_eval_baselines(pairs_file, out):
     """Compute the eight reference BRDF-space metrics per pair."""
     kinds = list(baselines.MetricKind)
-    try:
-        _, pcols, prows = read_table(pairs_file, "pairs")
-        rows = []
-        for r, (ref, dist) in zip(prows, _read_sampled_pairs(pcols, prows)):
-            metrics = baselines.all_metrics(ref, dist)
-            rows.append([r[pcols.index("pair_id")], *(metrics[k] for k in kinds)])
-        write_table(out, "metrics", ["pair_id", *(k.value for k in kinds)], rows)
-    except (BrdfError, OSError) as exc:
-        _fail(exc)
+    _, pcols, prows = read_table(pairs_file, "pairs")
+    rows = []
+    for r, (ref, dist) in zip(prows, _read_sampled_pairs(pcols, prows)):
+        metrics = baselines.all_metrics(ref, dist)
+        rows.append([r[pcols.index("pair_id")], *(metrics[k] for k in kinds)])
+    write_table(out, "metrics", ["pair_id", *(k.value for k in kinds)], rows)
     click.echo(f"evaluated {len(rows)} pairs x {len(kinds)} metrics")
 
 
@@ -407,40 +384,32 @@ def cmd_eval_baselines(pairs_file, out):
 @click.option("--format", "fmt", type=click.Choice(["table", "plot-data"]), default="table", show_default=True)
 def cmd_correlate(metrics_file, predictions_file, labels_file, pairs_file, out, fmt):
     """Per-material Spearman of every metric against JOD labels."""
-    try:
-        _, pcols, prows = read_table(pairs_file, "pairs")
-        material_of = {r[pcols.index("pair_id")]: r[pcols.index("material")] for r in prows}
-        jod_of = _read_jods(labels_file)
+    _, pcols, prows = read_table(pairs_file, "pairs")
+    material_of = _by_pair(pairs_file, "pairs", pcols, prows, "material")
+    jod_of = _read_jods(labels_file)
 
-        def scored(rows_, cols_, column):
-            out_ = []
-            for r in rows_:
-                pid = r[cols_.index("pair_id")]
-                for table, known in (("pairs", material_of), ("labels", jod_of)):
-                    if pid not in known:
-                        raise BrdfError(f"pair {pid!r} scored for {column} is missing from the {table} table")
-                out_.append(
-                    evaluate.ScoredPair(
-                        pair_id=pid,
-                        material=material_of[pid],
-                        predicted=float(r[cols_.index(column)]),
-                        ground_truth_jod=jod_of[pid],
-                    )
-                )
-            return out_
+    def scored(rows_, cols_, column):
+        i_id, i_score = cols_.index("pair_id"), cols_.index(column)
+        return [
+            evaluate.ScoredPair(
+                pair_id=r[i_id],
+                material=material_of[r[i_id]],
+                predicted=float(r[i_score]),
+                ground_truth_jod=jod_of[r[i_id]],
+            )
+            for r in rows_
+        ]
 
-        report_rows = []
-        _, mcols, mrows = read_table(metrics_file, "metrics")
-        for kind in baselines.MetricKind:
-            rep = evaluate.correlate_per_material(scored(mrows, mcols, kind.value), sign=-1)
-            report_rows.append((kind.value, rep.average))
-        if predictions_file:
-            _, qcols, qrows = read_table(predictions_file, "predictions")
-            rep = evaluate.correlate_per_material(scored(qrows, qcols, "jod_pred"), sign=1)
-            report_rows.append(("brdf-nqm", rep.average))
-        evaluate.emit_report(report_rows, out, fmt=fmt)
-    except (BrdfError, OSError, ValueError) as exc:
-        _fail(exc)
+    report_rows = []
+    _, mcols, mrows = read_table(metrics_file, "metrics")
+    for kind in baselines.MetricKind:
+        rep = evaluate.correlate_per_material(scored(mrows, mcols, kind.value), sign=-1)
+        report_rows.append((kind.value, rep.average))
+    if predictions_file:
+        _, qcols, qrows = read_table(predictions_file, "predictions")
+        rep = evaluate.correlate_per_material(scored(qrows, qcols, "jod_pred"), sign=1)
+        report_rows.append(("brdf-nqm", rep.average))
+    evaluate.emit_report(report_rows, out, fmt=fmt)
     click.echo(f"wrote {len(report_rows)} metric rows to {out}")
 
 

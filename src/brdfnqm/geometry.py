@@ -112,20 +112,10 @@ def io_to_halfdiff(wi: SphericalDirection, wo: SphericalDirection) -> HalfDiffCo
     """Convert an upper-hemisphere direction pair to half/diff coordinates."""
     if not (wi.above_horizon and wo.above_horizon):
         raise ValueError("directions must lie in the upper hemisphere")
-    wi_v = wi.to_cartesian()
-    wo_v = wo.to_cartesian()
-    h = wi_v + wo_v
-    norm = float(np.linalg.norm(h))
-    if norm < 1e-9:
-        raise DegenerateGeometryError("wi + wo is (near) zero; half vector undefined")
-    h /= norm
-    theta_h = math.acos(max(-1.0, min(1.0, float(h[2]))))
-    phi_h = math.atan2(float(h[1]), float(h[0]))
-    # rotate h to the pole; wi in that frame is the difference vector
-    d = _rot_y(_rot_z(wi_v, -phi_h), -theta_h)
-    theta_d = math.acos(max(-1.0, min(1.0, float(d[2]))))
-    phi_d = math.atan2(float(d[1]), float(d[0]))
-    return HalfDiffCoords(theta_h, theta_d, phi_d)
+    theta_h, theta_d, phi_d, _ = io_to_halfdiff_arrays(
+        np.array([wi.theta]), np.array([wi.phi]), np.array([wo.theta]), np.array([wo.phi])
+    )
+    return HalfDiffCoords(float(theta_h[0]), float(theta_d[0]), float(phi_d[0]))
 
 
 def halfdiff_to_io(

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FormatError, TruncatedFileError, UnsupportedResolutionError
-from .geometry import HALF_PI, HalfDiffCoords, fold_phi_d
+from .geometry import HALF_PI
 
 CANONICAL_RES = (90, 90, 180)
 CHANNEL_SCALES = (1.0 / 1500.0, 1.15 / 1500.0, 1.66 / 1500.0)
@@ -159,15 +159,3 @@ def lookup(brdf: TabulatedBrdf, theta_h, theta_d, phi_d):
     vals = np.where(vals < 0.0, 0.0, vals)
     vals = np.where(invalid[..., None], 0.0, vals)
     return vals, invalid
-
-
-def eval_brdf(brdf: TabulatedBrdf, hd: HalfDiffCoords) -> tuple[Rgb, bool]:
-    """Nearest-bin evaluation; invalid bins read as black with a flag set."""
-    vals, invalid = lookup(
-        brdf,
-        np.array([hd.theta_h]),
-        np.array([hd.theta_d]),
-        np.array([fold_phi_d(hd.phi_d)]),
-    )
-    v = vals[0]
-    return Rgb(float(v[0]), float(v[1]), float(v[2])), bool(invalid[0])

@@ -443,8 +443,8 @@ def pair_to_input(ref: SampledBrdf, dist: SampledBrdf, whitening: WhiteningStats
     return np.concatenate([r.values.ravel(), d.values.ravel()])
 
 
-def predict_jods(model: MlpModel, pairs) -> np.ndarray:
-    """Score raw sampled (ref, dist) pairs, in order, in one eval-mode pass."""
+def input_matrix(model: MlpModel, pairs) -> np.ndarray:
+    """Network inputs of raw sampled (ref, dist) pairs: one row per pair, in order, in the model's dtype."""
     x = np.empty((len(pairs), model.input_dim), dtype=model.dtype)
     for row, (ref, dist) in zip(x, pairs):
         inp = pair_to_input(ref, dist, model.whitening)
@@ -453,7 +453,12 @@ def predict_jods(model: MlpModel, pairs) -> np.ndarray:
                 f"pair produces input of length {inp.shape[0]}, model expects {model.input_dim}"
             )
         row[:] = inp
-    pred, _ = forward(model, x, mode="eval")
+    return x
+
+
+def predict_jods(model: MlpModel, pairs) -> np.ndarray:
+    """Score raw sampled (ref, dist) pairs, in order, in one eval-mode pass."""
+    pred, _ = forward(model, input_matrix(model, pairs), mode="eval")
     return pred[:, 0]
 
 

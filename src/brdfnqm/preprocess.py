@@ -52,14 +52,6 @@ class LabeledPair:
             raise ValueError(f"jod {self.jod} outside [0, 10]")
 
 
-@dataclass(frozen=True)
-class SplitManifest:
-    train: list[int]
-    val: list[int]
-    test: list[int]
-    seed: int
-
-
 def perceptual_transform(rho):
     """Cube root then log1p: compresses specular peaks and dynamic range."""
     rho = np.asarray(rho, dtype=np.float64)
@@ -73,13 +65,11 @@ def transform_sampled(s: SampledBrdf) -> SampledBrdf:
     return SampledBrdf(values=perceptual_transform(np.maximum(s.values, 0.0)), directions=s.directions)
 
 
-def compute_whitening(train_refs: list[SampledBrdf], already_transformed: bool = False) -> WhiteningStats:
-    """Population per-channel moments over all samples of all references."""
+def compute_whitening(train_refs: list[SampledBrdf]) -> WhiteningStats:
+    """Population per-channel moments of all transformed samples of raw references."""
     if not train_refs:
         raise ValueError("need at least one reference")
-    stacked = np.concatenate([r.values for r in train_refs], axis=0)
-    if not already_transformed:
-        stacked = perceptual_transform(np.maximum(stacked, 0.0))
+    stacked = perceptual_transform(np.maximum(np.concatenate([r.values for r in train_refs], axis=0), 0.0))
     mean = stacked.mean(axis=0)
     std = np.maximum(stacked.std(axis=0), STD_FLOOR)
     return WhiteningStats(mean=mean, std=std)
@@ -215,21 +205,23 @@ def balance_by_jod(
     return new_pairs
 
 
-def make_splits(pool: list[LabeledPair], test_materials: list[str], seed: int) -> SplitManifest:
-    """Hold out test materials, split the rest 80/20 by pair, seeded."""
-    if not pool:
-        raise ValueError("pool must be nonempty")
+def make_splits(materials: list[str], test_materials, seed: int) -> list[str]:
+    """Split name ("train", "val" or "test") of each pair, given the pairs' materials.
+
+    Pairs of the test materials are held out; the rest split 80/20 by pair
+    through one seeded permutation. Every test material must own a pair.
+    """
     test_set = set(test_materials)
-    test = [i for i, p in enumerate(pool) if p.material in test_set]
-    rest = [i for i, p in enumerate(pool) if p.material not in test_set]
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(len(rest))
+    absent = sorted(test_set.difference(materials))
+    if absent:
+        raise ValueError(f"no pair has test material {', '.join(map(repr, absent))}")
+    rest = [i for i, m in enumerate(materials) if m not in test_set]
+    perm = np.random.default_rng(seed).permutation(len(rest))
     n_train = round(0.8 * len(rest))
-    train = sorted(rest[j] for j in perm[:n_train])
-    val = sorted(rest[j] for j in perm[n_train:])
-    assert not (set(train) & set(val) or set(train) & set(test) or set(val) & set(test))
-    assert len(train) + len(val) + len(test) == len(pool)
-    return SplitManifest(train=train, val=val, test=sorted(test), seed=seed)
+    splits = ["test"] * len(materials)
+    for rank, j in enumerate(perm):
+        splits[rest[j]] = "train" if rank < n_train else "val"
+    return splits
 
 
 def severity_oracle_jod(severity: float) -> float:

@@ -162,14 +162,14 @@ def severity_scale(levels: list[DistortionSpec]) -> dict[DistortionKind, float]:
     return scale
 
 
-def gen_dataset(
+def iter_dataset(
     n_materials: int,
     levels: list[DistortionSpec],
     seed: int,
     res: tuple[int, int, int] = CANONICAL_RES,
     model: BrdfModel = BrdfModel.GGX_MICROFACET,
 ):
-    """Materialize (reference, distorted, severity) triples.
+    """Yield (reference, distorted, severity) triples, one reference's levels at a time.
 
     Deterministic in all arguments. Severity is the level magnitude
     normalized by the largest magnitude of the same kind, so it is strictly
@@ -179,17 +179,6 @@ def gen_dataset(
         raise ValueError("n_materials must be >= 1")
     if not levels:
         raise ValueError("levels must be nonempty")
-    return list(iter_dataset(n_materials, levels, seed, res=res, model=model))
-
-
-def iter_dataset(
-    n_materials: int,
-    levels: list[DistortionSpec],
-    seed: int,
-    res: tuple[int, int, int] = CANONICAL_RES,
-    model: BrdfModel = BrdfModel.GGX_MICROFACET,
-):
-    """Streaming form of gen_dataset (one reference's pairs at a time)."""
     scale = severity_scale(levels)
     rng = np.random.default_rng(seed)
     for mat in range(n_materials):

@@ -203,16 +203,17 @@ def test_acceptance_6_counting_invariants():
     # 3,340 ordinary pairs + 180 pairs of held-out study materials = 3,520
     pool = [pair(f"m{idx % 167}") for idx in range(3340)]
     pool += [pair(f"held{idx % 9}") for idx in range(180)]
-    manifest = preprocess.make_splits(pool, test_materials=[f"held{i}" for i in range(9)], seed=0)
-    assert len(manifest.train) == 2672
-    assert len(manifest.val) == 668
-    assert len(manifest.test) == 180
-    assert len(manifest.train) + len(manifest.val) + len(manifest.test) == 3520
+    splits = preprocess.make_splits([p.material for p in pool], test_materials=[f"held{i}" for i in range(9)], seed=0)
+    train = [i for i, s in enumerate(splits) if s == "train"]
+    assert len(train) == 2672
+    assert splits.count("val") == 668
+    assert splits.count("test") == 180
+    assert len(splits) == 3520
 
     # scale augmentation adds one scaled copy per training pair: 2672 -> 5344
-    augmented = [preprocess.augment_scale(pool[i], seed=i) for i in manifest.train]
+    augmented = [preprocess.augment_scale(pool[i], seed=i) for i in train]
     assert all(p.provenance is Provenance.AUGMENTED_SCALE for p in augmented)
-    total_train = len(manifest.train) + len(augmented)
+    total_train = len(train) + len(augmented)
     assert total_train == 5344
     _ok(6, "counting invariants (3,520 -> 2,672/668/180; train 2,672 -> 5,344)")
 
@@ -259,16 +260,12 @@ def test_acceptance_7_end_to_end(desk_dataset):
             seen.add(name)
             train_refs.append(ref)
     stats = preprocess.compute_whitening(train_refs)
-
-    def matrix(subset):
-        x = np.stack([nn.pair_to_input(r, d, stats) for _, r, d, _ in subset])
-        y = np.array([j for _, _, _, j in subset])
-        return x, y
-
-    x_tr, y_tr = matrix(train_items)
-    x_te, y_te = matrix(test_items)
+    y_tr = np.array([j for _, _, _, j in train_items])
+    y_te = np.array([j for _, _, _, j in test_items])
     model = nn.init_model(seed=0, jod_min=float(y_tr.min()), jod_max=float(y_tr.max() + 1e-6),
                           whitening=stats, input_dim=3000)
+    x_tr = nn.input_matrix(model, [(r, d) for _, r, d, _ in train_items])
+    x_te = nn.input_matrix(model, [(r, d) for _, r, d, _ in test_items])
     cfg = nn.TrainConfig(epochs=200, batch_size=64, shuffle_seed=0)
     model, history = nn.train(model, x_tr, y_tr, x_te, y_te, cfg)
 

@@ -359,6 +359,105 @@ def test_correlate_unlabelled_pair_is_runtime_error(pipeline, runner, tmp_path):
     _assert_one_line_error(result, "'mat001_l01'", "labels")
 
 
+def _sample_with_bad_severity(pipeline, tmp_path):
+    meta, cols, rows = read_table(pipeline / "tables" / "manifest.txt", "manifest")
+    rows[0][cols.index("severity")] = "high"
+    manifest = tmp_path / "manifest.txt"
+    write_table(manifest, "manifest", cols, rows, meta=meta)
+    return ["sample", "--manifest", str(manifest), "--k", "5", *GRID, "--out-dir", str(tmp_path / "s")], "'high'"
+
+
+def _split_without_material_column(pipeline, tmp_path):
+    meta, cols, rows = read_table(pipeline / "samples" / "pairs.txt", "pairs")
+    keep = [i for i, c in enumerate(cols) if c != "material"]
+    pairs = tmp_path / "pairs.txt"
+    write_table(pairs, "pairs", [cols[i] for i in keep], [[r[i] for i in keep] for r in rows], meta=meta)
+    return ["split", "--pairs", str(pairs), "--out", str(tmp_path / "splits.txt")], "'material'"
+
+
+def _split_with_absent_test_material(pipeline, tmp_path):
+    return ["split", "--pairs", str(pipeline / "samples" / "pairs.txt"), "--test-material", "mat002",
+            "--test-material", "nosuch", "--out", str(tmp_path / "splits.txt")], "'nosuch'"
+
+
+def _train_with_unknown_split_name(pipeline, tmp_path):
+    _, cols, rows = read_table(pipeline / "splits.txt", "splits")
+    rows[0][cols.index("split")] = "holdout"
+    splits = tmp_path / "splits.txt"
+    write_table(splits, "splits", cols, rows)
+    return _train_args(pipeline / "samples" / "pairs.txt", pipeline / "labels.txt", splits, tmp_path), "'holdout'", "splits.txt"
+
+
+def _out_dir_is_a_file(command):
+    def args(pipeline, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        inputs = {
+            "gen-synthetic": ["--n", "1", "--level", "spec:0.5", *RES],
+            "sample": ["--manifest", str(pipeline / "tables" / "manifest.txt"), "--k", "5", *GRID],
+            "augment": ["--pairs", str(pipeline / "samples" / "pairs.txt"), "--labels", str(pipeline / "labels.txt"),
+                        "--splits", str(pipeline / "splits.txt")],
+        }[command]
+        return [command, *inputs, "--out-dir", str(blocker)], "blocker"
+    return args
+
+
+@pytest.mark.parametrize("case", [
+    _sample_with_bad_severity,
+    _split_without_material_column,
+    _split_with_absent_test_material,
+    _train_with_unknown_split_name,
+    _out_dir_is_a_file("gen-synthetic"),
+    _out_dir_is_a_file("sample"),
+    _out_dir_is_a_file("augment"),
+], ids=["sample-bad-severity", "split-no-material", "split-absent-test-material", "train-unknown-split",
+        "gen-synthetic-out-file", "sample-out-file", "augment-out-file"])
+def test_data_and_file_errors_end_in_one_line(pipeline, runner, tmp_path, case):
+    args, *fragments = case(pipeline, tmp_path)
+    _assert_one_line_error(runner.invoke(cli.main, args), *fragments)
+
+
+def _table_without_pair(src, kind, out, pid):
+    meta, cols, rows = read_table(src, kind)
+    assert any(r[cols.index("pair_id")] == pid for r in rows)
+    write_table(out, kind, cols, [r for r in rows if r[cols.index("pair_id")] != pid], meta=meta)
+    return out
+
+
+def _first_training_pair(pipeline):
+    _, cols, rows = read_table(pipeline / "splits.txt", "splits")
+    return next(r[cols.index("pair_id")] for r in rows if r[cols.index("split")] == "train")
+
+
+def test_train_pair_missing_from_splits_is_runtime_error(pipeline, runner, tmp_path):
+    splits = _table_without_pair(pipeline / "splits.txt", "splits", tmp_path / "splits.txt", "mat001_l01")
+    result = runner.invoke(cli.main, _train_args(pipeline / "samples" / "pairs.txt", pipeline / "labels.txt", splits, tmp_path))
+    _assert_one_line_error(result, "splits.txt", "'mat001_l01'", "missing from the splits table")
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+@pytest.mark.parametrize("kind", ["labels", "splits"])
+def test_augment_pair_missing_from_table_is_runtime_error(pipeline, runner, tmp_path, kind):
+    pid = _first_training_pair(pipeline)
+    tables = {"labels": pipeline / "labels.txt", "splits": pipeline / "splits.txt"}
+    tables[kind] = _table_without_pair(tables[kind], kind, tmp_path / f"{kind}.txt", pid)
+    result = runner.invoke(cli.main, [
+        "augment", "--pairs", str(pipeline / "samples" / "pairs.txt"), "--labels", str(tables["labels"]),
+        "--splits", str(tables["splits"]), "--out-dir", str(tmp_path / "aug"),
+    ])
+    _assert_one_line_error(result, f"{kind}.txt", repr(pid), f"missing from the {kind} table")
+    assert not (tmp_path / "aug" / "pairs.txt").exists()
+
+
+def test_split_of_empty_pairs_table_is_empty(runner, tmp_path):
+    pairs = tmp_path / "pairs.txt"
+    write_table(pairs, "pairs", cli.PAIRS_COLUMNS, [])
+    result = _run(runner, ["split", "--pairs", str(pairs), "--out", str(tmp_path / "splits.txt")])
+    assert result.output.strip() == "split 0/0/0"
+    _, cols, rows = read_table(tmp_path / "splits.txt", "splits")
+    assert cols == cli.SPLIT_COLUMNS and rows == []
+
+
 def test_rerun_is_byte_identical(runner, tmp_path):
     """Every command rerun with identical seeds writes identical bytes."""
     outs = []

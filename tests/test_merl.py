@@ -6,7 +6,6 @@ import pytest
 
 from brdfnqm import merl
 from brdfnqm.errors import FormatError, TruncatedFileError, UnsupportedResolutionError
-from brdfnqm.geometry import HalfDiffCoords
 from brdfnqm.merl import CANONICAL_RES, CHANNEL_SCALES, TabulatedBrdf
 
 
@@ -147,14 +146,6 @@ def test_lookup_matches_index_arithmetic(ggx_table):
         else:
             assert not invalid[s]
             np.testing.assert_array_equal(vals[s], bin_vals)
-
-
-def test_eval_brdf_scalar_agrees_with_lookup(ggx_table):
-    hd = HalfDiffCoords(0.3, 0.4, 1.0)
-    rgb, invalid = merl.eval_brdf(ggx_table, hd)
-    vals, inv = merl.lookup(ggx_table, np.array([0.3]), np.array([0.4]), np.array([1.0]))
-    assert (rgb.r, rgb.g, rgb.b) == pytest.approx(tuple(vals[0]))
-    assert invalid == bool(inv[0])
 
 
 def test_bin_centers_shapes_and_monotonicity(lambert_table):

@@ -513,3 +513,24 @@ def test_predict_jods_matches_one_pair_at_a_time():
     assert nn.predict_jods(model, []).shape == (0,)
     with pytest.raises(PairingError):
         nn.predict_jods(_small_model(input_dim=30, hidden=(6, 5, 4)), pairs)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_input_matrix_rows_are_pair_to_input_in_model_dtype(dtype):
+    ds = tiny_direction_set(k=4, seed=0)
+    rng = np.random.default_rng(6)
+    pairs = [
+        (SampledBrdf(values=rng.uniform(0, 2, (4, 3)), directions=ds),
+         SampledBrdf(values=rng.uniform(0, 2, (4, 3)), directions=ds))
+        for _ in range(3)
+    ]
+    model = _small_model(input_dim=24, hidden=(6, 5, 4), dtype=dtype)
+    x = nn.input_matrix(model, pairs)
+    assert x.dtype == dtype and x.shape == (3, 24)
+    for row, (ref, dist) in zip(x, pairs):
+        np.testing.assert_array_equal(row, nn.pair_to_input(ref, dist, model.whitening).astype(dtype))
+    assert nn.input_matrix(model, []).shape == (0, 24)
+    other_k = tiny_direction_set(k=5, seed=1)
+    odd = SampledBrdf(values=rng.uniform(0, 2, (5, 3)), directions=other_k)
+    with pytest.raises(PairingError, match="model expects 24"):
+        nn.input_matrix(model, [*pairs, (odd, odd)])

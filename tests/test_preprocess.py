@@ -44,6 +44,17 @@ def test_compute_whitening_matches_manual_moments():
     np.testing.assert_allclose(stats.std, stacked.std(axis=0), rtol=1e-14)  # population std
 
 
+def test_compute_whitening_equals_moments_of_transformed_references():
+    refs = [
+        SampledBrdf(values=np.random.default_rng(s).uniform(-0.1, 3, (7, 3)), directions=tiny_direction_set(k=7, seed=s))
+        for s in range(4)
+    ]
+    stats = pp.compute_whitening(refs)
+    stacked = np.concatenate([pp.transform_sampled(r).values for r in refs])
+    np.testing.assert_array_equal(stats.mean, stacked.mean(axis=0))
+    np.testing.assert_array_equal(stats.std, stacked.std(axis=0))
+
+
 def test_whiten_normalizes_training_data():
     ds = tiny_direction_set(k=50, seed=3)
     vals = np.random.default_rng(1).uniform(0, 5, (50, 3))
@@ -150,24 +161,23 @@ def test_balance_by_jod_noop_on_uniform_pool():
 
 
 def test_make_splits_holds_out_materials_and_splits_80_20():
-    pool = []
-    for m in range(10):
-        for i in range(10):
-            pool.append(make_pair(jod=5.0, material=f"mat{m}", seed=m * 100 + i))
-    manifest = pp.make_splits(pool, test_materials=["mat8", "mat9"], seed=0)
-    assert len(manifest.test) == 20
-    assert all(pool[i].material in {"mat8", "mat9"} for i in manifest.test)
-    assert len(manifest.train) == round(0.8 * 80) == 64
-    assert len(manifest.val) == 16
-    everything = sorted(manifest.train + manifest.val + manifest.test)
-    assert everything == list(range(100))
-    # no test material leaks into train/val
-    assert all(pool[i].material not in {"mat8", "mat9"} for i in manifest.train + manifest.val)
+    materials = [f"mat{m}" for m in range(10) for _ in range(10)]
+    splits = pp.make_splits(materials, test_materials=["mat8", "mat9"], seed=0)
+    assert len(splits) == 100 and set(splits) == {"train", "val", "test"}
+    # exactly the test materials' pairs are held out
+    assert [s == "test" for s in splits] == [m in {"mat8", "mat9"} for m in materials]
+    assert splits.count("train") == round(0.8 * 80) == 64
+    assert splits.count("val") == 16
     # deterministic in seed
-    m2 = pp.make_splits(pool, test_materials=["mat8", "mat9"], seed=0)
-    assert m2.train == manifest.train and m2.val == manifest.val
-    m3 = pp.make_splits(pool, test_materials=["mat8", "mat9"], seed=1)
-    assert m3.train != manifest.train
+    assert pp.make_splits(materials, test_materials=["mat8", "mat9"], seed=0) == splits
+    assert pp.make_splits(materials, test_materials=["mat8", "mat9"], seed=1) != splits
+
+
+def test_make_splits_rejects_absent_test_material_and_allows_empty():
+    with pytest.raises(ValueError, match="'nosuch'"):
+        pp.make_splits(["mat0", "mat1"], test_materials=["mat1", "nosuch"], seed=0)
+    assert pp.make_splits([], test_materials=[], seed=0) == []
+    assert pp.make_splits(["mat0"], test_materials=[], seed=0) == ["train"]
 
 
 def test_severity_oracle_endpoints():

@@ -187,8 +187,8 @@ def test_gen_dataset_shape_severity_and_determinism():
         DistortionSpec(DistortionKind.SPECULAR_SCALE, 0.3),
         DistortionSpec(DistortionKind.SPECULAR_SCALE, 0.6),
     ]
-    ds1 = synth.gen_dataset(2, levels, seed=4, res=SMALL)
-    ds2 = synth.gen_dataset(2, levels, seed=4, res=SMALL)
+    ds1 = list(synth.iter_dataset(2, levels, seed=4, res=SMALL))
+    ds2 = list(synth.iter_dataset(2, levels, seed=4, res=SMALL))
     assert len(ds1) == 6
     sev = [s for _, _, s in ds1[:3]]
     assert sev == pytest.approx([0.1 / 0.6, 0.3 / 0.6, 1.0])
@@ -200,9 +200,9 @@ def test_gen_dataset_shape_severity_and_determinism():
 
 def test_gen_dataset_validates_arguments():
     with pytest.raises(ValueError):
-        synth.gen_dataset(0, [DistortionSpec(DistortionKind.DIFFUSE_TINT, 0.1)], seed=0)
+        list(synth.iter_dataset(0, [DistortionSpec(DistortionKind.DIFFUSE_TINT, 0.1)], seed=0))
     with pytest.raises(ValueError):
-        synth.gen_dataset(1, [], seed=0)
+        list(synth.iter_dataset(1, [], seed=0))
 
 
 def test_random_params_in_documented_ranges():
