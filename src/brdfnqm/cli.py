@@ -98,15 +98,13 @@ def _parse_level(text: str) -> synth.DistortionSpec:
 
 
 @main.command("gen-synthetic")
-@click.option("--n", type=int, required=True, help="Number of reference materials.")
+@click.option("--n", type=click.IntRange(min=1), required=True, help="Number of reference materials.")
 @click.option("--level", "levels", multiple=True, required=True, help="Distortion level kind:magnitude; repeatable.")
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out-dir", type=click.Path(), required=True)
-@click.option("--res", nargs=3, type=int, default=CANONICAL_RES, show_default=True, help="Table resolution (theta_h theta_d phi_d).")
+@click.option("--res", nargs=3, type=click.IntRange(min=1), default=CANONICAL_RES, show_default=True, help="Table resolution (theta_h theta_d phi_d).")
 def cmd_gen_synthetic(n, levels, seed, out_dir, res):
     """Generate analytic reference/distorted table pairs plus a manifest."""
-    if n < 1:
-        raise click.UsageError("--n must be >= 1")
     specs = [_parse_level(t) for t in levels]
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -127,7 +125,7 @@ def cmd_gen_synthetic(n, levels, seed, out_dir, res):
 
 @main.command("sample")
 @click.option("--manifest", type=click.Path(exists=True), required=True)
-@click.option("--k", type=int, default=sampling.DEFAULT_K, show_default=True)
+@click.option("--k", type=click.IntRange(min=1), default=sampling.DEFAULT_K, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--grid", nargs=3, type=int, default=sampling.DEFAULT_GRID, show_default=True)
 @click.option("--out-dir", type=click.Path(), required=True)
@@ -182,6 +180,8 @@ def cmd_fit_jod(calibration, init, out):
 
 def _load_params(path) -> jod.JodRegressionParams:
     _, cols, rows = read_table(path, "jodparams")
+    if not rows:
+        raise FormatError(f"{path}: jodparams table has no rows")
     r = rows[0]
     return jod.JodRegressionParams(*(float(r[cols.index(k)]) for k in ("b1", "b2", "b3")))
 

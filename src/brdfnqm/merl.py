@@ -11,6 +11,7 @@ losslessly; lookups read them as zero with a flag.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -21,6 +22,7 @@ from .geometry import HALF_PI
 
 CANONICAL_RES = (90, 90, 180)
 CHANNEL_SCALES = (1.0 / 1500.0, 1.15 / 1500.0, 1.66 / 1500.0)
+_SCALES = np.array(CHANNEL_SCALES).reshape(3, 1, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -66,6 +68,13 @@ class TabulatedBrdf:
         return np.any(self.values < 0.0, axis=0)
 
 
+def _scaled(raw: np.ndarray) -> np.ndarray:
+    """Calibrated values of a raw payload; negative sentinels stay as they are."""
+    vals = raw * _SCALES
+    np.copyto(vals, raw, where=raw < 0.0)
+    return vals
+
+
 def load_merl(path, name: str | None = None, strict_resolution: bool = True) -> TabulatedBrdf:
     """Read a MERL-convention binary table.
 
@@ -82,39 +91,39 @@ def load_merl(path, name: str | None = None, strict_resolution: bool = True) -> 
         if any(d <= 0 for d in dims):
             raise FormatError(f"{path}: non-positive dimensions {dims}")
         n = 3 * dims[0] * dims[1] * dims[2]
-        payload = f.read(8 * n)
-        if len(payload) < 8 * n:
-            raise TruncatedFileError(
-                f"{path}: expected {8 * n} payload bytes, got {len(payload)}"
-            )
+        # check the file size before allocating what the header claims
+        size = os.fstat(f.fileno()).st_size - 12
+        if size < 8 * n:
+            raise TruncatedFileError(f"{path}: expected {8 * n} payload bytes, got {size}")
+        if size > 8 * n:
+            raise FormatError(f"{path}: trailing bytes after payload")
+        raw = np.empty((3, *dims), dtype="<f8")
+        got = f.readinto(memoryview(raw).cast("B"))
+        if got < 8 * n:
+            raise TruncatedFileError(f"{path}: expected {8 * n} payload bytes, got {got}")
         if f.read(1):
             raise FormatError(f"{path}: trailing bytes after payload")
     if strict_resolution and tuple(dims) != CANONICAL_RES:
         raise UnsupportedResolutionError(f"{path}: dimensions {dims} != {CANONICAL_RES}")
-    raw = np.frombuffer(payload, dtype="<f8").reshape(3, dims[0], dims[1], dims[2])
     if not np.isfinite(raw).all():
         raise FormatError(f"{path}: NaN or infinite values in the payload")
-    scales = np.array(CHANNEL_SCALES).reshape(3, 1, 1, 1)
-    # scale measured values; keep negative sentinels as-is so I/O is lossless
-    vals = np.where(raw < 0.0, raw, raw * scales)
+    raw.flags.writeable = False
     if name is None:
         name = path.rsplit("/", 1)[-1].rsplit(".", 1)[0]
-    return TabulatedBrdf(name=name, values=vals, raw=raw)
+    return TabulatedBrdf(name=name, values=_scaled(raw), raw=raw)
 
 
 def save_merl(brdf: TabulatedBrdf, path) -> None:
     """Write the exact inverse of load_merl."""
-    scales = np.array(CHANNEL_SCALES).reshape(3, 1, 1, 1)
-    raw = None
-    if brdf.raw is not None:
-        rescaled = np.where(brdf.raw < 0.0, brdf.raw, brdf.raw * scales)
-        if np.array_equal(rescaled, brdf.values):
-            raw = brdf.raw
-    if raw is None:
-        raw = np.where(brdf.values < 0.0, brdf.values, brdf.values / scales)
+    if brdf.raw is not None and np.array_equal(_scaled(brdf.raw), brdf.values):
+        raw = brdf.raw
+    else:
+        # negative sentinels are kept, never divided (so they cannot overflow)
+        raw = brdf.values.copy()
+        np.divide(raw, _SCALES, out=raw, where=raw >= 0.0)
     with open(str(path), "wb") as f:
         f.write(struct.pack("<3i", *brdf.resolution))
-        f.write(np.ascontiguousarray(raw, dtype="<f8").tobytes())
+        f.write(memoryview(np.ascontiguousarray(raw, dtype="<f8")).cast("B"))
 
 
 def theta_h_index(theta_h, res: int):

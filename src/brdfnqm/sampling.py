@@ -118,6 +118,8 @@ def select_samples(
     top-luminance candidates, ties broken by canonical (theta_h, theta_d,
     phi_d) order. The result is re-sorted canonically.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     cands = np.asarray(cands, dtype=float).reshape(-1, 3)
     cands = filter_grazing(cands)
     # dedupe exact angle triples so the selection cannot repeat a direction

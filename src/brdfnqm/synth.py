@@ -60,13 +60,18 @@ class DistortionSpec:
             raise ValueError(f"magnitude {self.magnitude} must be finite and >= 0")
 
 
-def _eval_analytic(params: AnalyticBrdfParams, wi, wo, h):
-    """Evaluate the model for unit vectors wi, wo, h of shape (..., 3)."""
+def _eval_analytic(params: AnalyticBrdfParams, cos_i, cos_o, cos_h, cos_hi):
+    """Evaluate the model from the cosines of one direction pair.
+
+    cos_i, cos_o and cos_h are the normal components of the unit vectors
+    wi, wo and h; cos_hi is wi . h. All have one shape; the result adds an
+    axis of 3 channels.
+    """
     diffuse = params.diffuse.as_array() / math.pi
-    n_wi = np.clip(wi[..., 2], 1e-9, 1.0)
-    n_wo = np.clip(wo[..., 2], 1e-9, 1.0)
-    n_h = np.clip(h[..., 2], 0.0, 1.0)
-    out = np.broadcast_to(diffuse, wi.shape).copy()
+    n_wi = np.clip(cos_i, 1e-9, 1.0)
+    n_wo = np.clip(cos_o, 1e-9, 1.0)
+    n_h = np.clip(cos_h, 0.0, 1.0)
+    out = np.broadcast_to(diffuse, (*np.shape(cos_i), 3)).copy()
     spec = params.specular.as_array()
     if params.model is BrdfModel.LAMBERT or not np.any(spec > 0.0):
         return out
@@ -79,7 +84,7 @@ def _eval_analytic(params: AnalyticBrdfParams, wi, wo, h):
     a2 = params.roughness**4
     denom = n_h**2 * (a2 - 1.0) + 1.0
     d_term = a2 / (math.pi * denom**2)
-    hw = np.clip(np.sum(wi * h, axis=-1), 0.0, 1.0)
+    hw = np.clip(cos_hi, 0.0, 1.0)
     fresnel = spec + (1.0 - spec) * (1.0 - hw[..., None]) ** 5
     g1i = 2.0 * n_wi / (n_wi + np.sqrt(a2 + (1.0 - a2) * n_wi**2))
     g1o = 2.0 * n_wo / (n_wo + np.sqrt(a2 + (1.0 - a2) * n_wo**2))
@@ -88,13 +93,12 @@ def _eval_analytic(params: AnalyticBrdfParams, wi, wo, h):
     return out
 
 
-def tabulate(
-    params: AnalyticBrdfParams, res: tuple[int, int, int] = CANONICAL_RES, name: str = ""
-) -> TabulatedBrdf:
-    """Fill every bin by evaluating the model at the bin-center directions.
+def _bin_geometry(res: tuple[int, int, int]):
+    """What _eval_analytic reads at every bin center, plus the below-horizon mask.
 
-    Bins whose reconstructed wi or wo falls below the horizon are marked
-    with the invalid sentinel, mirroring unmeasured regions of real tables.
+    Returns (cos_i, cos_o, cos_h, cos_hi, below), flat over the bins in
+    table order. It depends on the resolution alone, so a dataset builds it
+    once and shares it between all its materials.
     """
     th, td, pd = bin_centers(res)
     TH, TD, PD = np.meshgrid(th, td, pd, indexing="ij")
@@ -102,8 +106,30 @@ def tabulate(
     wi = _sph_to_cart(ti, pi_)
     wo = _sph_to_cart(to, po)
     h = _sph_to_cart(TH.ravel(), np.zeros_like(TH.ravel()))
-    vals = _eval_analytic(params, wi, wo, h)
-    below = (wi[..., 2] <= 1e-9) | (wo[..., 2] <= 1e-9)
+    # contiguous copies, so the (n, 3) vectors are freed on return
+    cos_i = np.ascontiguousarray(wi[..., 2])
+    cos_o = np.ascontiguousarray(wo[..., 2])
+    below = (cos_i <= 1e-9) | (cos_o <= 1e-9)
+    return cos_i, cos_o, np.ascontiguousarray(h[..., 2]), np.sum(wi * h, axis=-1), below
+
+
+def tabulate(
+    params: AnalyticBrdfParams,
+    res: tuple[int, int, int] = CANONICAL_RES,
+    name: str = "",
+    geometry=None,
+) -> TabulatedBrdf:
+    """Fill every bin by evaluating the model at the bin-center directions.
+
+    Bins whose reconstructed wi or wo falls below the horizon are marked
+    with the invalid sentinel, mirroring unmeasured regions of real tables.
+    geometry is the bin geometry of res (see iter_dataset); it is built
+    here when not given.
+    """
+    if geometry is None:
+        geometry = _bin_geometry(res)
+    *cosines, below = geometry
+    vals = _eval_analytic(params, *cosines)
     vals[below] = INVALID_SENTINEL
     table = np.moveaxis(vals.reshape(*res, 3), -1, 0)
     return TabulatedBrdf(name=name or params.model.value, values=np.ascontiguousarray(table))
@@ -181,9 +207,10 @@ def iter_dataset(
         raise ValueError("levels must be nonempty")
     scale = severity_scale(levels)
     rng = np.random.default_rng(seed)
+    geometry = _bin_geometry(res)
     for mat in range(n_materials):
         params = random_params(rng, model=model)
-        ref = tabulate(params, res=res, name=f"mat{mat:03d}")
+        ref = tabulate(params, res=res, name=f"mat{mat:03d}", geometry=geometry)
         for li, lv in enumerate(levels):
             # per-pair noise stream keyed by (seed, material, level) on every build
             pair_spec = DistortionSpec(lv.kind, lv.magnitude, seed=(seed, mat, li))

@@ -63,13 +63,29 @@ def test_gen_synthetic_outputs(pipeline):
 
 
 def test_gen_synthetic_usage_errors(runner, tmp_path):
-    result = runner.invoke(cli.main, ["gen-synthetic", "--n", "0", "--level", "spec:0.1", "--out-dir", str(tmp_path)])
-    assert result.exit_code == 2
     result = runner.invoke(cli.main, ["gen-synthetic", "--n", "1", "--level", "wobble:0.1", "--out-dir", str(tmp_path)])
     assert result.exit_code == 2
     assert "bad level spec" in result.output
     result = runner.invoke(cli.main, ["gen-synthetic", "--n", "1", "--level", "spec:0.1", "--seed", "-1", "--out-dir", str(tmp_path)])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("command, bad", [
+    ("gen-synthetic", ["--n", "0"]),
+    ("gen-synthetic", ["--res", "0", "8", "16"]),
+    ("sample", ["--k", "0"]),
+    ("sample", ["--k", "-3"]),
+], ids=["n-0", "res-0", "k-0", "k-neg"])
+def test_nonpositive_counts_are_usage_errors(runner, tmp_path, pipeline, command, bad):
+    inputs = {
+        "gen-synthetic": ["--n", "1", "--level", "spec:0.1", *RES],
+        "sample": ["--manifest", str(pipeline / "tables" / "manifest.txt"), "--k", "5", *GRID],
+    }[command]
+    out = tmp_path / "out"
+    result = runner.invoke(cli.main, [command, *inputs, *bad, "--out-dir", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "Invalid value" in result.output
+    assert not (out / "manifest.txt").exists() and not (out / "pairs.txt").exists()
 
 
 def test_sample_outputs(pipeline):
@@ -229,6 +245,18 @@ def test_fit_jod_roundtrip(runner, tmp_path):
 def test_label_usage_error(runner, tmp_path, pipeline):
     result = runner.invoke(cli.main, ["label", "--out", str(tmp_path / "x.txt")])
     assert result.exit_code == 2
+
+
+def test_label_with_empty_params_table_is_runtime_error(runner, tmp_path):
+    deitp = tmp_path / "deitp.txt"
+    write_table(deitp, "deitp", ["pair_id", "deitp"], [["p0", 1.5]])
+    params = tmp_path / "params.txt"
+    write_table(params, "jodparams", ["b1", "b2", "b3"], [])
+    result = runner.invoke(cli.main, [
+        "label", "--deitp", str(deitp), "--params", str(params), "--out", str(tmp_path / "labels.txt"),
+    ])
+    _assert_one_line_error(result, "params.txt", "no rows")
+    assert not (tmp_path / "labels.txt").exists()
 
 
 def test_corrupt_manifest_is_runtime_error(runner, tmp_path):

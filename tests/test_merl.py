@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from brdfnqm import merl
 from brdfnqm.errors import FormatError, TruncatedFileError, UnsupportedResolutionError
@@ -116,6 +118,14 @@ def test_trailing_bytes_raise(tmp_path):
         merl.load_merl(p, name="extra", strict_resolution=False)
 
 
+def test_header_claiming_more_than_the_file_holds_raises_before_allocating(tmp_path):
+    # 2^20 x 90 x 180 bins would be a 407 GB payload; the file holds 64 bytes
+    p = tmp_path / "liar.binary"
+    p.write_bytes(struct.pack("<3i", 2**20, 90, 180) + b"\x00" * 64)
+    with pytest.raises(TruncatedFileError, match="got 64"):
+        merl.load_merl(p, name="liar", strict_resolution=False)
+
+
 def test_strict_resolution(tmp_path):
     dims = (4, 4, 8)
     n = dims[0] * dims[1] * dims[2]
@@ -172,3 +182,63 @@ def test_bad_table_shape_rejected():
         TabulatedBrdf(name="bad", values=np.zeros((3, 2, 2)))
     with pytest.raises(ValueError):
         TabulatedBrdf(name="bad", values=np.zeros((2, 2, 2, 2)))
+
+
+def test_save_load_save_is_byte_identical_on_special_payloads(tmp_path):
+    tiny, big = np.finfo(float).smallest_subnormal, np.finfo(float).max
+    special = [-1.0, -0.0, 0.0, tiny, -tiny, 1e-310, big, -big]
+    dims = (2, 2, 2)
+    raw = np.resize(special, 3 * 8)
+    p = tmp_path / "special.binary"
+    _write_file(p, dims, raw)
+    loaded = merl.load_merl(p, strict_resolution=False)
+    merl.save_merl(loaded, tmp_path / "a.binary")
+    merl.save_merl(merl.load_merl(tmp_path / "a.binary", strict_resolution=False), tmp_path / "b.binary")
+    assert (tmp_path / "a.binary").read_bytes() == (tmp_path / "b.binary").read_bytes() == p.read_bytes()
+
+    # a table without a loaded payload divides by the channel scales and
+    # keeps negative sentinels, as the np.where reference does
+    fresh = TabulatedBrdf(name="fresh", values=loaded.values.copy())
+    merl.save_merl(fresh, tmp_path / "c.binary")
+    scales = np.array(CHANNEL_SCALES).reshape(3, 1, 1, 1)
+    with np.errstate(over="ignore"):  # -big / scale in the discarded branch
+        expected = np.where(fresh.values < 0.0, fresh.values, fresh.values / scales)
+    assert (tmp_path / "c.binary").read_bytes()[12:] == expected.astype("<f8").tobytes()
+    merl.save_merl(merl.load_merl(tmp_path / "c.binary", strict_resolution=False), tmp_path / "d.binary")
+    assert (tmp_path / "d.binary").read_bytes() == (tmp_path / "c.binary").read_bytes()
+
+
+def _fuzz_seed_file() -> bytes:
+    dims = (2, 3, 4)
+    raw = np.random.default_rng(5).uniform(0.0, 3.0, size=3 * 24)
+    raw[::7] = -1.0
+    return struct.pack("<3i", *dims) + raw.astype("<f8").tobytes()
+
+
+_FUZZ_SEED = _fuzz_seed_file()
+
+
+def _flip_bit(bit: int) -> bytes:
+    data = bytearray(_FUZZ_SEED)
+    data[bit // 8] ^= 1 << (bit % 8)
+    return bytes(data)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.one_of(
+    st.integers(0, len(_FUZZ_SEED) - 1).map(lambda cut: _FUZZ_SEED[:cut]),
+    st.binary(min_size=1, max_size=64).map(lambda extra: _FUZZ_SEED + extra),
+    st.integers(0, 8 * 12 - 1).map(_flip_bit),
+    st.integers(8 * 12, 8 * len(_FUZZ_SEED) - 1).map(_flip_bit),
+))
+def test_damaged_file_loads_losslessly_or_raises_format_error(tmp_path, data):
+    """Truncated, extended or bit-flipped: either a table whose re-save is the
+    same bytes, or a FormatError (of any subclass), never another exception."""
+    p = tmp_path / "fuzz.binary"
+    p.write_bytes(data)
+    try:
+        brdf = merl.load_merl(p, strict_resolution=False)
+    except FormatError:
+        return
+    merl.save_merl(brdf, tmp_path / "resaved.binary")
+    assert (tmp_path / "resaved.binary").read_bytes() == data

@@ -117,6 +117,12 @@ def test_insufficient_candidates(lambert_table):
         select_samples(lambert_table, g, k=5000)
 
 
+@pytest.mark.parametrize("k", [0, -3])
+def test_select_samples_rejects_nonpositive_k(lambert_table, k):
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        select_samples(lambert_table, build_candidate_grid(4, 3, 3), k=k)
+
+
 def test_allocate_quotas_sums_and_floors():
     q = sampling._allocate_quotas(np.array([0.7, 0.2, 0.1]), [100, 100, 100], 50)
     assert sum(q) == 50

@@ -60,11 +60,15 @@ def test_lambert_white_sky_albedo_quadrature(lambert_table):
     assert albedo == pytest.approx(0.5, rel=0.02)
 
 
+def _head_on(params):
+    """wi = wo = h = normal: every cosine is 1."""
+    one = np.ones(1)
+    return synth._eval_analytic(params, one, one, one, one)[0]
+
+
 def test_ggx_matches_handwritten_formula():
     params = _ggx_params()
-    # head-on mirror configuration: wi = wo = h = normal
-    wi = np.array([[0.0, 0.0, 1.0]])
-    out = synth._eval_analytic(params, wi, wi, wi)[0]
+    out = _head_on(params)
     a2 = 0.25**4
     d = a2 / (math.pi * (1 * (a2 - 1) + 1) ** 2)
     g1 = 2.0 / (1.0 + math.sqrt(a2 + (1 - a2)))
@@ -75,17 +79,13 @@ def test_ggx_matches_handwritten_formula():
 
 def test_ggx_fresnel_rises_toward_grazing():
     params = _ggx_params()
-    t = math.radians(80)
-    wi = np.array([[math.sin(t), 0.0, math.cos(t)]])
-    wo = np.array([[-math.sin(t), 0.0, math.cos(t)]])
-    h = np.array([[0.0, 0.0, 1.0]])
-    grazing = synth._eval_analytic(params, wi, wo, h)[0, 0]
-    head_on = synth._eval_analytic(
-        params, np.array([[0.0, 0.0, 1.0]]), np.array([[0.0, 0.0, 1.0]]), h
-    )[0, 0]
-    # same half vector, but Schlick term and Smith masking favor... the
-    # Fresnel numerator grows; with this roughness the net lobe still grows
-    assert grazing != head_on
+    # wi and wo at 80 degrees on either side of h = normal
+    c = np.array([math.cos(math.radians(80))])
+    grazing = synth._eval_analytic(params, c, c, np.ones(1), c)[0, 0]
+    head_on = _head_on(params)[0]
+    # same half vector: the Schlick term and the 1 / (cos_i cos_o) factor
+    # outgrow the Smith masking at this roughness
+    assert grazing > head_on
 
 
 def test_blinn_phong_peak_value():
@@ -95,8 +95,7 @@ def test_blinn_phong_peak_value():
         specular=Rgb(0.5, 0.5, 0.5),
         roughness=0.3,
     )
-    wi = np.array([[0.0, 0.0, 1.0]])
-    out = synth._eval_analytic(params, wi, wi, wi)[0]
+    out = _head_on(params)
     e = 2.0 / 0.3**2 - 2.0
     expected = 0.1 / math.pi + 0.5 * (e + 2.0) / (2.0 * math.pi)
     np.testing.assert_allclose(out, expected, rtol=1e-12)
@@ -196,6 +195,19 @@ def test_gen_dataset_shape_severity_and_determinism():
         np.testing.assert_array_equal(r1.values, r2.values)
         np.testing.assert_array_equal(d1.values, d2.values)
         assert s1 == s2
+
+
+def test_dataset_references_equal_standalone_tabulate():
+    """iter_dataset shares one bin geometry between its materials; each
+    reference is still bit for bit what tabulate builds on its own."""
+    levels = [DistortionSpec(DistortionKind.DIFFUSE_TINT, 0.2)]
+    for model in BrdfModel:
+        rng = np.random.default_rng(11)
+        refs = [ref for ref, _, _ in synth.iter_dataset(3, levels, seed=11, res=SMALL, model=model)]
+        for i, ref in enumerate(refs):
+            alone = synth.tabulate(synth.random_params(rng, model=model), res=SMALL, name=f"mat{i:03d}")
+            assert ref.name == alone.name
+            assert ref.values.tobytes() == alone.values.tobytes()
 
 
 def test_gen_dataset_validates_arguments():
