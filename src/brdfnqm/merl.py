@@ -114,13 +114,21 @@ def load_merl(path, name: str | None = None, strict_resolution: bool = True) -> 
 
 
 def save_merl(brdf: TabulatedBrdf, path) -> None:
-    """Write the exact inverse of load_merl."""
+    """Write the exact inverse of load_merl.
+
+    A table whose raw payload would hold NaN or infinite values (a value
+    above about max double / 1500 overflows the calibration divide) raises
+    FormatError and writes no file, since load_merl would refuse it.
+    """
     if brdf.raw is not None and np.array_equal(_scaled(brdf.raw), brdf.values):
         raw = brdf.raw
     else:
         # negative sentinels are kept, never divided (so they cannot overflow)
         raw = brdf.values.copy()
-        np.divide(raw, _SCALES, out=raw, where=raw >= 0.0)
+        with np.errstate(over="ignore"):  # an overflow is refused just below
+            np.divide(raw, _SCALES, out=raw, where=raw >= 0.0)
+    if not np.isfinite(raw).all():
+        raise FormatError(f"{path}: NaN or infinite values in the payload")
     with open(str(path), "wb") as f:
         f.write(struct.pack("<3i", *brdf.resolution))
         f.write(memoryview(np.ascontiguousarray(raw, dtype="<f8")).cast("B"))

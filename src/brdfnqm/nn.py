@@ -516,6 +516,14 @@ def load_checkpoint(path) -> MlpModel:
         seed = int(fields["seed"])
         dropout = float(fields["dropout"])
         payload_bytes = int(fields["payload_bytes"])
+        if input_dim < 1 or not all(h >= 1 for h in hidden):
+            raise ValueError(f"layer widths {input_dim} -> {hidden} are not positive")
+        if not (math.isfinite(jod_min) and math.isfinite(jod_max) and jod_min < jod_max):
+            raise ValueError(f"JOD range [{jod_min}, {jod_max}] is not a finite interval")
+        if not (np.isfinite(whitening.mean).all() and np.isfinite(whitening.std).all()):
+            raise ValueError("non-finite whitening statistics")
+        if not 0.0 <= dropout < 1.0:
+            raise ValueError(f"dropout {dropout} outside [0, 1)")
     except CheckpointError:
         raise
     except Exception as exc:
@@ -526,8 +534,11 @@ def load_checkpoint(path) -> MlpModel:
     expected = _size(input_dim, hidden)
     if payload_bytes != 4 * expected:
         raise CheckpointError(f"payload holds {payload_bytes // 4} floats, expected {expected}")
+    flat = np.frombuffer(payload, dtype="<f4").astype(np.float32)
+    if not np.isfinite(flat).all():
+        raise CheckpointError("NaN or infinite values in the payload")
     return MlpModel(
-        flat=np.frombuffer(payload, dtype="<f4").astype(np.float32),
+        flat=flat,
         input_dim=input_dim,
         hidden_widths=hidden,
         jod_min=jod_min,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BrdfError
-from .geometry import halfdiff_to_io_arrays, _sph_to_cart
+from .geometry import halfdiff_to_io_arrays
 from .merl import CANONICAL_RES, Rgb, TabulatedBrdf, bin_centers
 
 INVALID_SENTINEL = -1.0
@@ -65,32 +65,38 @@ def _eval_analytic(params: AnalyticBrdfParams, cos_i, cos_o, cos_h, cos_hi):
 
     cos_i, cos_o and cos_h are the normal components of the unit vectors
     wi, wo and h; cos_hi is wi . h. All have one shape; the result adds an
-    axis of 3 channels.
+    axis of 3 channels. It is a view of a channel-major (3, ...) array, so
+    moving the channel axis back to the front costs no copy.
     """
     diffuse = params.diffuse.as_array() / math.pi
-    n_wi = np.clip(cos_i, 1e-9, 1.0)
-    n_wo = np.clip(cos_o, 1e-9, 1.0)
-    n_h = np.clip(cos_h, 0.0, 1.0)
-    out = np.broadcast_to(diffuse, (*np.shape(cos_i), 3)).copy()
+    out = np.empty((3, *np.shape(cos_i)))
+    for c in range(3):
+        out[c] = diffuse[c]
     spec = params.specular.as_array()
     if params.model is BrdfModel.LAMBERT or not np.any(spec > 0.0):
-        return out
+        return np.moveaxis(out, 0, -1)
+    n_h = np.clip(cos_h, 0.0, 1.0)
     if params.model is BrdfModel.BLINN_PHONG:
         exponent = 2.0 / params.roughness**2 - 2.0
         lobe = (exponent + 2.0) / (2.0 * math.pi) * n_h**exponent
-        out += spec * lobe[..., None]
-        return out
+        for c in range(3):
+            out[c] += spec[c] * lobe
+        return np.moveaxis(out, 0, -1)
     # GGX with Smith shadowing and Schlick Fresnel
+    n_wi = np.clip(cos_i, 1e-9, 1.0)
+    n_wo = np.clip(cos_o, 1e-9, 1.0)
     a2 = params.roughness**4
     denom = n_h**2 * (a2 - 1.0) + 1.0
     d_term = a2 / (math.pi * denom**2)
-    hw = np.clip(cos_hi, 0.0, 1.0)
-    fresnel = spec + (1.0 - spec) * (1.0 - hw[..., None]) ** 5
+    schlick = (1.0 - np.clip(cos_hi, 0.0, 1.0)) ** 5
     g1i = 2.0 * n_wi / (n_wi + np.sqrt(a2 + (1.0 - a2) * n_wi**2))
     g1o = 2.0 * n_wo / (n_wo + np.sqrt(a2 + (1.0 - a2) * n_wo**2))
     lobe = d_term * g1i * g1o / (4.0 * n_wi * n_wo)
-    out += fresnel * lobe[..., None]
-    return out
+    for c in range(3):
+        fresnel = spec[c] + (1.0 - spec[c]) * schlick
+        fresnel *= lobe
+        out[c] += fresnel
+    return np.moveaxis(out, 0, -1)
 
 
 def _bin_geometry(res: tuple[int, int, int]):
@@ -102,15 +108,20 @@ def _bin_geometry(res: tuple[int, int, int]):
     """
     th, td, pd = bin_centers(res)
     TH, TD, PD = np.meshgrid(th, td, pd, indexing="ij")
-    ti, pi_, to, po = halfdiff_to_io_arrays(TH.ravel(), TD.ravel(), PD.ravel())
-    wi = _sph_to_cart(ti, pi_)
-    wo = _sph_to_cart(to, po)
-    h = _sph_to_cart(TH.ravel(), np.zeros_like(TH.ravel()))
-    # contiguous copies, so the (n, 3) vectors are freed on return
-    cos_i = np.ascontiguousarray(wi[..., 2])
-    cos_o = np.ascontiguousarray(wo[..., 2])
+    theta_h = TH.ravel()
+    ti, pi_, to, po = halfdiff_to_io_arrays(theta_h, TD.ravel(), PD.ravel())
+    cos_i = np.cos(ti)
+    cos_o = np.cos(to)
+    cos_h = np.cos(theta_h)
+    # wi . h with h = (sin theta_h, 0, cos theta_h): the x and z products of
+    # the unit vectors, in the order a cartesian dot product forms them (the
+    # y product is +-0 and changes no sum)
+    cos_hi = np.sin(ti)
+    cos_hi *= np.cos(pi_)
+    cos_hi *= np.sin(theta_h)
+    cos_hi += cos_i * cos_h
     below = (cos_i <= 1e-9) | (cos_o <= 1e-9)
-    return cos_i, cos_o, np.ascontiguousarray(h[..., 2]), np.sum(wi * h, axis=-1), below
+    return cos_i, cos_o, cos_h, cos_hi, below
 
 
 def tabulate(
@@ -129,46 +140,50 @@ def tabulate(
     if geometry is None:
         geometry = _bin_geometry(res)
     *cosines, below = geometry
-    vals = _eval_analytic(params, *cosines)
-    vals[below] = INVALID_SENTINEL
-    table = np.moveaxis(vals.reshape(*res, 3), -1, 0)
-    return TabulatedBrdf(name=name or params.model.value, values=np.ascontiguousarray(table))
+    table = np.moveaxis(_eval_analytic(params, *cosines), -1, 0)
+    np.copyto(table, INVALID_SENTINEL, where=below)
+    return TabulatedBrdf(name=name or params.model.value, values=table.reshape(3, *res))
 
 
 def distort(brdf: TabulatedBrdf, spec: DistortionSpec) -> TabulatedBrdf:
     """Apply a seeded, table-level distortion; sentinel bins pass through."""
+    v = brdf.values
     invalid = brdf.invalid_mask()
-    valid = ~invalid
-    out = brdf.values.copy()
     m = spec.magnitude
+    # spec and tint run over every bin: the sentinel bins are restored below
     if spec.kind is DistortionKind.GAUSSIAN_NOISE:
         if m > 0.0:
-            rng = np.random.default_rng(spec.seed)
-            out = out + rng.normal(0.0, m, size=out.shape)
+            out = v + np.random.default_rng(spec.seed).normal(0.0, m, size=v.shape)
+        else:
+            out = v.copy()
     elif spec.kind is DistortionKind.SPECULAR_SCALE:
         # scale each channel's excess over its diffuse floor by (1 + m)
-        if m > 0.0:
-            for c in range(3):
-                ch = out[c]
-                if not np.any(valid):
-                    continue
-                base = ch[valid].min()
-                ch[valid] = base + (1.0 + m) * (ch[valid] - base)
+        out = v.copy()
+        valid = ~invalid
+        if m > 0.0 and valid.any():
+            for ch in out:
+                base = np.min(ch, where=valid, initial=np.inf)
+                ch -= base
+                ch *= 1.0 + m
+                ch += base
     elif spec.kind is DistortionKind.DIFFUSE_TINT:
-        out[0][valid] *= 1.0 + m
-        out[2][valid] /= 1.0 + m
+        out = v.copy()
+        out[0] *= 1.0 + m
+        out[2] /= 1.0 + m
     elif spec.kind is DistortionKind.ROUGHNESS_SHIFT:
         # widen the specular lobe: gaussian blur along the theta_h axis
         if m > 0.0:
             from scipy.ndimage import gaussian_filter1d  # only this branch needs scipy
 
             sigma = m * brdf.res_theta_h
-            filled = np.where(invalid[None, ...], 0.0, out)
+            filled = np.where(invalid[None, ...], 0.0, v)
             out = gaussian_filter1d(filled, sigma=sigma, axis=1, mode="nearest")
+        else:
+            out = v.copy()
     else:  # pragma: no cover - enum is exhaustive
         raise BrdfError(f"unknown distortion kind {spec.kind}")
-    out = np.maximum(out, 0.0)
-    out[:, invalid] = brdf.values[:, invalid]
+    np.maximum(out, 0.0, out=out)
+    np.copyto(out, v, where=invalid)
     return TabulatedBrdf(name=f"{brdf.name}_{spec.kind.value}{m:g}", values=out)
 
 

@@ -26,6 +26,13 @@ def ggx_table():
     return synth.tabulate(params, res=SMALL_RES, name="ggx025")
 
 
+def flip_bit(data: bytes, bit: int) -> bytes:
+    """data with one bit inverted (bit 0 is the low bit of the first byte)."""
+    out = bytearray(data)
+    out[bit // 8] ^= 1 << (bit % 8)
+    return bytes(out)
+
+
 def tiny_direction_set(k: int = 4, seed: int = 0, material: str = "m") -> DirectionSet:
     rng = np.random.default_rng(seed)
     th = np.sort(rng.uniform(0.0, 0.5, size=k))

@@ -1,5 +1,6 @@
 import math
 import struct
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 from brdfnqm import merl
 from brdfnqm.errors import FormatError, TruncatedFileError, UnsupportedResolutionError
 from brdfnqm.merl import CANONICAL_RES, CHANNEL_SCALES, TabulatedBrdf
+
+from conftest import flip_bit
 
 
 def _write_file(path, dims, raw):
@@ -218,18 +221,12 @@ def _fuzz_seed_file() -> bytes:
 _FUZZ_SEED = _fuzz_seed_file()
 
 
-def _flip_bit(bit: int) -> bytes:
-    data = bytearray(_FUZZ_SEED)
-    data[bit // 8] ^= 1 << (bit % 8)
-    return bytes(data)
-
-
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.one_of(
     st.integers(0, len(_FUZZ_SEED) - 1).map(lambda cut: _FUZZ_SEED[:cut]),
     st.binary(min_size=1, max_size=64).map(lambda extra: _FUZZ_SEED + extra),
-    st.integers(0, 8 * 12 - 1).map(_flip_bit),
-    st.integers(8 * 12, 8 * len(_FUZZ_SEED) - 1).map(_flip_bit),
+    st.integers(0, 8 * 12 - 1).map(partial(flip_bit, _FUZZ_SEED)),
+    st.integers(8 * 12, 8 * len(_FUZZ_SEED) - 1).map(partial(flip_bit, _FUZZ_SEED)),
 ))
 def test_damaged_file_loads_losslessly_or_raises_format_error(tmp_path, data):
     """Truncated, extended or bit-flipped: either a table whose re-save is the
@@ -242,3 +239,13 @@ def test_damaged_file_loads_losslessly_or_raises_format_error(tmp_path, data):
         return
     merl.save_merl(brdf, tmp_path / "resaved.binary")
     assert (tmp_path / "resaved.binary").read_bytes() == data
+
+
+@pytest.mark.parametrize("value", [1e306, math.nan])
+def test_save_refuses_a_payload_that_load_would_refuse(tmp_path, value):
+    """1e306 overflows the calibration divide to inf; NaN stays NaN. Either
+    is a FormatError naming the path, and no file is written."""
+    p = tmp_path / "bad.binary"
+    with pytest.raises(FormatError, match="bad.binary"):
+        merl.save_merl(TabulatedBrdf(name="bad", values=np.full((3, 2, 2, 2), value)), p)
+    assert not p.exists()

@@ -1,14 +1,19 @@
 import math
+import tempfile
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from brdfnqm import nn
 from brdfnqm.errors import CheckpointError, PairingError
 from brdfnqm.preprocess import WhiteningStats
 from brdfnqm.sampling import SampledBrdf
 
-from conftest import tiny_direction_set
+from conftest import flip_bit, tiny_direction_set
 
 
 def _stats():
@@ -347,6 +352,49 @@ def test_checkpoint_fail_closed(tmp_path):
     garbled.write_bytes(data.replace(b"jod_min", b"jod_mix", 1))
     with pytest.raises(CheckpointError):
         nn.load_checkpoint(garbled)
+
+
+def _checkpoint_seed_file() -> bytes:
+    with tempfile.TemporaryDirectory() as d:
+        p = Path(d) / "seed.ckpt"
+        nn.save_checkpoint(_small_model(input_dim=4, hidden=(3, 2, 2), dtype=np.float32), p)
+        return p.read_bytes()
+
+
+_CKPT_SEED = _checkpoint_seed_file()
+_CKPT_PAYLOAD = _CKPT_SEED.index(b"\n\n") + 2
+_flip_ckpt = partial(flip_bit, _CKPT_SEED)
+
+
+# flips that once got past the loader: "jod_max 10.0" -> "00.0" (an empty
+# JOD range), "dropout 0.2" -> "1.2", and bit 30 of a LayerNorm gain of 1.0
+# (exponent 255: an infinite parameter)
+_FIRST_GAIN = int(np.flatnonzero(np.frombuffer(_CKPT_SEED[_CKPT_PAYLOAD:], dtype="<f4") == 1.0)[0])
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.one_of(
+    st.integers(0, len(_CKPT_SEED) - 1).map(lambda cut: _CKPT_SEED[:cut]),
+    st.binary(min_size=1, max_size=64).map(lambda extra: _CKPT_SEED + extra),
+    st.integers(0, 8 * _CKPT_PAYLOAD - 1).map(_flip_ckpt),
+    st.integers(8 * _CKPT_PAYLOAD, 8 * len(_CKPT_SEED) - 1).map(_flip_ckpt),
+))
+@example(data=_flip_ckpt(8 * (_CKPT_SEED.index(b"jod_max 10.0") + 8)))
+@example(data=_flip_ckpt(8 * (_CKPT_SEED.index(b"dropout 0.2") + 8)))
+@example(data=_flip_ckpt(8 * (_CKPT_PAYLOAD + 4 * _FIRST_GAIN) + 30))
+def test_damaged_checkpoint_loads_a_finite_model_or_raises_checkpoint_error(tmp_path, data):
+    """Truncated, extended or bit-flipped: either a model whose parameters,
+    JOD range, whitening and dropout are usable, or a CheckpointError."""
+    p = tmp_path / "fuzz.ckpt"
+    p.write_bytes(data)
+    try:
+        model = nn.load_checkpoint(p)
+    except CheckpointError:
+        return
+    assert np.isfinite(model.flat).all()
+    assert math.isfinite(model.jod_min) and math.isfinite(model.jod_max) and model.jod_min < model.jod_max
+    assert np.isfinite(model.whitening.mean).all() and np.isfinite(model.whitening.std).all()
+    assert 0.0 <= model.dropout < 1.0
 
 
 def _train_step_grads(model, seed=0, batch=5):

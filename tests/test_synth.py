@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from brdfnqm import synth
-from brdfnqm.merl import Rgb, bin_centers, lookup
+from brdfnqm.geometry import _sph_to_cart, halfdiff_to_io_arrays
+from brdfnqm.merl import Rgb, TabulatedBrdf, bin_centers, lookup
 from brdfnqm.synth import (
     AnalyticBrdfParams,
     BrdfModel,
@@ -239,3 +240,104 @@ def test_noise_stream_is_keyed_by_seed_material_level():
     kept = (ref.values + noise > 0.0) & ~ref.invalid_mask()[None]
     np.testing.assert_allclose((dist.values - ref.values)[kept], noise[kept], rtol=0, atol=1e-12)
     assert dist.values[1, 0, 0, 0] - ref.values[1, 0, 0, 0] == pytest.approx(-0.030220563344388243, abs=1e-12)
+
+
+# Reference kernels: the (n, 3) cartesian geometry chain, the row-major model
+# evaluation and the boolean-index distortions that synth's one-pass kernels
+# replace. Every floating-point operation is the same, so results match bit
+# for bit.
+
+
+def _reference_bin_geometry(res):
+    th, td, pd = bin_centers(res)
+    TH, TD, PD = np.meshgrid(th, td, pd, indexing="ij")
+    ti, pi_, to, po = halfdiff_to_io_arrays(TH.ravel(), TD.ravel(), PD.ravel())
+    wi = _sph_to_cart(ti, pi_)
+    wo = _sph_to_cart(to, po)
+    h = _sph_to_cart(TH.ravel(), np.zeros_like(TH.ravel()))
+    cos_i, cos_o = wi[..., 2], wo[..., 2]
+    below = (cos_i <= 1e-9) | (cos_o <= 1e-9)
+    return cos_i, cos_o, h[..., 2], np.sum(wi * h, axis=-1), below
+
+
+def _reference_tabulate(params, res):
+    cos_i, cos_o, cos_h, cos_hi, below = _reference_bin_geometry(res)
+    out = np.broadcast_to(params.diffuse.as_array() / math.pi, (cos_i.size, 3)).copy()
+    spec = params.specular.as_array()
+    n_h = np.clip(cos_h, 0.0, 1.0)
+    if params.model is BrdfModel.BLINN_PHONG:
+        exponent = 2.0 / params.roughness**2 - 2.0
+        out += spec * ((exponent + 2.0) / (2.0 * math.pi) * n_h**exponent)[..., None]
+    elif params.model is BrdfModel.GGX_MICROFACET:
+        n_wi = np.clip(cos_i, 1e-9, 1.0)
+        n_wo = np.clip(cos_o, 1e-9, 1.0)
+        a2 = params.roughness**4
+        d_term = a2 / (math.pi * (n_h**2 * (a2 - 1.0) + 1.0) ** 2)
+        fresnel = spec + (1.0 - spec) * (1.0 - np.clip(cos_hi, 0.0, 1.0)[..., None]) ** 5
+        g1i = 2.0 * n_wi / (n_wi + np.sqrt(a2 + (1.0 - a2) * n_wi**2))
+        g1o = 2.0 * n_wo / (n_wo + np.sqrt(a2 + (1.0 - a2) * n_wo**2))
+        out += fresnel * (d_term * g1i * g1o / (4.0 * n_wi * n_wo))[..., None]
+    out[below] = synth.INVALID_SENTINEL
+    return np.ascontiguousarray(np.moveaxis(out.reshape(*res, 3), -1, 0))
+
+
+def _reference_distort(brdf, spec):
+    invalid = brdf.invalid_mask()
+    valid = ~invalid
+    out = brdf.values.copy()
+    m = spec.magnitude
+    if spec.kind is DistortionKind.GAUSSIAN_NOISE and m > 0.0:
+        out = out + np.random.default_rng(spec.seed).normal(0.0, m, size=out.shape)
+    elif spec.kind is DistortionKind.SPECULAR_SCALE and m > 0.0:
+        for c in range(3):
+            ch = out[c]
+            if np.any(valid):
+                base = ch[valid].min()
+                ch[valid] = base + (1.0 + m) * (ch[valid] - base)
+    elif spec.kind is DistortionKind.DIFFUSE_TINT:
+        out[0][valid] *= 1.0 + m
+        out[2][valid] /= 1.0 + m
+    elif spec.kind is DistortionKind.ROUGHNESS_SHIFT and m > 0.0:
+        from scipy.ndimage import gaussian_filter1d
+
+        filled = np.where(invalid[None, ...], 0.0, out)
+        out = gaussian_filter1d(filled, sigma=m * brdf.res_theta_h, axis=1, mode="nearest")
+    out = np.maximum(out, 0.0)
+    out[:, invalid] = brdf.values[:, invalid]
+    return out
+
+
+def test_bin_geometry_matches_cartesian_reference():
+    for res in (SMALL, (12, 8, 16)):
+        got = synth._bin_geometry(res)
+        want = _reference_bin_geometry(res)
+        assert len(got) == len(want) == 5
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            assert a.tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+@pytest.mark.parametrize("model", list(BrdfModel))
+def test_tabulate_matches_row_major_reference(model):
+    params = synth.random_params(np.random.default_rng(2), model=model)
+    table = synth.tabulate(params, res=SMALL)
+    assert table.values.flags.c_contiguous
+    assert table.invalid_mask().any()
+    assert table.values.tobytes() == _reference_tabulate(params, SMALL).tobytes()
+
+
+@pytest.mark.parametrize("magnitude", [0.0, 0.3])
+@pytest.mark.parametrize("kind", list(DistortionKind))
+def test_distort_matches_boolean_index_reference(ggx_table, kind, magnitude):
+    assert ggx_table.invalid_mask().any()
+    spec = DistortionSpec(kind, magnitude, seed=(3, 1, 4))
+    out = synth.distort(ggx_table, spec)
+    assert out.values.tobytes() == _reference_distort(ggx_table, spec).tobytes()
+
+
+@pytest.mark.parametrize("kind", list(DistortionKind))
+def test_distort_without_valid_bins_matches_reference(kind):
+    table = TabulatedBrdf(name="void", values=np.full((3, 4, 4, 8), synth.INVALID_SENTINEL))
+    spec = DistortionSpec(kind, 0.3, seed=1)
+    out = synth.distort(table, spec)
+    assert out.values.tobytes() == _reference_distort(table, spec).tobytes() == table.values.tobytes()

@@ -1,3 +1,7 @@
+import tempfile
+from functools import partial
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -7,7 +11,7 @@ from brdfnqm import pairio, tables
 from brdfnqm.errors import FormatError, PairingError
 from brdfnqm.sampling import DirectionSet, SampledBrdf
 
-from conftest import tiny_direction_set
+from conftest import flip_bit, tiny_direction_set
 
 
 def test_table_roundtrip_bit_exact(tmp_path):
@@ -242,3 +246,33 @@ def test_write_is_deterministic(tmp_path):
     pairio.write_samples(p1, s)
     pairio.write_samples(p2, s)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _samples_seed_file() -> bytes:
+    with tempfile.TemporaryDirectory() as d:
+        p = Path(d) / "seed.txt"
+        pairio.write_samples(p, _sampled(seed=6, k=4))
+        return p.read_bytes()
+
+
+_SAMPLES_SEED = _samples_seed_file()
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.one_of(
+    st.integers(0, len(_SAMPLES_SEED) - 1).map(lambda cut: _SAMPLES_SEED[:cut]),
+    st.binary(min_size=1, max_size=64).map(lambda extra: _SAMPLES_SEED + extra),
+    st.integers(0, 8 * len(_SAMPLES_SEED) - 1).map(partial(flip_bit, _SAMPLES_SEED)),
+))
+def test_damaged_sample_file_loads_or_raises_format_or_pairing_error(tmp_path, data):
+    """Truncated, extended or bit-flipped: read alone or against the intact
+    file's directions, a sample file loads or raises FormatError/PairingError."""
+    p = tmp_path / "fuzz.txt"
+    p.write_bytes(data)
+    shared = _sampled(seed=6, k=4).directions
+    for directions in (None, shared):
+        try:
+            loaded = pairio.read_samples(p, directions=directions)
+        except (FormatError, PairingError):
+            continue
+        assert np.isfinite(loaded.values).all()
