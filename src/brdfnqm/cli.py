@@ -127,7 +127,7 @@ def cmd_gen_synthetic(n, levels, seed, out_dir, res):
 @click.option("--manifest", type=click.Path(exists=True), required=True)
 @click.option("--k", type=click.IntRange(min=1), default=sampling.DEFAULT_K, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--grid", nargs=3, type=int, default=sampling.DEFAULT_GRID, show_default=True)
+@click.option("--grid", nargs=3, type=click.IntRange(min=2), default=sampling.DEFAULT_GRID, show_default=True)
 @click.option("--out-dir", type=click.Path(), required=True)
 def cmd_sample(manifest, k, seed, grid, out_dir):
     """Sample every manifest pair at directions chosen from its reference."""
@@ -291,8 +291,8 @@ def _load_dataset(pairs_file, labels_file, splits_file):
 @click.option("--pairs", "pairs_file", type=click.Path(exists=True), required=True)
 @click.option("--labels", "labels_file", type=click.Path(exists=True), required=True)
 @click.option("--splits", "splits_file", type=click.Path(exists=True), required=True)
-@click.option("--epochs", type=int, default=100, show_default=True)
-@click.option("--batch-size", type=int, default=512, show_default=True)
+@click.option("--epochs", type=click.IntRange(min=1), default=100, show_default=True)
+@click.option("--batch-size", type=click.IntRange(min=1), default=512, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--checkpoint", "checkpoint_path", type=click.Path(), required=True)
 @click.option("--history", "history_path", type=click.Path(), required=True)

@@ -457,8 +457,17 @@ def input_matrix(model: MlpModel, pairs) -> np.ndarray:
 
 
 def predict_jods(model: MlpModel, pairs) -> np.ndarray:
-    """Score raw sampled (ref, dist) pairs, in order, in one eval-mode pass."""
-    pred, _ = forward(model, input_matrix(model, pairs), mode="eval")
+    """Score raw sampled (ref, dist) pairs, in order, in one eval-mode pass.
+
+    A score that is not finite (parameters large enough to overflow the
+    forward pass) is a CheckpointError.
+    """
+    x = input_matrix(model, pairs)
+    with np.errstate(all="ignore"):  # an overflow shows as a non-finite score, refused below
+        pred, _ = forward(model, x, mode="eval")
+    bad = np.count_nonzero(~np.isfinite(pred))
+    if bad:
+        raise CheckpointError(f"the model scores {bad} of {len(pred)} pairs as NaN or infinite; its parameters overflow")
     return pred[:, 0]
 
 

@@ -107,21 +107,21 @@ def _bin_geometry(res: tuple[int, int, int]):
     once and shares it between all its materials.
     """
     th, td, pd = bin_centers(res)
-    TH, TD, PD = np.meshgrid(th, td, pd, indexing="ij")
-    theta_h = TH.ravel()
-    ti, pi_, to, po = halfdiff_to_io_arrays(theta_h, TD.ravel(), PD.ravel())
+    th = th[:, None, None]
+    ti, pi_, to, _ = halfdiff_to_io_arrays(th, td[None, :, None], pd[None, None, :])
     cos_i = np.cos(ti)
     cos_o = np.cos(to)
-    cos_h = np.cos(theta_h)
+    cos_h = np.cos(th)
     # wi . h with h = (sin theta_h, 0, cos theta_h): the x and z products of
     # the unit vectors, in the order a cartesian dot product forms them (the
     # y product is +-0 and changes no sum)
     cos_hi = np.sin(ti)
     cos_hi *= np.cos(pi_)
-    cos_hi *= np.sin(theta_h)
+    cos_hi *= np.sin(th)
     cos_hi += cos_i * cos_h
     below = (cos_i <= 1e-9) | (cos_o <= 1e-9)
-    return cos_i, cos_o, cos_h, cos_hi, below
+    cos_h = np.broadcast_to(cos_h, ti.shape)
+    return tuple(a.ravel() for a in (cos_i, cos_o, cos_h, cos_hi, below))
 
 
 def tabulate(

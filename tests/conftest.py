@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,57 @@ def flip_bit(data: bytes, bit: int) -> bytes:
     out = bytearray(data)
     out[bit // 8] ^= 1 << (bit % 8)
     return bytes(out)
+
+
+# The (n, 3) cartesian geometry chain that geometry's component-form
+# transforms replace, frozen as the reference they must match bit for bit.
+
+
+def sph_to_cart(theta, phi):
+    st = np.sin(theta)
+    return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
+
+
+def _rot_y(v, angle):
+    c, s = np.cos(angle), np.sin(angle)
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    return np.stack([c * x + s * z, y, -s * x + c * z], axis=-1)
+
+
+def _rot_z(v, angle):
+    c, s = np.cos(angle), np.sin(angle)
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    return np.stack([c * x - s * y, s * x + c * y, z], axis=-1)
+
+
+def reference_halfdiff_to_io_arrays(theta_h, theta_d, phi_d, phi_h=0.0):
+    theta_h = np.asarray(theta_h, dtype=float)
+    d = sph_to_cart(np.asarray(theta_d, dtype=float), np.asarray(phi_d, dtype=float))
+    wi = _rot_z(_rot_y(d, theta_h), phi_h)
+    h = sph_to_cart(theta_h, np.broadcast_to(np.asarray(phi_h, dtype=float), theta_h.shape))
+    wo = 2.0 * np.sum(wi * h, axis=-1, keepdims=True) * h - wi
+    wo /= np.linalg.norm(wo, axis=-1, keepdims=True)
+
+    def to_sph(v):
+        z = np.clip(v[..., 2], -1.0, 1.0)
+        return np.arccos(z), np.arctan2(v[..., 1], v[..., 0]) % (2.0 * math.pi)
+
+    ti, pi_ = to_sph(wi)
+    to, po = to_sph(wo)
+    return ti, pi_, to, po
+
+
+def reference_io_to_halfdiff_arrays(theta_i, phi_i, theta_o, phi_o):
+    wi = sph_to_cart(np.asarray(theta_i, dtype=float), np.asarray(phi_i, dtype=float))
+    wo = sph_to_cart(np.asarray(theta_o, dtype=float), np.asarray(phi_o, dtype=float))
+    h = wi + wo
+    h = h / np.linalg.norm(h, axis=-1, keepdims=True)
+    theta_h = np.arccos(np.clip(h[..., 2], -1.0, 1.0))
+    phi_h = np.arctan2(h[..., 1], h[..., 0])
+    d = _rot_y(_rot_z(wi, -phi_h), -theta_h)
+    theta_d = np.arccos(np.clip(d[..., 2], -1.0, 1.0))
+    phi_d = np.arctan2(d[..., 1], d[..., 0]) % math.pi
+    return theta_h, theta_d, phi_d, phi_h
 
 
 def tiny_direction_set(k: int = 4, seed: int = 0, material: str = "m") -> DirectionSet:

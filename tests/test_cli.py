@@ -75,17 +75,22 @@ def test_gen_synthetic_usage_errors(runner, tmp_path):
     ("gen-synthetic", ["--res", "0", "8", "16"]),
     ("sample", ["--k", "0"]),
     ("sample", ["--k", "-3"]),
-], ids=["n-0", "res-0", "k-0", "k-neg"])
+    ("sample", ["--grid", "1", "16", "16"]),
+    ("train", ["--epochs", "0"]),
+    ("train", ["--batch-size", "0"]),
+], ids=["n-0", "res-0", "k-0", "k-neg", "grid-1", "epochs-0", "batch-size-0"])
 def test_nonpositive_counts_are_usage_errors(runner, tmp_path, pipeline, command, bad):
-    inputs = {
-        "gen-synthetic": ["--n", "1", "--level", "spec:0.1", *RES],
-        "sample": ["--manifest", str(pipeline / "tables" / "manifest.txt"), "--k", "5", *GRID],
-    }[command]
+    """Refused while parsing the options: nothing is read, made or written."""
     out = tmp_path / "out"
-    result = runner.invoke(cli.main, [command, *inputs, *bad, "--out-dir", str(out)])
+    args = {
+        "gen-synthetic": ["--n", "1", "--level", "spec:0.1", *RES, "--out-dir", str(out)],
+        "sample": ["--manifest", str(pipeline / "tables" / "manifest.txt"), "--k", "5", *GRID, "--out-dir", str(out)],
+        "train": _train_args(pipeline / "samples" / "pairs.txt", pipeline / "labels.txt", pipeline / "splits.txt", out),
+    }[command]
+    result = runner.invoke(cli.main, [command, *args, *bad])
     assert result.exit_code == 2, result.output
     assert "Invalid value" in result.output
-    assert not (out / "manifest.txt").exists() and not (out / "pairs.txt").exists()
+    assert not out.exists()
 
 
 def test_sample_outputs(pipeline):
@@ -328,6 +333,22 @@ def checkpoint(pipeline, runner, tmp_path_factory):
     return out / "m.ckpt"
 
 
+def test_predict_with_overflowing_checkpoint_is_runtime_error(pipeline, runner, tmp_path, checkpoint):
+    """One W0 row of 3e38 loads, but the scores come out NaN: refused, no table written."""
+    from brdfnqm import nn
+
+    model = nn.load_checkpoint(checkpoint)
+    model.weights[0][2] = 3e38
+    ckpt = tmp_path / "overflow.ckpt"
+    nn.save_checkpoint(model, ckpt)
+    preds = tmp_path / "p.txt"
+    result = runner.invoke(cli.main, [
+        "predict", "--checkpoint", str(ckpt), "--pairs", str(pipeline / "samples" / "pairs.txt"), "--out", str(preds),
+    ])
+    _assert_one_line_error(result, "9 of 9 pairs", "NaN or infinite")
+    assert not preds.exists()
+
+
 def test_malformed_sample_number_is_runtime_error(pipeline, runner, tmp_path, checkpoint):
     pairs = _pairs_with_bad_dist(pipeline, tmp_path, "0.1x")
     for args in (
@@ -354,13 +375,25 @@ def test_non_finite_label_is_runtime_error(pipeline, runner, tmp_path, token):
     _assert_one_line_error(result, "labels.txt", repr(token))
 
 
-def test_cli_import_loads_no_scipy():
-    """Only train/predict (scipy.special) and rough: levels (scipy.ndimage) need scipy."""
+def test_cli_import_loads_no_scipy(tmp_path):
+    """Only train/predict (scipy.special) and rough: levels (scipy.ndimage)
+    need scipy: importing the CLI, or running gen-synthetic with every other
+    kind of level, loads no scipy module."""
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, brdfnqm.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    report = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = f"import sys, brdfnqm.cli; {report}"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+    levels = ["--level", "spec:0.3", "--level", "tint:0.2", "--level", "noise:0.01"]
+    gen = ["gen-synthetic", "--n", "1", *levels, *RES, "--out-dir", str(tmp_path)]
+    code = (
+        "import sys\nfrom brdfnqm import cli\n"
+        f"cli.main({gen!r}, standalone_mode=False)\n{report}"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "[]"
+    assert (tmp_path / "mat000_l02.binary").exists()
 
 
 def test_correlate_single_variant_material_is_runtime_error(pipeline, runner, tmp_path):

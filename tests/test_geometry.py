@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 
 from brdfnqm import geometry as g
 from brdfnqm.errors import DegenerateGeometryError
+from brdfnqm.merl import bin_centers
+
+from conftest import reference_halfdiff_to_io_arrays, reference_io_to_halfdiff_arrays
 
 
 def sph(theta_deg, phi_deg=0.0):
@@ -143,3 +146,57 @@ def test_reciprocity_of_coordinates(ti, pi_, to, po):
 def test_phi_wraps_into_range():
     d = g.SphericalDirection(0.3, 7.0)
     assert 0.0 <= d.phi < 2 * math.pi
+
+
+def _assert_bytes_equal(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+@pytest.mark.parametrize("res", [(12, 8, 16), (45, 45, 90)])
+def test_inverse_transform_matches_cartesian_reference_on_bin_grids(res):
+    """Flat bin-centre grids, then the three axes broadcast against each
+    other, at phi_h 0, a nonzero scalar and one array value per bin."""
+    th, td, pd = bin_centers(res)
+    flat = [a.ravel() for a in np.meshgrid(th, td, pd, indexing="ij")]
+    axes = (th[:, None, None], td[None, :, None], pd[None, None, :])
+    per_bin = np.random.default_rng(11).uniform(0.0, 2.0 * math.pi, flat[0].size)
+    for phi_h in (0.0, 2.3, per_bin):
+        want = reference_halfdiff_to_io_arrays(*flat, phi_h)
+        _assert_bytes_equal(g.halfdiff_to_io_arrays(*flat, phi_h), want)
+        axis_phi_h = phi_h if np.ndim(phi_h) == 0 else phi_h.reshape(res)
+        got = g.halfdiff_to_io_arrays(*axes, axis_phi_h)
+        _assert_bytes_equal([a.ravel() for a in got], want)
+
+
+def test_inverse_transform_matches_cartesian_reference_on_random_angles():
+    rng = np.random.default_rng(12)
+    n = 100_000
+    angles = (
+        rng.uniform(0.0, math.pi / 2, n),
+        rng.uniform(0.0, math.pi / 2, n),
+        rng.uniform(0.0, math.pi, n),
+        rng.uniform(0.0, 2.0 * math.pi, n),
+    )
+    _assert_bytes_equal(g.halfdiff_to_io_arrays(*angles), reference_halfdiff_to_io_arrays(*angles))
+
+
+def test_forward_transform_matches_cartesian_reference_on_random_pairs():
+    rng = np.random.default_rng(13)
+    n = 100_000
+    pairs = (
+        rng.uniform(0.0, math.pi / 2, n),
+        rng.uniform(0.0, 2.0 * math.pi, n),
+        rng.uniform(0.0, math.pi / 2, n),
+        rng.uniform(0.0, 2.0 * math.pi, n),
+    )
+    _assert_bytes_equal(g.io_to_halfdiff_arrays(*pairs), reference_io_to_halfdiff_arrays(*pairs))
+
+
+def test_forward_transform_arrays_refuse_a_vanishing_half_vector():
+    with pytest.raises(DegenerateGeometryError):
+        g.io_to_halfdiff_arrays(
+            np.array([0.3, math.pi / 2]), np.array([0.0, 0.0]), np.array([0.3, math.pi / 2]), np.array([1.0, math.pi])
+        )

@@ -563,6 +563,23 @@ def test_predict_jods_matches_one_pair_at_a_time():
         nn.predict_jods(_small_model(input_dim=30, hidden=(6, 5, 4)), pairs)
 
 
+def test_predict_jods_refuses_scores_that_are_not_finite():
+    """One W0 row of 3e38 overflows the first matmul: a CheckpointError,
+    and no numpy warning escapes (the suite turns one into a failure)."""
+    ds = tiny_direction_set(k=2, seed=0)
+    rng = np.random.default_rng(8)
+    pairs = [
+        (SampledBrdf(values=rng.uniform(0, 2, (2, 3)), directions=ds),
+         SampledBrdf(values=rng.uniform(0, 2, (2, 3)), directions=ds))
+        for _ in range(3)
+    ]
+    model = _small_model(dtype=np.float32)
+    assert np.isfinite(nn.predict_jods(model, pairs)).all()
+    model.weights[0][2] = 3e38
+    with pytest.raises(CheckpointError, match="3 of 3 pairs"):
+        nn.predict_jods(model, pairs)
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_input_matrix_rows_are_pair_to_input_in_model_dtype(dtype):
     ds = tiny_direction_set(k=4, seed=0)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from brdfnqm import synth
-from brdfnqm.geometry import _sph_to_cart, halfdiff_to_io_arrays
 from brdfnqm.merl import Rgb, TabulatedBrdf, bin_centers, lookup
 from brdfnqm.synth import (
     AnalyticBrdfParams,
@@ -12,6 +11,8 @@ from brdfnqm.synth import (
     DistortionKind,
     DistortionSpec,
 )
+
+from conftest import reference_halfdiff_to_io_arrays, sph_to_cart
 
 SMALL = (16, 16, 32)
 
@@ -251,10 +252,10 @@ def test_noise_stream_is_keyed_by_seed_material_level():
 def _reference_bin_geometry(res):
     th, td, pd = bin_centers(res)
     TH, TD, PD = np.meshgrid(th, td, pd, indexing="ij")
-    ti, pi_, to, po = halfdiff_to_io_arrays(TH.ravel(), TD.ravel(), PD.ravel())
-    wi = _sph_to_cart(ti, pi_)
-    wo = _sph_to_cart(to, po)
-    h = _sph_to_cart(TH.ravel(), np.zeros_like(TH.ravel()))
+    ti, pi_, to, po = reference_halfdiff_to_io_arrays(TH.ravel(), TD.ravel(), PD.ravel())
+    wi = sph_to_cart(ti, pi_)
+    wo = sph_to_cart(to, po)
+    h = sph_to_cart(TH.ravel(), np.zeros_like(TH.ravel()))
     cos_i, cos_o = wi[..., 2], wo[..., 2]
     below = (cos_i <= 1e-9) | (cos_o <= 1e-9)
     return cos_i, cos_o, h[..., 2], np.sum(wi * h, axis=-1), below
@@ -308,7 +309,7 @@ def _reference_distort(brdf, spec):
 
 
 def test_bin_geometry_matches_cartesian_reference():
-    for res in (SMALL, (12, 8, 16)):
+    for res in (SMALL, (12, 8, 16), (45, 45, 90)):
         got = synth._bin_geometry(res)
         want = _reference_bin_geometry(res)
         assert len(got) == len(want) == 5
@@ -341,3 +342,4 @@ def test_distort_without_valid_bins_matches_reference(kind):
     spec = DistortionSpec(kind, 0.3, seed=1)
     out = synth.distort(table, spec)
     assert out.values.tobytes() == _reference_distort(table, spec).tobytes() == table.values.tobytes()
+
