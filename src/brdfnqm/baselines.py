@@ -45,27 +45,16 @@ def _transformed(kind: MetricKind, values: np.ndarray, w: np.ndarray) -> np.ndar
     return np.log1p(w * values)
 
 
-def baseline_metric(
-    kind: MetricKind, ref: SampledBrdf, dist: SampledBrdf, weight_mode: str = "both"
-) -> float:
-    """Evaluate one metric on a raw (untransformed) sampled pair.
-
-    weight_mode 'both' uses cos(theta_i)*cos(theta_o); 'incoming' uses
-    cos(theta_i) only (sensitivity studies).
-    """
+def baseline_metric(kind: MetricKind, ref: SampledBrdf, dist: SampledBrdf) -> float:
+    """Evaluate one metric on a raw (untransformed) sampled pair."""
     check_paired(ref, dist)
     d = ref.directions
-    if weight_mode == "both":
-        w = (d.cos_wi * d.cos_wo)[:, None]
-    elif weight_mode == "incoming":
-        w = d.cos_wi[:, None]
-    else:
-        raise ValueError(f"unknown weight_mode {weight_mode!r}")
+    w = (d.cos_wi * d.cos_wo)[:, None]
     diff = _transformed(kind, ref.values, w) - _transformed(kind, dist.values, w)
     if kind in _RMS_KINDS:
         return float(np.sqrt(np.mean(diff**2)))
     return float(np.mean(np.abs(diff)))
 
 
-def all_metrics(ref: SampledBrdf, dist: SampledBrdf, weight_mode: str = "both") -> dict[MetricKind, float]:
-    return {kind: baseline_metric(kind, ref, dist, weight_mode) for kind in MetricKind}
+def all_metrics(ref: SampledBrdf, dist: SampledBrdf) -> dict[MetricKind, float]:
+    return {kind: baseline_metric(kind, ref, dist) for kind in MetricKind}

@@ -141,7 +141,7 @@ def cmd_sample(manifest, k, seed, grid, out_dir):
     for r in rows:
         ref_path, dist_path, severity, _, _, _, material = r
         if ref_path not in dirsets:
-            ref_brdf = load_merl(ref_path, strict_resolution=False)
+            ref_brdf = load_merl(ref_path)
             ds = sampling.select_samples(ref_brdf, cands, k=k, seed=seed)
             ref_sampled = sampling.sample_brdf(ref_brdf, ds)
             ref_out = out / f"{material}_ref.txt"
@@ -151,7 +151,7 @@ def cmd_sample(manifest, k, seed, grid, out_dir):
         li = counters.get(material, 0)
         counters[material] = li + 1
         pair_id = f"{material}_l{li:02d}"
-        dist_brdf = load_merl(dist_path, strict_resolution=False)
+        dist_brdf = load_merl(dist_path)
         dist_sampled = sampling.sample_brdf(dist_brdf, ds)
         dist_out = out / f"{pair_id}_dist.txt"
         write_samples(dist_out, dist_sampled)
@@ -171,8 +171,6 @@ def cmd_fit_jod(calibration, init, out):
         jod.CalibrationPoint(deitp=float(r[cols.index("deitp")]), jod=float(r[cols.index("jod")]))
         for r in rows
     ]
-    if len(points) < 3:
-        raise click.UsageError("calibration needs at least 3 rows")
     params = jod.fit_jod_regression(points, jod.JodRegressionParams(*init))
     write_table(out, "jodparams", ["b1", "b2", "b3"], [[params.b1, params.b2, params.b3]])
     click.echo(f"fitted b1={params.b1:.4f} b2={params.b2:.4f} b3={params.b3:.4f}")

@@ -13,10 +13,6 @@ class TruncatedFileError(FormatError):
     """File payload is shorter than the header promises."""
 
 
-class UnsupportedResolutionError(FormatError):
-    """Tabulated BRDF file has dimensions other than the canonical 90x90x180."""
-
-
 class DegenerateGeometryError(BrdfError):
     """wi + wo vanishes; no half vector exists."""
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FormatError, TruncatedFileError, UnsupportedResolutionError
+from .errors import FormatError, TruncatedFileError
 from .geometry import HALF_PI
 
 CANONICAL_RES = (90, 90, 180)
@@ -75,11 +75,9 @@ def _scaled(raw: np.ndarray) -> np.ndarray:
     return vals
 
 
-def load_merl(path, name: str | None = None, strict_resolution: bool = True) -> TabulatedBrdf:
-    """Read a MERL-convention binary table.
+def load_merl(path, name: str | None = None) -> TabulatedBrdf:
+    """Read a MERL-convention binary table at any resolution.
 
-    strict_resolution=False admits non-canonical dimensions (used for
-    reduced-resolution synthetic tables); the byte-level layout is identical.
     NaN or infinite values raise FormatError; negative sentinels load as-is.
     """
     path = str(path)
@@ -103,8 +101,6 @@ def load_merl(path, name: str | None = None, strict_resolution: bool = True) -> 
             raise TruncatedFileError(f"{path}: expected {8 * n} payload bytes, got {got}")
         if f.read(1):
             raise FormatError(f"{path}: trailing bytes after payload")
-    if strict_resolution and tuple(dims) != CANONICAL_RES:
-        raise UnsupportedResolutionError(f"{path}: dimensions {dims} != {CANONICAL_RES}")
     if not np.isfinite(raw).all():
         raise FormatError(f"{path}: NaN or infinite values in the payload")
     raw.flags.writeable = False

@@ -20,14 +20,28 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _field(v) -> str:
+    """_fmt of a row field; a non-float one that would not read back as one field raises ValueError."""
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    if (text := str(v)).split() != [text]:
+        raise ValueError(text)
+    return text
+
+
 def write_table(path, kind: str, columns: list[str], rows, meta: dict | None = None) -> None:
+    """Write a table; a row field that is empty or holds whitespace raises FormatError before the file is opened."""
+    try:
+        lines = [" ".join(map(_field, row)) + "\n" for row in rows]
+    except ValueError as exc:
+        column = next(c for row in rows for c, v in zip(columns, row) if _fmt(v) == exc.args[0])
+        raise FormatError(f"{path}: {column} field {exc.args[0]!r} is empty or holds whitespace") from None
     with open(str(path), "w", encoding="ascii") as f:
         f.write(f"# brdfnqm-{kind} v{FORMAT_VERSION}\n")
         for key, value in (meta or {}).items():
             f.write(f"# {key}={_fmt(value)}\n")
         f.write("# " + " ".join(columns) + "\n")
-        for row in rows:
-            f.write(" ".join(_fmt(v) for v in row) + "\n")
+        f.writelines(lines)
 
 
 def _read_parts(path, kind: str):

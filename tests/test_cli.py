@@ -247,6 +247,15 @@ def test_fit_jod_roundtrip(runner, tmp_path):
     assert result.exit_code == 1  # wrong table kind -> runtime error
 
 
+@pytest.mark.parametrize("deitp", [[1.0, 2.0], [1.0, 1.0, 2.0]], ids=["two-rows", "duplicate-deitp"])
+def test_fit_jod_too_few_distinct_points_is_runtime_error(runner, tmp_path, deitp):
+    calib = tmp_path / "calib.txt"
+    write_table(calib, "calibration", ["pair_id", "deitp", "jod"], [[f"p{i}", d, 5.0] for i, d in enumerate(deitp)])
+    result = runner.invoke(cli.main, ["fit-jod", "--calibration", str(calib), "--out", str(tmp_path / "params.txt")])
+    _assert_one_line_error(result, "at least 3")
+    assert not (tmp_path / "params.txt").exists()
+
+
 def test_label_usage_error(runner, tmp_path, pipeline):
     result = runner.invoke(cli.main, ["label", "--out", str(tmp_path / "x.txt")])
     assert result.exit_code == 2
@@ -285,6 +294,21 @@ def _assert_one_line_error(result, *fragments):
     assert len(lines) == 1 and lines[0].startswith("Error: "), result.output
     for fragment in fragments:
         assert fragment in lines[0]
+
+
+@pytest.mark.parametrize("command, table", [
+    (["gen-synthetic", "--n", "1", "--level", "spec:0.5", *RES], "manifest.txt"),
+    (["sample", "--manifest", "{root}/tables/manifest.txt", "--k", "5", *GRID], "pairs.txt"),
+    (["augment", "--pairs", "{root}/samples/pairs.txt", "--labels", "{root}/labels.txt", "--splits", "{root}/splits.txt"], "pairs.txt"),
+])
+def test_out_dir_with_a_space_is_runtime_error(runner, tmp_path, pipeline, command, table):
+    """A path with a space would split into two fields of the written table,
+    so the command refuses to write a table it could not read back."""
+    out = tmp_path / "my out"
+    args = [a.format(root=pipeline) for a in command]
+    result = runner.invoke(cli.main, [*args, "--out-dir", str(out)])
+    _assert_one_line_error(result, table, "holds whitespace")
+    assert not (out / table).exists()
 
 
 def test_sample_nan_table_is_runtime_error(runner, tmp_path):

@@ -9,35 +9,43 @@ from brdfnqm import geometry as g
 from brdfnqm.errors import DegenerateGeometryError
 from brdfnqm.merl import bin_centers
 
-from conftest import reference_halfdiff_to_io_arrays, reference_io_to_halfdiff_arrays
+from conftest import reference_halfdiff_to_io_arrays, reference_io_to_halfdiff_arrays, sph_to_cart
 
 
-def sph(theta_deg, phi_deg=0.0):
-    return g.SphericalDirection(math.radians(theta_deg), math.radians(phi_deg))
+def to_halfdiff(theta_i, phi_i, theta_o, phi_o):
+    """(theta_h, theta_d, phi_d, phi_h) of one direction pair, through one-element arrays."""
+    out = g.io_to_halfdiff_arrays(np.array([theta_i]), np.array([phi_i]), np.array([theta_o]), np.array([phi_o]))
+    return tuple(float(a[0]) for a in out)
+
+
+def to_io(theta_h, theta_d, phi_d, phi_h=0.0):
+    """(theta_i, phi_i, theta_o, phi_o) of one half/diff triple, through one-element arrays."""
+    out = g.halfdiff_to_io_arrays(np.array([theta_h]), np.array([theta_d]), np.array([phi_d]), phi_h)
+    return tuple(float(a[0]) for a in out)
 
 
 def test_normal_incidence_maps_to_origin():
-    hd = g.io_to_halfdiff(sph(0), sph(0))
-    assert hd.theta_h == pytest.approx(0.0, abs=1e-12)
-    assert hd.theta_d == pytest.approx(0.0, abs=1e-12)
-    assert hd.phi_d == pytest.approx(0.0, abs=1e-12)
+    th, td, pd, _ = to_halfdiff(0.0, 0.0, 0.0, 0.0)
+    assert th == pytest.approx(0.0, abs=1e-12)
+    assert td == pytest.approx(0.0, abs=1e-12)
+    assert pd == pytest.approx(0.0, abs=1e-12)
 
 
 def test_mirror_pair_has_zero_half_angle():
-    hd = g.io_to_halfdiff(sph(45, 0), sph(45, 180))
-    assert hd.theta_h == pytest.approx(0.0, abs=1e-9)
-    assert hd.theta_d == pytest.approx(math.radians(45), abs=1e-9)
+    th, td, _, _ = to_halfdiff(math.radians(45), 0.0, math.radians(45), math.pi)
+    assert th == pytest.approx(0.0, abs=1e-9)
+    assert td == pytest.approx(math.radians(45), abs=1e-9)
 
 
 def test_degenerate_half_vector_raises():
     # horizontal, exactly opposing directions sum to zero
     with pytest.raises(DegenerateGeometryError):
-        g.io_to_halfdiff(sph(90, 0), sph(90, 180))
+        to_halfdiff(math.pi / 2, 0.0, math.pi / 2, math.pi)
 
 
-def _rotation_oracle(wi, wo):
+def _rotation_oracle(ti, pi_, to, po):
     """Independent construction: explicit rotation matrices, no shared code."""
-    wi_v, wo_v = wi.to_cartesian(), wo.to_cartesian()
+    wi_v, wo_v = sph_to_cart(ti, pi_), sph_to_cart(to, po)
     h = wi_v + wo_v
     h = h / np.linalg.norm(h)
     theta_h = math.acos(np.clip(h[2], -1, 1))
@@ -58,26 +66,30 @@ def _rotation_oracle(wi, wo):
 @pytest.mark.parametrize("seed", range(20))
 def test_forward_transform_matches_rotation_matrix_oracle(seed):
     rng = np.random.default_rng(seed)
-    wi = g.SphericalDirection(rng.uniform(0, math.pi / 2 * 0.99), rng.uniform(0, 2 * math.pi))
-    wo = g.SphericalDirection(rng.uniform(0, math.pi / 2 * 0.99), rng.uniform(0, 2 * math.pi))
-    hd = g.io_to_halfdiff(wi, wo)
-    th, td, pd = _rotation_oracle(wi, wo)
-    assert hd.theta_h == pytest.approx(th, abs=1e-10)
-    assert hd.theta_d == pytest.approx(td, abs=1e-10)
-    assert hd.phi_d == pytest.approx(pd, abs=1e-10)
+    pair = (
+        rng.uniform(0, math.pi / 2 * 0.99),
+        rng.uniform(0, 2 * math.pi),
+        rng.uniform(0, math.pi / 2 * 0.99),
+        rng.uniform(0, 2 * math.pi),
+    )
+    th, td, pd, _ = to_halfdiff(*pair)
+    want = _rotation_oracle(*pair)
+    assert th == pytest.approx(want[0], abs=1e-10)
+    assert td == pytest.approx(want[1], abs=1e-10)
+    assert pd == pytest.approx(want[2], abs=1e-10)
 
 
 def test_inverse_at_origin_gives_normal_pair():
-    wi, wo = g.halfdiff_to_io(g.HalfDiffCoords(0, 0, 0), phi_h=0.0)
-    assert wi.theta == pytest.approx(0.0, abs=1e-12)
-    assert wo.theta == pytest.approx(0.0, abs=1e-12)
+    ti, _, to, _ = to_io(0.0, 0.0, 0.0)
+    assert ti == pytest.approx(0.0, abs=1e-12)
+    assert to == pytest.approx(0.0, abs=1e-12)
 
 
 def test_inverse_mirror_configuration():
-    wi, wo = g.halfdiff_to_io(g.HalfDiffCoords(0, math.radians(45), 0), phi_h=0.0)
-    assert wi.theta == pytest.approx(math.radians(45), abs=1e-9)
-    assert wo.theta == pytest.approx(math.radians(45), abs=1e-9)
-    assert abs(wi.phi - wo.phi) == pytest.approx(math.pi, abs=1e-9)
+    ti, pi_, to, po = to_io(0.0, math.radians(45), 0.0)
+    assert ti == pytest.approx(math.radians(45), abs=1e-9)
+    assert to == pytest.approx(math.radians(45), abs=1e-9)
+    assert abs(pi_ - po) == pytest.approx(math.pi, abs=1e-9)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -85,17 +97,21 @@ def test_halfdiff_roundtrip_identity(seed):
     # half/diff coordinates of an upper-hemisphere pair, so the inverse
     # transform stays above the horizon and every seed asserts
     rng = np.random.default_rng(100 + seed)
-    wi0 = g.SphericalDirection(rng.uniform(0, math.pi / 2 * 0.95), rng.uniform(0, 2 * math.pi))
-    wo0 = g.SphericalDirection(rng.uniform(0, math.pi / 2 * 0.95), rng.uniform(0, 2 * math.pi))
-    hd = g.io_to_halfdiff(wi0, wo0)
-    h = wi0.to_cartesian() + wo0.to_cartesian()
+    pair = (
+        rng.uniform(0, math.pi / 2 * 0.95),
+        rng.uniform(0, 2 * math.pi),
+        rng.uniform(0, math.pi / 2 * 0.95),
+        rng.uniform(0, 2 * math.pi),
+    )
+    th, td, pd, _ = to_halfdiff(*pair)
+    h = sph_to_cart(pair[0], pair[1]) + sph_to_cart(pair[2], pair[3])
     phi_h = math.atan2(h[1], h[0])
-    wi, wo = g.halfdiff_to_io(hd, phi_h)
-    assert wi.above_horizon and wo.above_horizon
-    back = g.io_to_halfdiff(wi, wo)
-    assert back.theta_h == pytest.approx(hd.theta_h, abs=1e-9)
-    assert back.theta_d == pytest.approx(hd.theta_d, abs=1e-9)
-    assert back.phi_d == pytest.approx(hd.phi_d, abs=1e-9)
+    ti, pi_, to, po = to_io(th, td, pd, phi_h)
+    assert ti <= math.pi / 2 and to <= math.pi / 2
+    back = to_halfdiff(ti, pi_, to, po)
+    assert back[0] == pytest.approx(th, abs=1e-9)
+    assert back[1] == pytest.approx(td, abs=1e-9)
+    assert back[2] == pytest.approx(pd, abs=1e-9)
 
 
 @settings(max_examples=60, deadline=None)
@@ -107,18 +123,15 @@ def test_halfdiff_roundtrip_identity(seed):
 )
 def test_io_roundtrip_recovers_pair(ti, pi_, to, po):
     """Forward then inverse recovers (wi, wo), up to the reciprocity swap
-    introduced by folding phi_d into [0, pi)."""
-    wi = g.SphericalDirection(ti, pi_)
-    wo = g.SphericalDirection(to, po)
-    th, td, pd, ph = g.io_to_halfdiff_arrays(
-        np.array([ti]), np.array([wi.phi]), np.array([to]), np.array([wo.phi])
-    )
-    ri, rpi, ro, rpo = g.halfdiff_to_io_arrays(th, td, pd, float(ph[0]))
-    got = [
-        g.SphericalDirection(float(ri[0]), float(rpi[0])).to_cartesian(),
-        g.SphericalDirection(float(ro[0]), float(rpo[0])).to_cartesian(),
-    ]
-    want = [wi.to_cartesian(), wo.to_cartesian()]
+    introduced by folding phi_d into [0, pi). Azimuths come back wrapped;
+    a tiny negative atan2 wraps onto the period itself (ti=to=po=1, pi_=0
+    gives phi_o == 2 pi)."""
+    th, td, pd, ph = to_halfdiff(ti, pi_, to, po)
+    assert 0.0 <= pd <= math.pi
+    ri, rpi, ro, rpo = to_io(th, td, pd, ph)
+    assert 0.0 <= rpi <= 2 * math.pi and 0.0 <= rpo <= 2 * math.pi
+    got = [sph_to_cart(ri, rpi), sph_to_cart(ro, rpo)]
+    want = [sph_to_cart(ti, pi_), sph_to_cart(to, po)]
     direct = max(np.abs(got[0] - want[0]).max(), np.abs(got[1] - want[1]).max())
     swapped = max(np.abs(got[0] - want[1]).max(), np.abs(got[1] - want[0]).max())
     assert min(direct, swapped) < 1e-7
@@ -132,20 +145,19 @@ def test_io_roundtrip_recovers_pair(ti, pi_, to, po):
     po=st.floats(0, 2 * math.pi - 1e-6),
 )
 def test_reciprocity_of_coordinates(ti, pi_, to, po):
-    wi = g.SphericalDirection(ti, pi_)
-    wo = g.SphericalDirection(to, po)
-    a = g.io_to_halfdiff(wi, wo)
-    b = g.io_to_halfdiff(wo, wi)
-    assert a.theta_h == pytest.approx(b.theta_h, abs=1e-9)
-    assert a.theta_d == pytest.approx(b.theta_d, abs=1e-9)
-    if a.theta_d > 1e-4:  # phi_d is ill-conditioned when wi is near wo
-        diff = abs(a.phi_d - b.phi_d) % math.pi
+    a = to_halfdiff(ti, pi_, to, po)
+    b = to_halfdiff(to, po, ti, pi_)
+    assert a[0] == pytest.approx(b[0], abs=1e-9)
+    assert a[1] == pytest.approx(b[1], abs=1e-9)
+    if a[1] > 1e-4:  # phi_d is ill-conditioned when wi is near wo
+        diff = abs(a[2] - b[2]) % math.pi
         assert min(diff, math.pi - diff) == pytest.approx(0.0, abs=1e-8)
 
 
 def test_phi_wraps_into_range():
-    d = g.SphericalDirection(0.3, 7.0)
-    assert 0.0 <= d.phi < 2 * math.pi
+    _, phi_i, _, phi_o = to_io(0.3, 0.2, 0.1, phi_h=7.0)
+    assert 0.0 <= phi_i <= 2 * math.pi and 0.0 <= phi_o <= 2 * math.pi
+    assert phi_i == pytest.approx(to_io(0.3, 0.2, 0.1, phi_h=7.0 - 2 * math.pi)[1], abs=1e-12)
 
 
 def _assert_bytes_equal(got, want):

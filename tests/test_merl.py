@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from brdfnqm import merl
-from brdfnqm.errors import FormatError, TruncatedFileError, UnsupportedResolutionError
+from brdfnqm.errors import FormatError, TruncatedFileError
 from brdfnqm.merl import CANONICAL_RES, CHANNEL_SCALES, TabulatedBrdf
 
 from conftest import flip_bit
@@ -62,7 +62,7 @@ def test_invalid_entries_keep_sentinel_and_read_as_zero(tmp_path):
     raw[0] = -1.0
     p = tmp_path / "x.binary"
     _write_file(p, dims, raw)
-    brdf = merl.load_merl(p, name="x", strict_resolution=False)
+    brdf = merl.load_merl(p, name="x")
     assert brdf.values[0, 0, 0, 0] == -1.0  # sentinel preserved in memory
     mask = brdf.invalid_mask()
     assert mask[0, 0, 0] and not mask[0, 0, 1]
@@ -78,7 +78,7 @@ def test_layout_channel_major_phi_d_innermost(tmp_path):
     raw = np.arange(3 * n, dtype=float)
     p = tmp_path / "layout.binary"
     _write_file(p, dims, raw)
-    brdf = merl.load_merl(p, name="layout", strict_resolution=False)
+    brdf = merl.load_merl(p, name="layout")
     # element (channel c, th i, td j, pd k) sits at raw offset
     # c*n + i*(n_td*n_pd) + j*n_pd + k, scaled by the per-channel factor
     for c, i, j, k in [(0, 0, 0, 0), (1, 1, 2, 3), (2, 0, 1, 2), (0, 1, 0, 3)]:
@@ -118,7 +118,7 @@ def test_trailing_bytes_raise(tmp_path):
         f.write(np.zeros(n).astype("<f8").tobytes())
         f.write(b"\x00")
     with pytest.raises(FormatError):
-        merl.load_merl(p, name="extra", strict_resolution=False)
+        merl.load_merl(p, name="extra")
 
 
 def test_header_claiming_more_than_the_file_holds_raises_before_allocating(tmp_path):
@@ -126,7 +126,7 @@ def test_header_claiming_more_than_the_file_holds_raises_before_allocating(tmp_p
     p = tmp_path / "liar.binary"
     p.write_bytes(struct.pack("<3i", 2**20, 90, 180) + b"\x00" * 64)
     with pytest.raises(TruncatedFileError, match="got 64"):
-        merl.load_merl(p, name="liar", strict_resolution=False)
+        merl.load_merl(p, name="liar")
 
 
 def test_strict_resolution(tmp_path):
@@ -134,9 +134,7 @@ def test_strict_resolution(tmp_path):
     n = dims[0] * dims[1] * dims[2]
     p = tmp_path / "small.binary"
     _write_file(p, dims, np.zeros(3 * n))
-    with pytest.raises(UnsupportedResolutionError):
-        merl.load_merl(p, name="small")
-    brdf = merl.load_merl(p, name="small", strict_resolution=False)
+    brdf = merl.load_merl(p, name="small")
     assert brdf.resolution == dims
 
 
@@ -194,9 +192,9 @@ def test_save_load_save_is_byte_identical_on_special_payloads(tmp_path):
     raw = np.resize(special, 3 * 8)
     p = tmp_path / "special.binary"
     _write_file(p, dims, raw)
-    loaded = merl.load_merl(p, strict_resolution=False)
+    loaded = merl.load_merl(p)
     merl.save_merl(loaded, tmp_path / "a.binary")
-    merl.save_merl(merl.load_merl(tmp_path / "a.binary", strict_resolution=False), tmp_path / "b.binary")
+    merl.save_merl(merl.load_merl(tmp_path / "a.binary"), tmp_path / "b.binary")
     assert (tmp_path / "a.binary").read_bytes() == (tmp_path / "b.binary").read_bytes() == p.read_bytes()
 
     # a table without a loaded payload divides by the channel scales and
@@ -207,7 +205,7 @@ def test_save_load_save_is_byte_identical_on_special_payloads(tmp_path):
     with np.errstate(over="ignore"):  # -big / scale in the discarded branch
         expected = np.where(fresh.values < 0.0, fresh.values, fresh.values / scales)
     assert (tmp_path / "c.binary").read_bytes()[12:] == expected.astype("<f8").tobytes()
-    merl.save_merl(merl.load_merl(tmp_path / "c.binary", strict_resolution=False), tmp_path / "d.binary")
+    merl.save_merl(merl.load_merl(tmp_path / "c.binary"), tmp_path / "d.binary")
     assert (tmp_path / "d.binary").read_bytes() == (tmp_path / "c.binary").read_bytes()
 
 
@@ -234,7 +232,7 @@ def test_damaged_file_loads_losslessly_or_raises_format_error(tmp_path, data):
     p = tmp_path / "fuzz.binary"
     p.write_bytes(data)
     try:
-        brdf = merl.load_merl(p, strict_resolution=False)
+        brdf = merl.load_merl(p)
     except FormatError:
         return
     merl.save_merl(brdf, tmp_path / "resaved.binary")

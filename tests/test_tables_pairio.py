@@ -276,3 +276,42 @@ def test_damaged_sample_file_loads_or_raises_format_or_pairing_error(tmp_path, d
         except (FormatError, PairingError):
             continue
         assert np.isfinite(loaded.values).all()
+
+
+@pytest.mark.parametrize("bad", ["", "my tables/a.binary", "tab\there"])
+def test_write_refuses_a_field_that_would_not_read_back(tmp_path, bad):
+    p = tmp_path / "t.txt"
+    with pytest.raises(FormatError, match=r"t\.txt: ref_path field"):
+        tables.write_table(p, "demo", ["pair_id", "ref_path", "jod"], [["p0", "a.binary", 1.0], ["p1", bad, 2.0]])
+    assert not p.exists()
+
+
+def _labels_seed_file() -> bytes:
+    with tempfile.TemporaryDirectory() as d:
+        p = Path(d) / "seed.txt"
+        tables.write_table(p, "labels", ["pair_id", "jod", "provenance"],
+                           [["mat000_l00", 8.25, "synthetic_oracle"], ["mat000_l01", 3.5, "pseudo_deitp"]])
+        return p.read_bytes()
+
+
+_LABELS_SEED = _labels_seed_file()
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.one_of(
+    st.integers(0, len(_LABELS_SEED) - 1).map(lambda cut: _LABELS_SEED[:cut]),
+    st.integers(0, 8 * len(_LABELS_SEED) - 1).map(partial(flip_bit, _LABELS_SEED)),
+    st.tuples(st.integers(0, len(_LABELS_SEED) - 1), st.integers(0, 255)).map(
+        lambda at: _LABELS_SEED[:at[0]] + bytes([at[1]]) + _LABELS_SEED[at[0] + 1:]
+    ),
+))
+def test_damaged_labels_table_loads_or_raises_format_error(tmp_path, data):
+    """Truncated, bit-flipped or with one byte overwritten, a labels table
+    loads as rows as wide as its header or raises FormatError."""
+    p = tmp_path / "fuzz.txt"
+    p.write_bytes(data)
+    try:
+        _, columns, rows = tables.read_table(p, "labels")
+    except FormatError:
+        return
+    assert all(len(r) == len(columns) for r in rows)
