@@ -10,17 +10,17 @@ Only ``train`` and ``predict`` import :mod:`brdfnqm.nn` (and with it
 
 from __future__ import annotations
 
+import math
 import pathlib
 import sys
 
 import click
-import numpy as np
 
 from . import baselines, evaluate, jod, preprocess, sampling, synth
 from .errors import BrdfError, FormatError
 from .merl import CANONICAL_RES, load_merl, save_merl
 from .pairio import read_pair, read_pairs, write_samples
-from .tables import read_table, write_table
+from .tables import check_field, read_table, write_table
 
 MANIFEST_COLUMNS = ["ref_path", "dist_path", "severity", "seed", "kind", "magnitude", "material"]
 PAIRS_COLUMNS = ["pair_id", "material", "severity", "ref_samples", "dist_samples"]
@@ -46,7 +46,7 @@ class _PipelineGroup(click.Group):
 class _ByPair(dict):
     """pair_id -> value of one table; an absent pair is a BrdfError naming it and the file."""
 
-    def __init__(self, path, kind: str, items=()):
+    def __init__(self, path, kind: str, items):
         super().__init__(items)
         self.path, self.kind = path, kind
 
@@ -54,33 +54,31 @@ class _ByPair(dict):
         raise BrdfError(f"{self.path}: pair {pid!r} is missing from the {self.kind} table")
 
 
-def _by_pair(path, kind: str, cols, rows, column: str | None = None) -> _ByPair:
-    """pair_id -> ``column`` of each table row (the whole row when column is None)."""
-    i_id = cols.index("pair_id")
-    i_val = None if column is None else cols.index(column)
-    return _ByPair(path, kind, ((r[i_id], r if i_val is None else r[i_val]) for r in rows))
+def _rows(path, kind: str, *names):
+    """(meta, rows) of a table, each row the fields of columns ``names`` in that order; a missing one is a FormatError."""
+    meta, cols, rows = read_table(path, kind)
+    for name in names:
+        if name not in cols:
+            raise FormatError(f"{path}: the {kind} table has no {name!r} column")
+    idx = [cols.index(name) for name in names]
+    return meta, [[r[i] for i in idx] for r in rows]
 
 
-def _read_sampled_pairs(pcols, prows):
-    """The (ref, dist) SampledBrdf pairs of pairs-table rows, in row order."""
-    i_ref, i_dist = pcols.index("ref_samples"), pcols.index("dist_samples")
-    return read_pairs([(r[i_ref], r[i_dist]) for r in prows])
+def _number(path, column: str, text: str) -> float:
+    """The finite float of a table field; anything else is a FormatError naming the file and ``column``."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise FormatError(f"{path}: {column} is {text!r}, not a finite number")
+    return value
 
 
 def _read_jods(labels_file) -> _ByPair:
-    """pair_id -> JOD of a labels table; a malformed or non-finite JOD is a FormatError."""
-    _, cols, rows = read_table(labels_file, "labels")
-    i_id, i_jod = cols.index("pair_id"), cols.index("jod")
-    jods = _ByPair(labels_file, "labels")
-    for r in rows:
-        try:
-            value = float(r[i_jod])
-        except ValueError:
-            value = float("nan")
-        if not np.isfinite(value):
-            raise FormatError(f"{labels_file}: JOD {r[i_jod]!r} of pair {r[i_id]!r} is not a finite number")
-        jods[r[i_id]] = value
-    return jods
+    """pair_id -> JOD of a labels table; a malformed or non-finite JOD is a FormatError naming the pair."""
+    _, rows = _rows(labels_file, "labels", "pair_id", "jod")
+    return _ByPair(labels_file, "labels", ((pid, _number(labels_file, f"jod of pair {pid!r}", j)) for pid, j in rows))
 
 
 @click.group(cls=_PipelineGroup)
@@ -107,6 +105,7 @@ def cmd_gen_synthetic(n, levels, seed, out_dir, res):
     """Generate analytic reference/distorted table pairs plus a manifest."""
     specs = [_parse_level(t) for t in levels]
     out = pathlib.Path(out_dir)
+    check_field(out / "manifest.txt", "ref_path", str(out))  # before anything is made
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     current_ref = None
@@ -126,20 +125,21 @@ def cmd_gen_synthetic(n, levels, seed, out_dir, res):
 @main.command("sample")
 @click.option("--manifest", type=click.Path(exists=True), required=True)
 @click.option("--k", type=click.IntRange(min=1), default=sampling.DEFAULT_K, show_default=True)
-@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True, help="Recorded in the headers; the directions chosen do not depend on it.")
 @click.option("--grid", nargs=3, type=click.IntRange(min=2), default=sampling.DEFAULT_GRID, show_default=True)
 @click.option("--out-dir", type=click.Path(), required=True)
 def cmd_sample(manifest, k, seed, grid, out_dir):
     """Sample every manifest pair at directions chosen from its reference."""
     out = pathlib.Path(out_dir)
+    check_field(out / "pairs.txt", "ref_samples", str(out))
+    _, rows = _rows(manifest, "manifest", "ref_path", "dist_path", "severity", "material")
+    rows = [(ref, dist, _number(manifest, "severity", sev), material) for ref, dist, sev, material in rows]
     out.mkdir(parents=True, exist_ok=True)
-    _, _, rows = read_table(manifest, "manifest")
     cands = sampling.build_candidate_grid(*grid)
     pair_rows = []
     dirsets: dict[str, tuple] = {}
     counters: dict[str, int] = {}
-    for r in rows:
-        ref_path, dist_path, severity, _, _, _, material = r
+    for ref_path, dist_path, severity, material in rows:
         if ref_path not in dirsets:
             ref_brdf = load_merl(ref_path)
             ds = sampling.select_samples(ref_brdf, cands, k=k, seed=seed)
@@ -155,7 +155,7 @@ def cmd_sample(manifest, k, seed, grid, out_dir):
         dist_sampled = sampling.sample_brdf(dist_brdf, ds)
         dist_out = out / f"{pair_id}_dist.txt"
         write_samples(dist_out, dist_sampled)
-        pair_rows.append([pair_id, material, float(severity), ref_out, str(dist_out)])
+        pair_rows.append([pair_id, material, severity, ref_out, str(dist_out)])
     write_table(out / "pairs.txt", "pairs", PAIRS_COLUMNS, pair_rows, meta={"k": k, "seed": seed})
     click.echo(f"sampled {len(pair_rows)} pairs into {out}")
 
@@ -166,22 +166,19 @@ def cmd_sample(manifest, k, seed, grid, out_dir):
 @click.option("--out", type=click.Path(), required=True)
 def cmd_fit_jod(calibration, init, out):
     """Fit the logistic deitp->JOD regression by Levenberg-Marquardt."""
-    _, cols, rows = read_table(calibration, "calibration")
-    points = [
-        jod.CalibrationPoint(deitp=float(r[cols.index("deitp")]), jod=float(r[cols.index("jod")]))
-        for r in rows
-    ]
+    _, rows = _rows(calibration, "calibration", "deitp", "jod")
+    points = [jod.CalibrationPoint(deitp=_number(calibration, "deitp", d), jod=_number(calibration, "jod", j)) for d, j in rows]
     params = jod.fit_jod_regression(points, jod.JodRegressionParams(*init))
     write_table(out, "jodparams", ["b1", "b2", "b3"], [[params.b1, params.b2, params.b3]])
     click.echo(f"fitted b1={params.b1:.4f} b2={params.b2:.4f} b3={params.b3:.4f}")
 
 
 def _load_params(path) -> jod.JodRegressionParams:
-    _, cols, rows = read_table(path, "jodparams")
+    names = ("b1", "b2", "b3")
+    _, rows = _rows(path, "jodparams", *names)
     if not rows:
         raise FormatError(f"{path}: jodparams table has no rows")
-    r = rows[0]
-    return jod.JodRegressionParams(*(float(r[cols.index(k)]) for k in ("b1", "b2", "b3")))
+    return jod.JodRegressionParams(*(_number(path, name, text) for name, text in zip(names, rows[0])))
 
 
 @main.command("label")
@@ -193,19 +190,15 @@ def cmd_label(deitp_file, params_file, pairs_file, out):
     """Assign JOD labels from deitp values or the synthetic severity oracle."""
     if bool(deitp_file) == bool(pairs_file):
         raise click.UsageError("give either --deitp (with --params) or --from-severity")
-    rows = []
     if pairs_file:
-        _, cols, prows = read_table(pairs_file, "pairs")
-        for r in prows:
-            sev = float(r[cols.index("severity")])
-            rows.append([r[cols.index("pair_id")], preprocess.severity_oracle_jod(sev), preprocess.Provenance.SYNTHETIC_ORACLE.value])
+        _, prows = _rows(pairs_file, "pairs", "pair_id", "severity")
+        provenance = preprocess.Provenance.SYNTHETIC_ORACLE.value
+        rows = [[pid, preprocess.severity_oracle_jod(_number(pairs_file, "severity", sev)), provenance] for pid, sev in prows]
     else:
         params = _load_params(params_file) if params_file else jod.REFERENCE_PARAMS
-        _, cols, drows = read_table(deitp_file, "deitp")
-        labelled = jod.label_dataset(
-            [(r[cols.index("pair_id")], float(r[cols.index("deitp")])) for r in drows], params
-        )
-        rows = [[pid, value, preprocess.Provenance.PSEUDO_DEITP.value] for pid, value in labelled]
+        _, drows = _rows(deitp_file, "deitp", "pair_id", "deitp")
+        provenance = preprocess.Provenance.PSEUDO_DEITP.value
+        rows = [[pid, jod.jod_from_deitp(_number(deitp_file, "deitp", d), params), provenance] for pid, d in drows]
     write_table(out, "labels", LABEL_COLUMNS, rows)
     click.echo(f"labelled {len(rows)} pairs")
 
@@ -217,9 +210,9 @@ def cmd_label(deitp_file, params_file, pairs_file, out):
 @click.option("--out", type=click.Path(), required=True)
 def cmd_split(pairs_file, test_materials, seed, out):
     """Hold out test materials and split the rest 80/20 by pair."""
-    _, cols, prows = read_table(pairs_file, "pairs")
-    splits = preprocess.make_splits([r[cols.index("material")] for r in prows], test_materials, seed)
-    rows = [[r[cols.index("pair_id")], s] for r, s in zip(prows, splits)]
+    _, prows = _rows(pairs_file, "pairs", "pair_id", "material")
+    splits = preprocess.make_splits([material for _, material in prows], test_materials, seed)
+    rows = [[pid, s] for (pid, _), s in zip(prows, splits)]
     write_table(out, "splits", SPLIT_COLUMNS, rows, meta={"seed": seed})
     click.echo(f"split {splits.count('train')}/{splits.count('val')}/{splits.count('test')}")
 
@@ -237,29 +230,28 @@ def cmd_augment(pairs_file, labels_file, splits_file, lo, hi, seed, out_dir):
     if lo > hi:
         raise click.UsageError("--lo must be <= --hi")
     out = pathlib.Path(out_dir)
+    check_field(out / "pairs.txt", "ref_samples", str(out))
+    pairs_meta, prows = _rows(pairs_file, "pairs", *PAIRS_COLUMNS)
+    _, lrows = _rows(labels_file, "labels", *LABEL_COLUMNS)
+    _, srows = _rows(splits_file, "splits", *SPLIT_COLUMNS)
+    prows = [[pid, material, _number(pairs_file, "severity", sev), ref, dist] for pid, material, sev, ref, dist in prows]
+    lrows = [[pid, _number(labels_file, "jod", j), provenance] for pid, j, provenance in lrows]
+    labels = _ByPair(labels_file, "labels", ((pid, (j, provenance)) for pid, j, provenance in lrows))
+    split_of = _ByPair(splits_file, "splits", srows)
     out.mkdir(parents=True, exist_ok=True)
-    pairs_meta, pcols, prows = read_table(pairs_file, "pairs")
-    _, lcols, lrows = read_table(labels_file, "labels")
-    _, scols, srows = read_table(splits_file, "splits")
-    labels = _by_pair(labels_file, "labels", lcols, lrows)
-    split_of = _by_pair(splits_file, "splits", scols, srows, "split")
     new_pairs, new_labels, new_splits = list(prows), list(lrows), list(srows)
-    train_rows = [(i, r) for i, r in enumerate(prows) if split_of[r[pcols.index("pair_id")]] == "train"]
-    sampled = _read_sampled_pairs(pcols, [r for _, r in train_rows])
-    for (i, r), (ref, dist) in zip(train_rows, sampled):
-        pid = r[pcols.index("pair_id")]
-        src = preprocess.LabeledPair(
-            ref=ref, dist=dist, jod=float(labels[pid][lcols.index("jod")]),
-            provenance=preprocess.Provenance(labels[pid][lcols.index("provenance")]),
-            material=r[pcols.index("material")],
-        )
+    train_rows = [(i, r, labels[r[0]]) for i, r in enumerate(prows) if split_of[r[0]] == "train"]
+    sampled = read_pairs([r[3:] for _, r, _ in train_rows])
+    for (i, (pid, material, severity, _, _), (jod_value, provenance)), (ref, dist) in zip(train_rows, sampled):
+        src = preprocess.LabeledPair(ref=ref, dist=dist, jod=jod_value, provenance=preprocess.Provenance(provenance),
+                                     material=material)
         aug = preprocess.augment_scale(src, lo=lo, hi=hi, seed=(seed, i))
         aug_id = f"{pid}_s"
         ref_path = out / f"{aug_id}_ref.txt"
         dist_path = out / f"{aug_id}_dist.txt"
         write_samples(ref_path, aug.ref)
         write_samples(dist_path, aug.dist)
-        new_pairs.append([aug_id, aug.material, r[pcols.index("severity")], str(ref_path), str(dist_path)])
+        new_pairs.append([aug_id, aug.material, severity, str(ref_path), str(dist_path)])
         new_labels.append([aug_id, aug.jod, aug.provenance.value])
         new_splits.append([aug_id, "train"])
     write_table(out / "pairs.txt", "pairs", PAIRS_COLUMNS, new_pairs, meta=pairs_meta)
@@ -269,19 +261,16 @@ def cmd_augment(pairs_file, labels_file, splits_file, lo, hi, seed, out_dir):
 
 
 def _load_dataset(pairs_file, labels_file, splits_file):
-    _, pcols, prows = read_table(pairs_file, "pairs")
+    _, prows = _rows(pairs_file, "pairs", "pair_id", "material", "ref_samples", "dist_samples")
     labels = _read_jods(labels_file)
-    _, scols, srows = read_table(splits_file, "splits")
-    split_of = _by_pair(splits_file, "splits", scols, srows, "split")
+    _, srows = _rows(splits_file, "splits", *SPLIT_COLUMNS)
+    split_of = _ByPair(splits_file, "splits", srows)
     dataset = {"train": [], "val": [], "test": []}
-    for r, (ref, dist) in zip(prows, _read_sampled_pairs(pcols, prows)):
-        pid = r[pcols.index("pair_id")]
+    for (pid, material, _, _), (ref, dist) in zip(prows, read_pairs([r[2:] for r in prows])):
         split = split_of[pid]
         if split not in dataset:
             raise FormatError(f"{splits_file}: pair {pid!r} has split {split!r}, want train, val or test")
-        dataset[split].append(
-            {"pair_id": pid, "material": r[pcols.index("material")], "ref": ref, "dist": dist, "jod": labels[pid]}
-        )
+        dataset[split].append({"pair_id": pid, "material": material, "ref": ref, "dist": dist, "jod": labels[pid]})
     return dataset
 
 
@@ -314,8 +303,8 @@ def cmd_train(pairs_file, labels_file, splits_file, epochs, batch_size, seed, ch
     model = nn.init_model(seed, jod_min, jod_max, stats, input_dim=6 * k)
     x_tr = nn.input_matrix(model, [(it["ref"], it["dist"]) for it in train_items])
     x_va = nn.input_matrix(model, [(it["ref"], it["dist"]) for it in val_items])
-    y_tr = np.array([it["jod"] for it in train_items])
-    y_va = np.array([it["jod"] for it in val_items])
+    y_tr = [it["jod"] for it in train_items]
+    y_va = [it["jod"] for it in val_items]
     cfg = nn.TrainConfig(epochs=epochs, batch_size=batch_size, shuffle_seed=seed)
     model, history = nn.train(model, x_tr, y_tr, x_va, y_va, cfg)
     nn.save_checkpoint(model, checkpoint_path)
@@ -351,9 +340,9 @@ def cmd_predict(checkpoint_path, pairs_file, ref_file, dist_file, out):
         ref, dist = read_pair(ref_file, dist_file)
         click.echo(repr(nn.predict_jod(model, ref, dist)))
         return
-    _, pcols, prows = read_table(pairs_file, "pairs")
-    jods = nn.predict_jods(model, _read_sampled_pairs(pcols, prows))
-    rows = [[r[pcols.index("pair_id")], float(j)] for r, j in zip(prows, jods)]
+    _, prows = _rows(pairs_file, "pairs", "pair_id", "ref_samples", "dist_samples")
+    jods = nn.predict_jods(model, read_pairs([r[1:] for r in prows]))
+    rows = [[pid, float(j)] for (pid, _, _), j in zip(prows, jods)]
     write_table(out, "predictions", ["pair_id", "jod_pred"], rows)
     click.echo(f"scored {len(rows)} pairs")
 
@@ -364,11 +353,11 @@ def cmd_predict(checkpoint_path, pairs_file, ref_file, dist_file, out):
 def cmd_eval_baselines(pairs_file, out):
     """Compute the eight reference BRDF-space metrics per pair."""
     kinds = list(baselines.MetricKind)
-    _, pcols, prows = read_table(pairs_file, "pairs")
+    _, prows = _rows(pairs_file, "pairs", "pair_id", "ref_samples", "dist_samples")
     rows = []
-    for r, (ref, dist) in zip(prows, _read_sampled_pairs(pcols, prows)):
+    for (pid, _, _), (ref, dist) in zip(prows, read_pairs([r[1:] for r in prows])):
         metrics = baselines.all_metrics(ref, dist)
-        rows.append([r[pcols.index("pair_id")], *(metrics[k] for k in kinds)])
+        rows.append([pid, *(metrics[k] for k in kinds)])
     write_table(out, "metrics", ["pair_id", *(k.value for k in kinds)], rows)
     click.echo(f"evaluated {len(rows)} pairs x {len(kinds)} metrics")
 
@@ -382,30 +371,23 @@ def cmd_eval_baselines(pairs_file, out):
 @click.option("--format", "fmt", type=click.Choice(["table", "plot-data"]), default="table", show_default=True)
 def cmd_correlate(metrics_file, predictions_file, labels_file, pairs_file, out, fmt):
     """Per-material Spearman of every metric against JOD labels."""
-    _, pcols, prows = read_table(pairs_file, "pairs")
-    material_of = _by_pair(pairs_file, "pairs", pcols, prows, "material")
+    _, prows = _rows(pairs_file, "pairs", "pair_id", "material")
+    material_of = _ByPair(pairs_file, "pairs", prows)
     jod_of = _read_jods(labels_file)
 
-    def scored(rows_, cols_, column):
-        i_id, i_score = cols_.index("pair_id"), cols_.index(column)
-        return [
-            evaluate.ScoredPair(
-                pair_id=r[i_id],
-                material=material_of[r[i_id]],
-                predicted=float(r[i_score]),
-                ground_truth_jod=jod_of[r[i_id]],
-            )
-            for r in rows_
-        ]
+    def scored(path, column, rows):
+        return [evaluate.ScoredPair(pair_id=pid, material=material_of[pid], predicted=_number(path, column, text),
+                                    ground_truth_jod=jod_of[pid]) for pid, text in rows]
 
+    kinds = [k.value for k in baselines.MetricKind]
+    _, mrows = _rows(metrics_file, "metrics", "pair_id", *kinds)
     report_rows = []
-    _, mcols, mrows = read_table(metrics_file, "metrics")
-    for kind in baselines.MetricKind:
-        rep = evaluate.correlate_per_material(scored(mrows, mcols, kind.value), sign=-1)
-        report_rows.append((kind.value, rep.average))
+    for j, kind in enumerate(kinds, start=1):
+        rep = evaluate.correlate_per_material(scored(metrics_file, kind, [(r[0], r[j]) for r in mrows]), sign=-1)
+        report_rows.append((kind, rep.average))
     if predictions_file:
-        _, qcols, qrows = read_table(predictions_file, "predictions")
-        rep = evaluate.correlate_per_material(scored(qrows, qcols, "jod_pred"), sign=1)
+        _, qrows = _rows(predictions_file, "predictions", "pair_id", "jod_pred")
+        rep = evaluate.correlate_per_material(scored(predictions_file, "jod_pred", qrows), sign=1)
         report_rows.append(("brdf-nqm", rep.average))
     evaluate.emit_report(report_rows, out, fmt=fmt)
     click.echo(f"wrote {len(report_rows)} metric rows to {out}")

@@ -155,10 +155,3 @@ def _jacobian(residuals, b: np.ndarray) -> np.ndarray:
         bm[j] -= h
         jac[:, j] = (residuals(bp) - residuals(bm)) / (2.0 * h)
     return jac
-
-
-def label_dataset(
-    pairs: list[tuple[str, float]], p: JodRegressionParams = REFERENCE_PARAMS
-) -> list[tuple[str, float]]:
-    """Map (pair id, deitp) rows to (pair id, jod) via the logistic model."""
-    return [(pid, jod_from_deitp(deitp, p)) for pid, deitp in pairs]

@@ -5,7 +5,7 @@ phi_d), then 3 * n_th * n_td * n_pd float64 values, channel-major (all red,
 then green, then blue), innermost index phi_d, then theta_d, then theta_h.
 Stored values are raw; in memory each channel is scaled by its calibration
 factor. Negative raw values mark unmeasured ("invalid") bins and are kept
-losslessly; lookups read them as zero with a flag.
+losslessly; lookups read them as zero.
 """
 
 from __future__ import annotations
@@ -157,18 +157,10 @@ def bin_centers(res: tuple[int, int, int]):
     return th, td, pd
 
 
-def lookup(brdf: TabulatedBrdf, theta_h, theta_d, phi_d):
-    """Vectorized nearest-bin read.
-
-    Returns (values, invalid) where values is (..., 3) with invalid bins
-    zeroed and invalid is a boolean mask.
-    """
+def lookup(brdf: TabulatedBrdf, theta_h, theta_d, phi_d) -> np.ndarray:
+    """Vectorized nearest-bin read: values of shape (..., 3), invalid bins zeroed on every channel."""
     i = theta_h_index(theta_h, brdf.res_theta_h)
     j = theta_d_index(theta_d, brdf.res_theta_d)
     k = phi_d_index(phi_d, brdf.res_phi_d)
-    vals = brdf.values[:, i, j, k]              # (3, ...)
-    vals = np.moveaxis(vals, 0, -1)             # (..., 3)
-    invalid = np.any(vals < 0.0, axis=-1)
-    vals = np.where(vals < 0.0, 0.0, vals)
-    vals = np.where(invalid[..., None], 0.0, vals)
-    return vals, invalid
+    vals = np.moveaxis(brdf.values[:, i, j, k], 0, -1)  # (..., 3)
+    return np.where(np.any(vals < 0.0, axis=-1, keepdims=True), 0.0, vals)

@@ -117,6 +117,8 @@ def select_samples(
     proportional to its mean luminance (floor of one), and contributes its
     top-luminance candidates, ties broken by canonical (theta_h, theta_d,
     phi_d) order. The result is re-sorted canonically.
+
+    ``seed`` is only stored in the returned DirectionSet; it changes the sample files' headers, not the directions.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -130,7 +132,7 @@ def select_samples(
     order = _canonical_order(cands)
     cands = cands[order]
 
-    vals, _ = lookup(ref, cands[:, 0], cands[:, 1], cands[:, 2])
+    vals = lookup(ref, cands[:, 0], cands[:, 1], cands[:, 2])
     lum = vals @ LUMA_WEIGHTS
 
     edges = np.unique(np.quantile(lum, np.linspace(0.0, 1.0, N_STRATA + 1)))
@@ -186,5 +188,5 @@ def _allocate_quotas(weights: np.ndarray, sizes: list[int], k: int) -> list[int]
 
 def sample_brdf(brdf: TabulatedBrdf, dirs: DirectionSet) -> SampledBrdf:
     """Read the table at every direction; invalid bins contribute zero."""
-    vals, _ = lookup(brdf, dirs.theta_h, dirs.theta_d, dirs.phi_d)
+    vals = lookup(brdf, dirs.theta_h, dirs.theta_d, dirs.phi_d)
     return SampledBrdf(values=vals, directions=dirs)

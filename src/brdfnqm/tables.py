@@ -29,13 +29,23 @@ def _field(v) -> str:
     return text
 
 
+def check_field(path, column: str, value) -> None:
+    """Raise FormatError naming the file and the column if ``value`` would not read back as one field."""
+    try:
+        _field(value)
+    except ValueError:
+        raise FormatError(f"{path}: {column} field {str(value)!r} is empty or holds whitespace") from None
+
+
 def write_table(path, kind: str, columns: list[str], rows, meta: dict | None = None) -> None:
     """Write a table; a row field that is empty or holds whitespace raises FormatError before the file is opened."""
     try:
         lines = [" ".join(map(_field, row)) + "\n" for row in rows]
-    except ValueError as exc:
-        column = next(c for row in rows for c, v in zip(columns, row) if _fmt(v) == exc.args[0])
-        raise FormatError(f"{path}: {column} field {exc.args[0]!r} is empty or holds whitespace") from None
+    except ValueError:
+        for row in rows:
+            for column, value in zip(columns, row):
+                check_field(path, column, value)
+        raise
     with open(str(path), "w", encoding="ascii") as f:
         f.write(f"# brdfnqm-{kind} v{FORMAT_VERSION}\n")
         for key, value in (meta or {}).items():

@@ -308,7 +308,7 @@ def test_out_dir_with_a_space_is_runtime_error(runner, tmp_path, pipeline, comma
     args = [a.format(root=pipeline) for a in command]
     result = runner.invoke(cli.main, [*args, "--out-dir", str(out)])
     _assert_one_line_error(result, table, "holds whitespace")
-    assert not (out / table).exists()
+    assert not out.exists()  # refused before the directory is made
 
 
 def test_sample_nan_table_is_runtime_error(runner, tmp_path):
@@ -559,3 +559,131 @@ def test_rerun_is_byte_identical(runner, tmp_path):
     assert [f.name for f in a_files] == [f.name for f in b_files]
     for fa, fb in zip(a_files, b_files):
         assert fa.read_bytes() == fb.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def inputs(pipeline, runner, checkpoint, tmp_path_factory):
+    """Every kind of table a command reads, from the shared pipeline."""
+    root = tmp_path_factory.mktemp("inputs")
+    pairs = pipeline / "samples" / "pairs.txt"
+    _, cols, rows = read_table(pairs, "pairs")
+    write_table(root / "calibration.txt", "calibration", ["deitp", "jod"],
+                [[d, 10.0 - d] for d in (0.5, 1.0, 2.0, 4.0, 8.0)])
+    write_table(root / "deitp.txt", "deitp", ["pair_id", "deitp"],
+                [[r[cols.index("pair_id")], 1.0 + i] for i, r in enumerate(rows)])
+    write_table(root / "jodparams.txt", "jodparams", ["b1", "b2", "b3"], [[-14.11, -0.47, -0.21]])
+    _run(runner, ["eval-baselines", "--pairs", str(pairs), "--out", str(root / "metrics.txt")])
+    _run(runner, ["predict", "--checkpoint", str(checkpoint), "--pairs", str(pairs),
+                  "--out", str(root / "predictions.txt")])
+    return {
+        "manifest": pipeline / "tables" / "manifest.txt", "pairs": pairs, "labels": pipeline / "labels.txt",
+        "splits": pipeline / "splits.txt", "checkpoint": checkpoint,
+        **{kind: root / f"{kind}.txt" for kind in ("calibration", "deitp", "jodparams", "metrics", "predictions")},
+    }
+
+
+# each command's arguments, with {kind} for an input table and {out} for the output
+COMMANDS = {
+    "sample": ["sample", "--manifest", "{manifest}", "--k", "40", *GRID, "--out-dir", "{out}"],
+    "fit-jod": ["fit-jod", "--calibration", "{calibration}", "--out", "{out}"],
+    "label-severity": ["label", "--from-severity", "{pairs}", "--out", "{out}"],
+    "label-deitp": ["label", "--deitp", "{deitp}", "--params", "{jodparams}", "--out", "{out}"],
+    "split": ["split", "--pairs", "{pairs}", "--test-material", "mat002", "--out", "{out}"],
+    "augment": ["augment", "--pairs", "{pairs}", "--labels", "{labels}", "--splits", "{splits}", "--out-dir", "{out}"],
+    "train": ["train", "--pairs", "{pairs}", "--labels", "{labels}", "--splits", "{splits}", "--epochs", "1",
+              "--checkpoint", "{out}", "--history", "{out}_history"],
+    "predict": ["predict", "--checkpoint", "{checkpoint}", "--pairs", "{pairs}", "--out", "{out}"],
+    "eval-baselines": ["eval-baselines", "--pairs", "{pairs}", "--out", "{out}"],
+    "correlate": ["correlate", "--pairs", "{pairs}", "--labels", "{labels}", "--metrics", "{metrics}",
+                  "--predictions", "{predictions}", "--out", "{out}"],
+}
+
+
+def _command(name, tables, out):
+    return [a.format(out=out, **tables) for a in COMMANDS[name]]
+
+
+def _rewritten(src, kind, dst, edit):
+    """A copy of a table whose column names and rows ``edit`` maps to new ones."""
+    meta, cols, rows = read_table(src, kind)
+    write_table(dst, kind, *edit(cols, rows), meta=meta)
+    return dst
+
+
+def _stripped_outputs(out):
+    """Text of each output file (``out`` or the files in it) by path relative to ``out``, ``out`` stripped."""
+    files = sorted(out.iterdir()) if out.is_dir() else [out]
+    return {str(f.relative_to(out)): f.read_text().replace(str(out), "") for f in files}
+
+
+@pytest.mark.parametrize("command, kinds", [
+    ("sample", ["manifest"]),
+    ("label-severity", ["pairs"]),
+    ("split", ["pairs"]),
+    ("predict", ["pairs"]),
+    ("eval-baselines", ["pairs"]),
+    ("augment", ["pairs", "labels", "splits"]),
+    ("correlate", ["pairs", "labels", "metrics", "predictions"]),
+])
+def test_reversed_columns_give_identical_outputs(runner, tmp_path, inputs, command, kinds):
+    """Columns are found by name: reversing them in every input table changes no output byte."""
+    reversed_tables = dict(inputs)
+    for kind in kinds:
+        reversed_tables[kind] = _rewritten(inputs[kind], kind, tmp_path / f"{kind}.txt",
+                                           lambda cols, rows: (cols[::-1], [r[::-1] for r in rows]))
+    _run(runner, _command(command, inputs, tmp_path / "a"))
+    _run(runner, _command(command, reversed_tables, tmp_path / "b"))
+    assert _stripped_outputs(tmp_path / "a") == _stripped_outputs(tmp_path / "b")
+
+
+# (command, table kind, a column it reads, a numeric column it reads or None)
+TABLE_READS = [
+    ("sample", "manifest", "dist_path", "severity"),
+    ("fit-jod", "calibration", "jod", "deitp"),
+    ("label-severity", "pairs", "pair_id", "severity"),
+    ("label-deitp", "deitp", "deitp", "deitp"),
+    ("label-deitp", "jodparams", "b2", "b3"),
+    ("split", "pairs", "material", None),
+    ("augment", "pairs", "dist_samples", "severity"),
+    ("augment", "labels", "provenance", "jod"),
+    ("augment", "splits", "split", None),
+    ("train", "pairs", "ref_samples", None),
+    ("train", "labels", "jod", "jod"),
+    ("train", "splits", "split", None),
+    ("predict", "pairs", "dist_samples", None),
+    ("eval-baselines", "pairs", "ref_samples", None),
+    ("correlate", "pairs", "material", None),
+    ("correlate", "labels", "jod", "jod"),
+    ("correlate", "metrics", "ma_logwe", "ma_logwe"),
+    ("correlate", "predictions", "jod_pred", "jod_pred"),
+]
+
+
+def _drop_column(column):
+    def edit(cols, rows):
+        keep = [i for i, c in enumerate(cols) if c != column]
+        return [cols[i] for i in keep], [[r[i] for i in keep] for r in rows]
+    return edit
+
+
+def _spoil_last_row(column):
+    def edit(cols, rows):
+        rows[-1][cols.index(column)] = "abc"
+        return cols, rows
+    return edit
+
+
+def _table_read_cases():
+    for command, kind, dropped, numeric in TABLE_READS:
+        yield pytest.param(command, kind, dropped, _drop_column(dropped), id=f"{command}-{kind}-no-{dropped}")
+        if numeric:
+            yield pytest.param(command, kind, numeric, _spoil_last_row(numeric), id=f"{command}-{kind}-bad-{numeric}")
+
+
+@pytest.mark.parametrize("command, kind, column, edit", _table_read_cases())
+def test_bad_table_read_is_one_line_error_naming_file_and_column(runner, tmp_path, inputs, command, kind, column, edit):
+    bad = _rewritten(inputs[kind], kind, tmp_path / f"bad_{kind}.txt", edit)
+    out = tmp_path / "out"
+    result = runner.invoke(cli.main, _command(command, {**inputs, kind: bad}, out))
+    _assert_one_line_error(result, str(bad), column)
+    assert not list(tmp_path.glob("out*"))

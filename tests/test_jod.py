@@ -11,7 +11,6 @@ from brdfnqm.jod import (
     JodRegressionParams,
     fit_jod_regression,
     jod_from_deitp,
-    label_dataset,
 )
 
 
@@ -114,12 +113,9 @@ def test_jacobian_matches_analytic_on_smooth_function():
     np.testing.assert_allclose(jac, expected, atol=1e-6)
 
 
-def test_label_dataset_maps_ids():
-    rows = [("a", 0.0), ("b", 1.0)]
-    out = label_dataset(rows)
-    assert out[0] == ("a", 10.0)
-    assert out[1][0] == "b"
-    assert out[1][1] == pytest.approx(_oracle(1.0, -14.11, -0.47, -0.21))
+def test_jod_from_deitp_at_zero_and_one():
+    assert jod_from_deitp(0.0) == 10.0
+    assert jod_from_deitp(1.0) == pytest.approx(_oracle(1.0, -14.11, -0.47, -0.21))
 
 
 def test_logistic_matches_scipy_expit():

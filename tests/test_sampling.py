@@ -97,9 +97,9 @@ def test_select_samples_favors_bright_candidates(ggx_table):
     g = build_candidate_grid(16, 10, 10)
     ds = select_samples(ggx_table, g, k=60, seed=0)
     surv = np.unique(filter_grazing(g), axis=0)
-    vals_all, _ = lookup(ggx_table, surv[:, 0], surv[:, 1], surv[:, 2])
+    vals_all = lookup(ggx_table, surv[:, 0], surv[:, 1], surv[:, 2])
     lum_all = vals_all @ LUMA_WEIGHTS
-    sel_vals, _ = lookup(ggx_table, ds.theta_h, ds.theta_d, ds.phi_d)
+    sel_vals = lookup(ggx_table, ds.theta_h, ds.theta_d, ds.phi_d)
     lum_sel = sel_vals @ LUMA_WEIGHTS
     assert lum_sel.mean() > lum_all.mean()
 
@@ -136,7 +136,7 @@ def test_allocate_quotas_sums_and_floors():
 def test_sample_brdf_matches_lookup(ggx_table):
     ds = tiny_direction_set(k=6, seed=2)
     s = sample_brdf(ggx_table, ds)
-    vals, _ = lookup(ggx_table, ds.theta_h, ds.theta_d, ds.phi_d)
+    vals = lookup(ggx_table, ds.theta_h, ds.theta_d, ds.phi_d)
     np.testing.assert_array_equal(s.values, vals)
     assert s.directions is ds
 
