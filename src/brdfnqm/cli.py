@@ -236,6 +236,12 @@ def cmd_augment(pairs_file, labels_file, splits_file, lo, hi, seed, out_dir):
     _, srows = _rows(splits_file, "splits", *SPLIT_COLUMNS)
     prows = [[pid, material, _number(pairs_file, "severity", sev), ref, dist] for pid, material, sev, ref, dist in prows]
     lrows = [[pid, _number(labels_file, "jod", j), provenance] for pid, j, provenance in lrows]
+    provenances = [p.value for p in preprocess.Provenance]
+    for _, j, provenance in lrows:
+        if not 0.0 <= j <= 10.0:
+            raise FormatError(f"{labels_file}: jod is {j!r}, outside [0, 10]")
+        if provenance not in provenances:
+            raise FormatError(f"{labels_file}: provenance is {provenance!r}, want one of {', '.join(provenances)}")
     labels = _ByPair(labels_file, "labels", ((pid, (j, provenance)) for pid, j, provenance in lrows))
     split_of = _ByPair(splits_file, "splits", srows)
     out.mkdir(parents=True, exist_ok=True)

@@ -20,8 +20,7 @@ ZERO_DEITP_THRESHOLD = 1e-9
 LM_LAMBDA_INIT = 1e-3
 LM_LAMBDA_MAX = 1e12
 LM_MAX_ITERS = 200
-LM_REL_TOL = 1e-10
-FD_REL_STEP = 1e-6
+LM_STEP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -77,15 +76,36 @@ def _logistic(z):
         return 1.0 / (1.0 + np.exp(-z))
 
 
+def _logistic_jacobian(d: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """d JOD / d (b1, b2, b3) at each deitp in ``d``, shape (len(d), 3).
+
+    With u = d^b3 and z = b1 (-u - b2), JOD = 10 sigmoid(z), so the rows are
+    10 sigmoid(z) sigmoid(-z) * (-u - b2, -b1, -b1 u ln d); they are 0 where
+    d <= ZERO_DEITP_THRESHOLD (JOD is the constant 10 there) and where the
+    sigmoid saturates.
+    """
+    tiny = d <= ZERO_DEITP_THRESHOLD
+    dd = np.where(tiny, 1.0, d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = dd**b[2]
+        z = b[0] * (-u - b[1])
+        slope = 10.0 * _logistic(z) * _logistic(-z)
+        jac = slope[:, None] * np.stack([-u - b[1], np.full_like(u, -b[0]), -b[0] * u * np.log(dd)], axis=1)
+    jac[tiny | (slope == 0.0)] = 0.0
+    return jac
+
+
 def fit_jod_regression(
     points: list[CalibrationPoint], init: JodRegressionParams
 ) -> JodRegressionParams:
     """Levenberg-Marquardt least-squares fit of the three logistic parameters.
 
     Damping starts at 1e-3, x10 on a rejected step, /10 on an accepted one;
-    the Jacobian uses central finite differences with a relative step of
-    1e-6. Terminates on relative cost change below 1e-10 or 200 iterations,
-    returning the best parameters seen.
+    the Jacobian is the logistic's analytic one. A damped step is taken only
+    if it lowers the cost. Once no damping up to 1e12 does, the cost's
+    differences are rounding noise, and the fit takes plain Gauss-Newton steps
+    (toward J^T r = 0) from then on. Terminates when the Gauss-Newton step is
+    at most 1e-12 of every parameter, or after 200 iterations.
     """
     if len(points) < 3:
         raise ValueError("need at least 3 calibration points")
@@ -97,21 +117,19 @@ def fit_jod_regression(
     def residuals(b: np.ndarray) -> np.ndarray:
         return jod_from_deitp(d, JodRegressionParams(*b)) - y
 
-    def cost(r: np.ndarray) -> float:
-        return float(r @ r)
-
     b = init.as_array().astype(np.float64)
     r = residuals(b)
-    c = cost(r)
-    best_b, best_c = b.copy(), c
+    c = float(r @ r)
     lam = LM_LAMBDA_INIT
     for _ in range(LM_MAX_ITERS):
-        jac = _jacobian(residuals, b)
+        jac = _logistic_jacobian(d, b)
+        if not np.all(np.isfinite(jac)):
+            raise FitError(f"non-finite Jacobian at b = {b.tolist()}")
+        gauss_newton = np.linalg.lstsq(jac, -r, rcond=None)[0]
+        if np.all(np.abs(gauss_newton) <= LM_STEP_TOL * np.abs(b)):
+            break
         jtj = jac.T @ jac
         jtr = jac.T @ r
-        if np.linalg.norm(jtr) == 0.0:
-            break
-        accepted = False
         while lam <= LM_LAMBDA_MAX:
             damped = jtj + lam * np.diag(np.maximum(np.diag(jtj), 1e-12))
             try:
@@ -124,34 +142,13 @@ def fit_jod_regression(
                 continue
             b_new = b + step
             r_new = residuals(b_new)
-            c_new = cost(r_new)
+            c_new = float(r_new @ r_new)
             if c_new < c:
-                rel = (c - c_new) / max(c, 1e-300)
                 b, r, c = b_new, r_new, c_new
                 lam = max(lam / 10.0, 1e-15)
-                if c < best_c:
-                    best_b, best_c = b.copy(), c
-                accepted = True
-                if rel < LM_REL_TOL:
-                    return JodRegressionParams(*best_b)
                 break
             lam *= 10.0
-        if not accepted:
-            if not np.all(np.isfinite(jtj)):
-                raise FitError(
-                    f"singular normal equations at all dampings (cost={c:.6g}, lambda={lam:.3g})"
-                )
-            break  # no damping improves the cost; return the best point
-    return JodRegressionParams(*best_b)
-
-
-def _jacobian(residuals, b: np.ndarray) -> np.ndarray:
-    n = len(residuals(b))
-    jac = np.empty((n, len(b)))
-    for j in range(len(b)):
-        h = FD_REL_STEP * max(abs(b[j]), 1.0)
-        bp, bm = b.copy(), b.copy()
-        bp[j] += h
-        bm[j] -= h
-        jac[:, j] = (residuals(bp) - residuals(bm)) / (2.0 * h)
-    return jac
+        else:
+            b = b + gauss_newton
+            r = residuals(b)
+    return JodRegressionParams(*b)

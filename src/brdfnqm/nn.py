@@ -4,7 +4,10 @@ Architecture: dense 3000->1024->716->501->1; every hidden dense layer is
 followed by layer normalization, exact-erf GELU, and dropout (p = 0.2,
 train mode only, inverted scaling). A sigmoid after the last layer
 rescales the output into [jod_min, jod_max]. The whitening statistics and
-JOD range live inside the model so inference is self-contained.
+JOD range live inside the model so inference is self-contained: a raw
+(reference, distorted) pair of k x 3 samples becomes one input row of
+6k values, the whitened perceptual transform of the reference's samples
+followed by the distorted member's (`input_matrix`).
 
 Everything runs on plain numpy arrays (float32 by default, float64 for
 gradient-check shadow models) and stays in the model's dtype, gradients and
@@ -23,7 +26,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import CheckpointError, PairingError
-from .preprocess import WhiteningStats, transform_sampled, whiten
+from .preprocess import WhiteningStats, perceptual_transform
 from .sampling import SampledBrdf, check_paired
 
 INPUT_DIM = 3000
@@ -31,6 +34,14 @@ HIDDEN_WIDTHS = (1024, 716, 501)
 LN_EPS = 1e-5
 CHECKPOINT_MAGIC = "brdfnqm-checkpoint"
 CHECKPOINT_VERSION = 1
+# Adam's moment decay rates and denominator floor
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+# PlateauScheduler's learning-rate cut, its floor, and the relative gain that counts as improvement
+PLATEAU_FACTOR = 0.1
+PLATEAU_MIN_LR = 1e-6
+PLATEAU_REL_THRESHOLD = 1e-4
 
 # a Python float, so that float32 arrays stay float32 (NEP 50 scalar promotion)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -262,9 +273,6 @@ class AdamState:
     m: FlatParams
     v: FlatParams
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def adam_init(model: MlpModel) -> AdamState:
@@ -295,11 +303,11 @@ def adam_step(
     """
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1**t
     sqrt_bc2 = math.sqrt(1.0 - b2**t)
     # lr * (m / bc1) / (sqrt(v / bc2) + eps), with sqrt(bc2) folded into the constants
-    eps_hat = state.eps * sqrt_bc2
+    eps_hat = ADAM_EPS * sqrt_bc2
     p, m, v, g = model.flat, state.m.flat, state.v.flat, grads.flat
     decay = float(weight_decay)
     scratch = np.empty(min(_ADAM_BLOCK, p.size), dtype=p.dtype)
@@ -335,21 +343,18 @@ class PlateauScheduler:
     lr_input: float
     lr_deep: float
     patience: int = 5
-    factor: float = 0.1
-    min_lr: float = 1e-6
-    rel_threshold: float = 1e-4
     best: float = float("inf")
     bad_epochs: int = 0
 
     def step(self, val_loss: float) -> None:
-        if val_loss < self.best * (1.0 - self.rel_threshold):
+        if val_loss < self.best * (1.0 - PLATEAU_REL_THRESHOLD):
             self.best = val_loss
             self.bad_epochs = 0
             return
         self.bad_epochs += 1
         if self.bad_epochs > self.patience:
-            self.lr_input = max(self.lr_input * self.factor, self.min_lr)
-            self.lr_deep = max(self.lr_deep * self.factor, self.min_lr)
+            self.lr_input = max(self.lr_input * PLATEAU_FACTOR, PLATEAU_MIN_LR)
+            self.lr_deep = max(self.lr_deep * PLATEAU_FACTOR, PLATEAU_MIN_LR)
             self.bad_epochs = 0
 
 
@@ -361,9 +366,6 @@ class TrainConfig:
     lr_deep: float = 1e-3
     weight_decay: float = 1e-4
     patience: int = 5
-    factor: float = 0.1
-    min_lr: float = 1e-6
-    rel_threshold: float = 1e-4
     shuffle_seed: int = 0
 
     def __post_init__(self):
@@ -388,14 +390,7 @@ def train(
     y_train = np.asarray(y_train, dtype=model.dtype).reshape(-1, 1)
     y_val = np.asarray(y_val, dtype=model.dtype).reshape(-1, 1)
     state = adam_init(model)
-    sched = PlateauScheduler(
-        lr_input=cfg.lr_input,
-        lr_deep=cfg.lr_deep,
-        patience=cfg.patience,
-        factor=cfg.factor,
-        min_lr=cfg.min_lr,
-        rel_threshold=cfg.rel_threshold,
-    )
+    sched = PlateauScheduler(lr_input=cfg.lr_input, lr_deep=cfg.lr_deep, patience=cfg.patience)
     history = []
     best_val = float("inf")
     best_params = None
@@ -435,25 +430,25 @@ def train(
     return model, history
 
 
-def pair_to_input(ref: SampledBrdf, dist: SampledBrdf, whitening: WhiteningStats) -> np.ndarray:
-    """Clamp, transform, whiten, and concatenate a raw pair (reference first)."""
-    check_paired(ref, dist)
-    r = whiten(transform_sampled(ref), whitening)
-    d = whiten(transform_sampled(dist), whitening)
-    return np.concatenate([r.values.ravel(), d.values.ravel()])
-
-
 def input_matrix(model: MlpModel, pairs) -> np.ndarray:
-    """Network inputs of raw sampled (ref, dist) pairs: one row per pair, in order, in the model's dtype."""
-    x = np.empty((len(pairs), model.input_dim), dtype=model.dtype)
+    """Network inputs of raw sampled (ref, dist) pairs: one row per pair, in order, in the model's dtype.
+
+    Every pair is checked first: both members must share a direction set and
+    hold ``model.input_dim / 6`` samples. All pairs are then transformed and
+    whitened together in float64, and cast once.
+    """
+    x = np.empty((len(pairs), 2, model.input_dim // 6, 3))
     for row, (ref, dist) in zip(x, pairs):
-        inp = pair_to_input(ref, dist, model.whitening)
-        if inp.shape[0] != model.input_dim:
+        check_paired(ref, dist)
+        if 6 * ref.directions.k != model.input_dim:
             raise PairingError(
-                f"pair produces input of length {inp.shape[0]}, model expects {model.input_dim}"
+                f"pair produces input of length {6 * ref.directions.k}, model expects {model.input_dim}"
             )
-        row[:] = inp
-    return x
+        row[0], row[1] = ref.values, dist.values
+    x = perceptual_transform(x)
+    x -= model.whitening.mean
+    x /= model.whitening.std
+    return x.reshape(len(pairs), model.input_dim).astype(model.dtype, copy=False)
 
 
 def predict_jods(model: MlpModel, pairs) -> np.ndarray:

@@ -52,31 +52,22 @@ class LabeledPair:
             raise ValueError(f"jod {self.jod} outside [0, 10]")
 
 
-def perceptual_transform(rho):
-    """Cube root then log1p: compresses specular peaks and dynamic range."""
-    rho = np.asarray(rho, dtype=np.float64)
-    if np.any(rho < 0.0):
-        raise ValueError("reflectance must be non-negative (clamp first)")
-    out = np.log1p(np.cbrt(rho))
-    return float(out) if out.ndim == 0 else out
+def perceptual_transform(rho) -> np.ndarray:
+    """log1p(cbrt(max(rho, 0))) in float64: compresses specular peaks and dynamic range.
 
-
-def transform_sampled(s: SampledBrdf) -> SampledBrdf:
-    return SampledBrdf(values=perceptual_transform(np.maximum(s.values, 0.0)), directions=s.directions)
+    Negative reflectance (noise on a dark bin) counts as zero.
+    """
+    return np.log1p(np.cbrt(np.maximum(np.asarray(rho, dtype=np.float64), 0.0)))
 
 
 def compute_whitening(train_refs: list[SampledBrdf]) -> WhiteningStats:
     """Population per-channel moments of all transformed samples of raw references."""
     if not train_refs:
         raise ValueError("need at least one reference")
-    stacked = perceptual_transform(np.maximum(np.concatenate([r.values for r in train_refs], axis=0), 0.0))
+    stacked = perceptual_transform(np.concatenate([r.values for r in train_refs], axis=0))
     mean = stacked.mean(axis=0)
     std = np.maximum(stacked.std(axis=0), STD_FLOOR)
     return WhiteningStats(mean=mean, std=std)
-
-
-def whiten(s: SampledBrdf, stats: WhiteningStats) -> SampledBrdf:
-    return SampledBrdf(values=(s.values - stats.mean) / stats.std, directions=s.directions)
 
 
 def augment_noise(pair: LabeledPair, sigma: float = 0.01, seed: int = 0, labeller=None) -> LabeledPair:

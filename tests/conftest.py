@@ -86,6 +86,22 @@ def reference_io_to_halfdiff_arrays(theta_i, phi_i, theta_o, phi_o):
     return theta_h, theta_d, phi_d, phi_h
 
 
+# The per-pair input chain that nn.input_matrix's one batched pass replaces,
+# frozen as the reference it must match bit for bit.
+
+
+def reference_transform(values: np.ndarray) -> np.ndarray:
+    """Clamp at zero, cube root, log1p."""
+    return np.log1p(np.cbrt(np.maximum(values, 0.0)))
+
+
+def reference_pair_to_input(ref: SampledBrdf, dist: SampledBrdf, whitening) -> np.ndarray:
+    """Transform and whiten each member; concatenate, reference first (float64)."""
+    sampling.check_paired(ref, dist)
+    r, d = ((reference_transform(s.values) - whitening.mean) / whitening.std for s in (ref, dist))
+    return np.concatenate([r.ravel(), d.ravel()])
+
+
 def tiny_direction_set(k: int = 4, seed: int = 0, material: str = "m") -> DirectionSet:
     rng = np.random.default_rng(seed)
     th = np.sort(rng.uniform(0.0, 0.5, size=k))

@@ -666,9 +666,9 @@ def _drop_column(column):
     return edit
 
 
-def _spoil_last_row(column):
+def _spoil_last_row(column, text="abc"):
     def edit(cols, rows):
-        rows[-1][cols.index(column)] = "abc"
+        rows[-1][cols.index(column)] = text
         return cols, rows
     return edit
 
@@ -678,6 +678,10 @@ def _table_read_cases():
         yield pytest.param(command, kind, dropped, _drop_column(dropped), id=f"{command}-{kind}-no-{dropped}")
         if numeric:
             yield pytest.param(command, kind, numeric, _spoil_last_row(numeric), id=f"{command}-{kind}-bad-{numeric}")
+    # values that parse but that augment's LabeledPair would refuse
+    yield pytest.param("augment", "labels", "jod", _spoil_last_row("jod", "11.5"), id="augment-labels-jod-above-10")
+    yield pytest.param("augment", "labels", "provenance", _spoil_last_row("provenance", "bogus"),
+                       id="augment-labels-bogus-provenance")
 
 
 @pytest.mark.parametrize("command, kind, column, edit", _table_read_cases())

@@ -104,13 +104,56 @@ def test_lm_fit_input_validation():
         fit_jod_regression(dup, REFERENCE_PARAMS)
 
 
-def test_jacobian_matches_analytic_on_smooth_function():
-    def residuals(b):
-        return np.array([b[0] ** 2 + 3 * b[1], math.sin(b[2])])
+@pytest.mark.parametrize("b", [(-14.11, -0.47, -0.21), (-3.0, 0.2, -0.6), (2.0, -1.5, 0.3)])
+def test_logistic_jacobian_matches_central_differences(b):
+    d = np.array([0.0, 1e-12, 0.05, 0.7, 3.0, 20.0, 150.0])
+    jac = jm._logistic_jacobian(d, np.array(b))
+    fd = np.empty_like(jac)
+    for j in range(3):
+        h = 1e-6 * abs(b[j])
+        up, down = list(b), list(b)
+        up[j] += h
+        down[j] -= h
+        fd[:, j] = (jod_from_deitp(d, JodRegressionParams(*up)) - jod_from_deitp(d, JodRegressionParams(*down))) / (2 * h)
+    assert not jac[:2].any()  # JOD is the constant 10 at d <= ZERO_DEITP_THRESHOLD
+    np.testing.assert_allclose(jac, fd, rtol=1e-6, atol=1e-8)
 
-    jac = jm._jacobian(residuals, np.array([2.0, 1.0, 0.5]))
-    expected = np.array([[4.0, 3.0, 0.0], [0.0, 0.0, math.cos(0.5)]])
-    np.testing.assert_allclose(jac, expected, atol=1e-6)
+
+def _noisy_calibration(seed):
+    """24 points scattered around the reference logistic with JOD noise of 0.15, as the benchmark draws them."""
+    rng = np.random.default_rng(seed)
+    d = rng.uniform(2.0, 150.0, size=24)
+    j = np.array([_oracle(x, -14.11, -0.47, -0.21) for x in d]) + rng.normal(0.0, 0.15, size=24)
+    return [CalibrationPoint(float(x), float(np.clip(y, 0.0, 10.0))) for x, y in zip(d, j)]
+
+
+@pytest.mark.parametrize("seed, expected", [
+    (0, (-15.854432376620522, -0.5836483019255314, -0.14809248537269185)),
+    (1, (-13.999012265562502, -0.3988632776661409, -0.25680794613267977)),
+])
+def test_lm_fit_converges_to_pinned_minimum(seed, expected):
+    fit = fit_jod_regression(_noisy_calibration(seed), REFERENCE_PARAMS)
+    np.testing.assert_allclose(fit.as_array(), expected, rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lm_refit_from_its_own_result_stays_put(seed):
+    points = _noisy_calibration(seed)
+    fit = fit_jod_regression(points, REFERENCE_PARAMS)
+    refit = fit_jod_regression(points, fit)
+    np.testing.assert_allclose(refit.as_array(), fit.as_array(), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_lm_fit_barely_moves_when_one_label_moves_one_ulp(seed):
+    """The fit reaches the stationary point, not just the cost's rounding floor
+    (about 1e-8 relative away), so a label's last digit moves it by far less."""
+    points = _noisy_calibration(seed)
+    fit = fit_jod_regression(points, REFERENCE_PARAMS).as_array()
+    for i, pt in enumerate(points):
+        for toward in (0.0, 10.0):
+            moved = [*points[:i], CalibrationPoint(pt.deitp, float(np.nextafter(pt.jod, toward))), *points[i + 1 :]]
+            np.testing.assert_allclose(fit_jod_regression(moved, REFERENCE_PARAMS).as_array(), fit, rtol=1e-10, atol=0)
 
 
 def test_jod_from_deitp_at_zero_and_one():

@@ -13,7 +13,7 @@ from brdfnqm.errors import CheckpointError, PairingError
 from brdfnqm.preprocess import WhiteningStats
 from brdfnqm.sampling import SampledBrdf
 
-from conftest import flip_bit, tiny_direction_set
+from conftest import flip_bit, reference_pair_to_input, tiny_direction_set
 
 
 def _stats():
@@ -218,7 +218,7 @@ def test_adam_weight_decay_is_coupled_l2():
 
 
 def test_plateau_scheduler_reduces_after_patience():
-    s = nn.PlateauScheduler(lr_input=1e-4, lr_deep=1e-3, patience=5, factor=0.1, min_lr=1e-6)
+    s = nn.PlateauScheduler(lr_input=1e-4, lr_deep=1e-3, patience=5)
     s.step(1.0)
     for _ in range(5):
         s.step(1.0)  # not improving
@@ -236,7 +236,7 @@ def test_plateau_scheduler_reduces_after_patience():
 
 
 def test_plateau_scheduler_relative_threshold():
-    s = nn.PlateauScheduler(lr_input=1e-4, lr_deep=1e-3, patience=0, rel_threshold=1e-4)
+    s = nn.PlateauScheduler(lr_input=1e-4, lr_deep=1e-3, patience=0)
     s.step(1.0)
     s.step(1.0 - 1e-5)  # improvement below threshold counts as bad
     assert s.lr_deep == pytest.approx(1e-4)
@@ -279,13 +279,13 @@ def test_pair_to_input_and_predict():
     rng = np.random.default_rng(0)
     ref = SampledBrdf(values=rng.uniform(0, 2, (4, 3)), directions=ds)
     dist = SampledBrdf(values=rng.uniform(0, 2, (4, 3)), directions=ds)
-    stats = _stats()
-    x = nn.pair_to_input(ref, dist, stats)
-    assert x.shape == (24,)
-    # reference channels first
-    expected_first = np.log1p(np.cbrt(ref.values)).ravel()
-    np.testing.assert_allclose(x[:12], expected_first, rtol=1e-12)
     model = _small_model(input_dim=24, hidden=(6, 5, 4))
+    x = reference_pair_to_input(ref, dist, model.whitening)
+    assert x.shape == (24,)
+    # reference channels first, then the distorted member's
+    np.testing.assert_allclose(x[:12], np.log1p(np.cbrt(ref.values)).ravel(), rtol=1e-12)
+    np.testing.assert_allclose(x[12:], np.log1p(np.cbrt(dist.values)).ravel(), rtol=1e-12)
+    assert nn.input_matrix(model, [(ref, dist)]).tobytes() == x.tobytes()
     j = nn.predict_jod(model, ref, dist)
     assert 0.0 <= j <= 10.0
     wrong = _small_model(input_dim=30, hidden=(6, 5, 4))
@@ -476,7 +476,7 @@ def _unblocked_adam(model, grads, state, lr_input, lr_deep, weight_decay):
     """Adam as one pass of each ufunc over the whole flat vectors: the blocked update's reference."""
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = nn.ADAM_BETA1, nn.ADAM_BETA2
     bc1 = 1.0 - b1**t
     sqrt_bc2 = math.sqrt(1.0 - b2**t)
     p, m, v, g = model.flat, state.m.flat, state.v.flat, grads.flat
@@ -490,7 +490,7 @@ def _unblocked_adam(model, grads, state, lr_input, lr_deep, weight_decay):
     v *= b2
     v += scratch
     np.sqrt(v, out=scratch)
-    scratch += state.eps * sqrt_bc2
+    scratch += nn.ADAM_EPS * sqrt_bc2
     np.divide(m, scratch, out=scratch)
     n_input = model.weights[0].size + model.biases[0].size
     for group, lr in ((slice(0, n_input), lr_input), (slice(n_input, None), lr_deep)):
@@ -584,18 +584,23 @@ def test_predict_jods_refuses_scores_that_are_not_finite():
 def test_input_matrix_rows_are_pair_to_input_in_model_dtype(dtype):
     ds = tiny_direction_set(k=4, seed=0)
     rng = np.random.default_rng(6)
-    pairs = [
-        (SampledBrdf(values=rng.uniform(0, 2, (4, 3)), directions=ds),
-         SampledBrdf(values=rng.uniform(0, 2, (4, 3)), directions=ds))
-        for _ in range(3)
-    ]
-    model = _small_model(input_dim=24, hidden=(6, 5, 4), dtype=dtype)
+    values = rng.uniform(0, 2, (6, 4, 3))
+    values[0, 0] = [-0.25, 0.0, 1.0]  # a negative sample clamps to zero, like a zero
+    values[3, 2] = [0.0, -1e-3, 8.0]
+    pairs = [(SampledBrdf(values=r, directions=ds), SampledBrdf(values=d, directions=ds)) for r, d in zip(values[::2], values[1::2])]
+    whitening = WhiteningStats(mean=np.array([0.1, 0.2, 0.3]), std=np.array([1.1, 1.2, 1.3]))
+    model = nn.init_model(seed=0, jod_min=0.0, jod_max=10.0, whitening=whitening, input_dim=24, hidden=(6, 5, 4),
+                          dtype=dtype)
     x = nn.input_matrix(model, pairs)
+    expected = np.stack([reference_pair_to_input(ref, dist, whitening) for ref, dist in pairs]).astype(dtype)
     assert x.dtype == dtype and x.shape == (3, 24)
-    for row, (ref, dist) in zip(x, pairs):
-        np.testing.assert_array_equal(row, nn.pair_to_input(ref, dist, model.whitening).astype(dtype))
-    assert nn.input_matrix(model, []).shape == (0, 24)
+    assert x.tobytes() == expected.tobytes()
+    empty = nn.input_matrix(model, [])
+    assert empty.dtype == dtype and empty.shape == (0, 24)
     other_k = tiny_direction_set(k=5, seed=1)
     odd = SampledBrdf(values=rng.uniform(0, 2, (5, 3)), directions=other_k)
     with pytest.raises(PairingError, match="model expects 24"):
-        nn.input_matrix(model, [*pairs, (odd, odd)])
+        nn.input_matrix(model, [pairs[0], (odd, odd), pairs[1]])
+    unpaired = (pairs[0][0], SampledBrdf(values=pairs[0][1].values, directions=tiny_direction_set(k=4, seed=2)))
+    with pytest.raises(PairingError, match="direction set"):
+        nn.input_matrix(model, [pairs[0], unpaired, pairs[1]])

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from brdfnqm import nn
 from brdfnqm import preprocess as pp
 from brdfnqm.sampling import SampledBrdf
 
-from conftest import make_pair, tiny_direction_set
+from conftest import make_pair, reference_pair_to_input, reference_transform, tiny_direction_set
 
 
 def test_perceptual_transform_reference_points():
@@ -27,9 +28,11 @@ def test_perceptual_transform_monotone_and_compressive():
     assert np.all(np.diff(d) < 0)
 
 
-def test_perceptual_transform_rejects_negative():
-    with pytest.raises(ValueError):
-        pp.perceptual_transform(np.array([-0.1]))
+def test_perceptual_transform_clamps_negative_to_zero():
+    got = pp.perceptual_transform(np.array([-0.1, -3e38, -0.0, 0.0, 1.0], dtype=np.float32))
+    assert got.dtype == np.float64
+    assert got[:4].tolist() == [0.0, 0.0, 0.0, 0.0]
+    assert got[4] == pytest.approx(math.log(2.0), abs=1e-15)
 
 
 def test_compute_whitening_matches_manual_moments():
@@ -50,19 +53,23 @@ def test_compute_whitening_equals_moments_of_transformed_references():
         for s in range(4)
     ]
     stats = pp.compute_whitening(refs)
-    stacked = np.concatenate([pp.transform_sampled(r).values for r in refs])
+    stacked = np.concatenate([reference_transform(r.values) for r in refs])
     np.testing.assert_array_equal(stats.mean, stacked.mean(axis=0))
     np.testing.assert_array_equal(stats.std, stacked.std(axis=0))
 
 
 def test_whiten_normalizes_training_data():
+    """The training references' own input rows come out with zero mean and unit std per channel."""
     ds = tiny_direction_set(k=50, seed=3)
-    vals = np.random.default_rng(1).uniform(0, 5, (50, 3))
+    vals = np.random.default_rng(1).uniform(-0.5, 5, (50, 3))
     s = SampledBrdf(values=vals, directions=ds)
     stats = pp.compute_whitening([s])
-    w = pp.whiten(pp.transform_sampled(s), stats)
-    np.testing.assert_allclose(w.values.mean(axis=0), 0.0, atol=1e-12)
-    np.testing.assert_allclose(w.values.std(axis=0), 1.0, rtol=1e-12)
+    w = reference_pair_to_input(s, s, stats)[:150].reshape(50, 3)
+    model = nn.init_model(seed=0, jod_min=0.0, jod_max=10.0, whitening=stats, input_dim=300, hidden=(4, 3, 2),
+                          dtype=np.float64)
+    assert nn.input_matrix(model, [(s, s)])[0, :150].tobytes() == w.tobytes()
+    np.testing.assert_allclose(w.mean(axis=0), 0.0, atol=1e-12)
+    np.testing.assert_allclose(w.std(axis=0), 1.0, rtol=1e-12)
 
 
 def test_whitening_std_floor_on_constant_channel():
