@@ -5,7 +5,8 @@ identical inputs and seeds writes byte-identical outputs. Exit codes:
 0 success, 1 runtime/data error, 2 usage error.
 
 Only ``train`` and ``predict`` import :mod:`brdfnqm.nn` (and with it
-``scipy.special``), so every other command starts with numpy and click alone.
+``scipy.special``), so every other command, ``gen-synthetic`` with ``rough:``
+levels included, starts with numpy and click alone.
 """
 
 from __future__ import annotations
@@ -75,10 +76,18 @@ def _number(path, column: str, text: str) -> float:
     return value
 
 
+def _jod(path, pid: str, text: str) -> float:
+    """The JOD of pair ``pid`` in a labels table; one that is not a number in [0, 10] is a FormatError naming the file and the pair."""
+    value = _number(path, f"jod of pair {pid!r}", text)
+    if not 0.0 <= value <= 10.0:
+        raise FormatError(f"{path}: jod of pair {pid!r} is {value!r}, outside [0, 10]")
+    return value
+
+
 def _read_jods(labels_file) -> _ByPair:
-    """pair_id -> JOD of a labels table; a malformed or non-finite JOD is a FormatError naming the pair."""
+    """pair_id -> JOD of a labels table, each read by ``_jod``."""
     _, rows = _rows(labels_file, "labels", "pair_id", "jod")
-    return _ByPair(labels_file, "labels", ((pid, _number(labels_file, f"jod of pair {pid!r}", j)) for pid, j in rows))
+    return _ByPair(labels_file, "labels", ((pid, _jod(labels_file, pid, j)) for pid, j in rows))
 
 
 @click.group(cls=_PipelineGroup)
@@ -143,18 +152,16 @@ def cmd_sample(manifest, k, seed, grid, out_dir):
         if ref_path not in dirsets:
             ref_brdf = load_merl(ref_path)
             ds = sampling.select_samples(ref_brdf, cands, k=k, seed=seed)
-            ref_sampled = sampling.sample_brdf(ref_brdf, ds)
             ref_out = out / f"{material}_ref.txt"
-            write_samples(ref_out, ref_sampled)
+            write_samples(ref_out, sampling.sample_brdf(ref_brdf, ds))
+            del ref_brdf  # unmaps the table: its read pages leave this process's RSS
             dirsets[ref_path] = (ds, str(ref_out))
         ds, ref_out = dirsets[ref_path]
         li = counters.get(material, 0)
         counters[material] = li + 1
         pair_id = f"{material}_l{li:02d}"
-        dist_brdf = load_merl(dist_path)
-        dist_sampled = sampling.sample_brdf(dist_brdf, ds)
         dist_out = out / f"{pair_id}_dist.txt"
-        write_samples(dist_out, dist_sampled)
+        write_samples(dist_out, sampling.sample_brdf(load_merl(dist_path), ds))
         pair_rows.append([pair_id, material, severity, ref_out, str(dist_out)])
     write_table(out / "pairs.txt", "pairs", PAIRS_COLUMNS, pair_rows, meta={"k": k, "seed": seed})
     click.echo(f"sampled {len(pair_rows)} pairs into {out}")
@@ -235,11 +242,9 @@ def cmd_augment(pairs_file, labels_file, splits_file, lo, hi, seed, out_dir):
     _, lrows = _rows(labels_file, "labels", *LABEL_COLUMNS)
     _, srows = _rows(splits_file, "splits", *SPLIT_COLUMNS)
     prows = [[pid, material, _number(pairs_file, "severity", sev), ref, dist] for pid, material, sev, ref, dist in prows]
-    lrows = [[pid, _number(labels_file, "jod", j), provenance] for pid, j, provenance in lrows]
+    lrows = [[pid, _jod(labels_file, pid, j), provenance] for pid, j, provenance in lrows]
     provenances = [p.value for p in preprocess.Provenance]
-    for _, j, provenance in lrows:
-        if not 0.0 <= j <= 10.0:
-            raise FormatError(f"{labels_file}: jod is {j!r}, outside [0, 10]")
+    for _, _, provenance in lrows:
         if provenance not in provenances:
             raise FormatError(f"{labels_file}: provenance is {provenance!r}, want one of {', '.join(provenances)}")
     labels = _ByPair(labels_file, "labels", ((pid, (j, provenance)) for pid, j, provenance in lrows))

@@ -10,10 +10,11 @@ losslessly; lookups read them as zero.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .geometry import HALF_PI
 CANONICAL_RES = (90, 90, 180)
 CHANNEL_SCALES = (1.0 / 1500.0, 1.15 / 1500.0, 1.66 / 1500.0)
 _SCALES = np.array(CHANNEL_SCALES).reshape(3, 1, 1, 1)
+_CHECK_CHUNK = 1 << 17  # payload values per read of load_merl's finite check (1 MiB)
 
 
 @dataclass(frozen=True)
@@ -35,29 +37,35 @@ class Rgb:
         return np.array([self.r, self.g, self.b])
 
 
-@dataclass
 class TabulatedBrdf:
     """Dense 3-channel reflectance table over (theta_h, theta_d, phi_d) bins.
 
     values has shape (3, res_theta_h, res_theta_d, res_phi_d); entries are
     either >= 0 (sr^-1, calibrated) or negative (invalid sentinel).
+
+    A table read by load_merl holds ``raw`` instead: its unscaled on-disk
+    payload as a read-only memmap. lookup then calibrates only the bins it
+    reads, ``values`` calibrates the whole table (read-only) on first use,
+    and save_merl writes raw back, so the bytes round-trip exactly (scaling
+    is not exactly invertible in floats).
     """
 
-    name: str
-    values: np.ndarray
-    # unscaled on-disk payload, kept by load_merl so that saving a loaded
-    # table is byte-identical (scaling is not exactly invertible in floats)
-    raw: np.ndarray | None = None
-    res_theta_h: int = field(init=False)
-    res_theta_d: int = field(init=False)
-    res_phi_d: int = field(init=False)
+    def __init__(self, name: str, values: np.ndarray | None = None, raw: np.ndarray | None = None):
+        if (values is None) == (raw is None):
+            raise ValueError("a table takes either its values or its raw payload")
+        if values is not None:
+            self.values = np.asarray(values, dtype=np.float64)
+        self.name, self.raw = name, raw
+        shape = self.values.shape if raw is None else raw.shape
+        if len(shape) != 4 or shape[0] != 3 or min(shape[1:]) < 1:
+            raise ValueError(f"bad table shape {shape}")
+        self.res_theta_h, self.res_theta_d, self.res_phi_d = shape[1:]
 
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 4 or v.shape[0] != 3 or min(v.shape[1:]) < 1:
-            raise ValueError(f"bad table shape {v.shape}")
-        self.values = v
-        self.res_theta_h, self.res_theta_d, self.res_phi_d = v.shape[1:]
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        vals = _scaled(self.raw)
+        vals.flags.writeable = False
+        return vals
 
     @property
     def resolution(self) -> tuple[int, int, int]:
@@ -69,16 +77,19 @@ class TabulatedBrdf:
 
 
 def _scaled(raw: np.ndarray) -> np.ndarray:
-    """Calibrated values of a raw payload; negative sentinels stay as they are."""
-    vals = raw * _SCALES
+    """Calibrated values of channel-major raw values (3, ...); negative sentinels stay as they are."""
+    vals = raw * _SCALES.reshape((3,) + (1,) * (raw.ndim - 1))
     np.copyto(vals, raw, where=raw < 0.0)
     return vals
 
 
 def load_merl(path, name: str | None = None) -> TabulatedBrdf:
-    """Read a MERL-convention binary table at any resolution.
+    """Map a MERL-convention binary table at any resolution.
 
-    NaN or infinite values raise FormatError; negative sentinels load as-is.
+    Every payload value is read once, in fixed-size chunks, and a NaN or
+    infinite one raises FormatError; the table then reads the payload through
+    a read-only memmap, so a lookup touches only the bins it reads. Negative
+    sentinels load as-is.
     """
     path = str(path)
     with open(path, "rb") as f:
@@ -89,24 +100,24 @@ def load_merl(path, name: str | None = None) -> TabulatedBrdf:
         if any(d <= 0 for d in dims):
             raise FormatError(f"{path}: non-positive dimensions {dims}")
         n = 3 * dims[0] * dims[1] * dims[2]
-        # check the file size before allocating what the header claims
+        # check the file size before reading what the header claims
         size = os.fstat(f.fileno()).st_size - 12
         if size < 8 * n:
             raise TruncatedFileError(f"{path}: expected {8 * n} payload bytes, got {size}")
         if size > 8 * n:
             raise FormatError(f"{path}: trailing bytes after payload")
-        raw = np.empty((3, *dims), dtype="<f8")
-        got = f.readinto(memoryview(raw).cast("B"))
-        if got < 8 * n:
-            raise TruncatedFileError(f"{path}: expected {8 * n} payload bytes, got {got}")
-        if f.read(1):
-            raise FormatError(f"{path}: trailing bytes after payload")
-    if not np.isfinite(raw).all():
-        raise FormatError(f"{path}: NaN or infinite values in the payload")
-    raw.flags.writeable = False
+        chunk = np.empty(min(n, _CHECK_CHUNK), dtype="<f8")
+        for start in range(0, n, _CHECK_CHUNK):
+            part = chunk[: min(n - start, _CHECK_CHUNK)]
+            got = f.readinto(memoryview(part).cast("B"))
+            if got < part.nbytes:
+                raise TruncatedFileError(f"{path}: expected {8 * n} payload bytes, got {8 * start + got}")
+            if not np.isfinite(part).all():
+                raise FormatError(f"{path}: NaN or infinite values in the payload")
+        raw = np.memmap(f, dtype="<f8", mode="r", offset=12, shape=(3, *dims))
     if name is None:
         name = path.rsplit("/", 1)[-1].rsplit(".", 1)[0]
-    return TabulatedBrdf(name=name, values=_scaled(raw), raw=raw)
+    return TabulatedBrdf(name=name, raw=raw)
 
 
 def save_merl(brdf: TabulatedBrdf, path) -> None:
@@ -116,13 +127,14 @@ def save_merl(brdf: TabulatedBrdf, path) -> None:
     above about max double / 1500 overflows the calibration divide) raises
     FormatError and writes no file, since load_merl would refuse it.
     """
-    if brdf.raw is not None and np.array_equal(_scaled(brdf.raw), brdf.values):
-        raw = brdf.raw
+    if brdf.raw is not None:
+        # a copy: the file the payload maps may be the one about to be written
+        raw = np.array(brdf.raw)
     else:
-        # negative sentinels are kept, never divided (so they cannot overflow)
-        raw = brdf.values.copy()
         with np.errstate(over="ignore"):  # an overflow is refused just below
-            np.divide(raw, _SCALES, out=raw, where=raw >= 0.0)
+            raw = brdf.values / _SCALES
+        # negative sentinels are put back undivided
+        np.copyto(raw, brdf.values, where=brdf.values < 0.0)
     if not np.isfinite(raw).all():
         raise FormatError(f"{path}: NaN or infinite values in the payload")
     with open(str(path), "wb") as f:
@@ -162,5 +174,6 @@ def lookup(brdf: TabulatedBrdf, theta_h, theta_d, phi_d) -> np.ndarray:
     i = theta_h_index(theta_h, brdf.res_theta_h)
     j = theta_d_index(theta_d, brdf.res_theta_d)
     k = phi_d_index(phi_d, brdf.res_phi_d)
-    vals = np.moveaxis(brdf.values[:, i, j, k], 0, -1)  # (..., 3)
+    vals = brdf.values[:, i, j, k] if brdf.raw is None else _scaled(brdf.raw[:, i, j, k])
+    vals = np.moveaxis(vals, 0, -1)  # (..., 3)
     return np.where(np.any(vals < 0.0, axis=-1, keepdims=True), 0.0, vals)

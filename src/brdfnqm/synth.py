@@ -173,11 +173,9 @@ def distort(brdf: TabulatedBrdf, spec: DistortionSpec) -> TabulatedBrdf:
     elif spec.kind is DistortionKind.ROUGHNESS_SHIFT:
         # widen the specular lobe: gaussian blur along the theta_h axis
         if m > 0.0:
-            from scipy.ndimage import gaussian_filter1d  # only this branch needs scipy
-
-            sigma = m * brdf.res_theta_h
-            filled = np.where(invalid[None, ...], 0.0, v)
-            out = gaussian_filter1d(filled, sigma=sigma, axis=1, mode="nearest")
+            n_th = brdf.res_theta_h
+            filled = np.where(invalid[None, ...], 0.0, v).reshape(3, n_th, -1)
+            out = np.matmul(_blur_operator(n_th, m * n_th), filled).reshape(v.shape)
         else:
             out = v.copy()
     else:  # pragma: no cover - enum is exhaustive
@@ -185,6 +183,28 @@ def distort(brdf: TabulatedBrdf, spec: DistortionSpec) -> TabulatedBrdf:
     np.maximum(out, 0.0, out=out)
     np.copyto(out, v, where=invalid)
     return TabulatedBrdf(name=f"{brdf.name}_{spec.kind.value}{m:g}", values=out)
+
+
+def _blur_operator(n: int, sigma: float) -> np.ndarray:
+    """(n, n) matrix of a gaussian blur along an axis of n bins.
+
+    The kernel is scipy.ndimage.gaussian_filter1d's: radius int(4 sigma + 0.5),
+    weights exp(-x^2 / (2 sigma^2)) normalised to sum 1, and mode="nearest",
+    so a tap past either end reads the edge bin. Each edge column therefore
+    holds its own tap plus the sum of every tap beyond it.
+    """
+    r = int(4.0 * sigma + 0.5)
+    x = np.arange(-r, r + 1)
+    w = np.exp(-0.5 / (sigma * sigma) * x**2)
+    w /= w.sum()
+    offset = np.arange(n)[None, :] - np.arange(n)[:, None] + r  # tap of row i that reads column j
+    op = np.where((offset >= 0) & (offset <= 2 * r), w[np.clip(offset, 0, 2 * r)], 0.0)
+    # beyond[i]: the weight of row i's taps that fall before bin 0; the kernel is
+    # symmetric, so beyond[n - 1 - i] is the weight of those past bin n - 1
+    beyond = np.concatenate([[0.0], np.cumsum(w)])[np.clip(r - np.arange(n), 0, 2 * r + 1)]
+    op[:, 0] += beyond
+    op[:, -1] += beyond[::-1]
+    return op
 
 
 def random_params(rng: np.random.Generator, model: BrdfModel = BrdfModel.GGX_MICROFACET) -> AnalyticBrdfParams:

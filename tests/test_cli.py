@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from brdfnqm import cli
+from brdfnqm import cli, merl, sampling
+from brdfnqm.merl import TabulatedBrdf
+from brdfnqm.pairio import write_samples
 from brdfnqm.tables import read_table, write_table
 
 RES = ["--res", "12", "8", "16"]
@@ -311,17 +313,59 @@ def test_out_dir_with_a_space_is_runtime_error(runner, tmp_path, pipeline, comma
     assert not out.exists()  # refused before the directory is made
 
 
-def test_sample_nan_table_is_runtime_error(runner, tmp_path):
+def _one_table_sample(runner, tmp_path, damage):
+    """Run ``sample`` on a fresh 12x8x16 table set whose first distorted table ``damage`` rewrote."""
     tables = tmp_path / "t"
     _run(runner, ["gen-synthetic", "--n", "1", "--level", "spec:0.5", "--out-dir", str(tables), *RES])
     dist = tables / "mat000_l00.binary"
-    payload = bytearray(dist.read_bytes())
-    payload[12:20] = np.array([np.nan], dtype="<f8").tobytes()
-    dist.write_bytes(bytes(payload))
-    result = runner.invoke(cli.main, [
+    dist.write_bytes(damage(dist.read_bytes()))
+    return runner.invoke(cli.main, [
         "sample", "--manifest", str(tables / "manifest.txt"), "--k", "5", *GRID, "--out-dir", str(tmp_path / "s"),
     ])
+
+
+NAN = np.array([np.nan], dtype="<f8").tobytes()
+
+
+def test_sample_nan_table_is_runtime_error(runner, tmp_path):
+    result = _one_table_sample(runner, tmp_path, lambda data: data[:12] + NAN + data[20:])
     _assert_one_line_error(result, "mat000_l00.binary", "NaN")
+
+
+def test_sample_nan_in_a_bin_no_candidate_reads_is_runtime_error(runner, tmp_path):
+    """The last payload value is blue at the largest theta_d bin, past the
+    grazing limit, so no candidate reads it; the finite check still does."""
+    assert merl.theta_d_index(sampling.GRAZING_LIMIT, int(RES[2])) < int(RES[2]) - 1
+    result = _one_table_sample(runner, tmp_path, lambda data: data[:-8] + NAN)
+    _assert_one_line_error(result, "mat000_l00.binary", "NaN")
+
+
+@pytest.mark.parametrize("damage, words", [
+    (lambda data: data[:-8], "expected"),
+    (lambda data: data + b"\x00", "trailing bytes"),
+], ids=["truncated", "trailing-byte"])
+def test_sample_truncated_or_extended_table_is_runtime_error(runner, tmp_path, damage, words):
+    _assert_one_line_error(_one_table_sample(runner, tmp_path, damage), "mat000_l00.binary", words)
+
+
+def test_sample_files_equal_sampling_the_tables_in_memory(runner, tmp_path, pipeline):
+    """What ``sample`` writes from mapped tables is byte for byte what
+    write_samples writes for the same calibrated tables held as dense arrays."""
+    _, rows = cli._rows(pipeline / "samples" / "pairs.txt", "pairs", "pair_id", "ref_samples", "dist_samples")
+    _, mrows = cli._rows(pipeline / "tables" / "manifest.txt", "manifest", "ref_path", "dist_path")
+    cands = sampling.build_candidate_grid(*map(int, GRID[1:]))
+
+    def dense(path):
+        loaded = merl.load_merl(path)
+        return TabulatedBrdf(name=loaded.name, values=np.array(loaded.values))
+
+    for (_, ref_out, dist_out), (ref_path, dist_path) in zip(rows, mrows):
+        ref = dense(ref_path)
+        ds = sampling.select_samples(ref, cands, k=40, seed=2)
+        write_samples(tmp_path / "ref.txt", sampling.sample_brdf(ref, ds))
+        write_samples(tmp_path / "dist.txt", sampling.sample_brdf(dense(dist_path), ds))
+        assert (tmp_path / "ref.txt").read_bytes() == pathlib.Path(ref_out).read_bytes()
+        assert (tmp_path / "dist.txt").read_bytes() == pathlib.Path(dist_out).read_bytes()
 
 
 def _pairs_with_bad_dist(pipeline, tmp_path, token):
@@ -400,16 +444,15 @@ def test_non_finite_label_is_runtime_error(pipeline, runner, tmp_path, token):
 
 
 def test_cli_import_loads_no_scipy(tmp_path):
-    """Only train/predict (scipy.special) and rough: levels (scipy.ndimage)
-    need scipy: importing the CLI, or running gen-synthetic with every other
-    kind of level, loads no scipy module."""
+    """Only train/predict (scipy.special) need scipy: importing the CLI, or
+    running gen-synthetic with every kind of level, loads no scipy module."""
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     report = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     code = f"import sys, brdfnqm.cli; {report}"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
-    levels = ["--level", "spec:0.3", "--level", "tint:0.2", "--level", "noise:0.01"]
+    levels = ["--level", "spec:0.3", "--level", "tint:0.2", "--level", "noise:0.01", "--level", "rough:0.05"]
     gen = ["gen-synthetic", "--n", "1", *levels, *RES, "--out-dir", str(tmp_path)]
     code = (
         "import sys\nfrom brdfnqm import cli\n"
@@ -417,7 +460,42 @@ def test_cli_import_loads_no_scipy(tmp_path):
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip().splitlines()[-1] == "[]"
-    assert (tmp_path / "mat000_l02.binary").exists()
+    assert (tmp_path / "mat000_l03.binary").exists()
+
+
+def test_rough_tables_are_byte_identical_at_one_and_two_blas_threads(tmp_path):
+    """The rough: blur is a BLAS matrix product; at 45x45x90 it is large
+    enough for OpenBLAS to split over threads, and the tables must not change."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    tables = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        out = tmp_path / threads
+        subprocess.run([sys.executable, "-m", "brdfnqm.cli", "gen-synthetic", "--n", "1", "--level", "rough:0.03",
+                        "--level", "rough:0.3", "--res", "45", "45", "90", "--out-dir", str(out)],
+                       env=env, capture_output=True, check=True)
+        tables[threads] = {p.name: p.read_bytes() for p in sorted(out.glob("*.binary"))}
+    assert len(tables["1"]) == 3
+    assert tables["1"] == tables["2"]
+
+
+@pytest.mark.parametrize("jod", ["11.5", "-3.0"])
+def test_label_outside_0_10_is_runtime_error(pipeline, runner, tmp_path, jod):
+    _, cols, rows = read_table(pipeline / "labels.txt", "labels")
+    pid = rows[0][cols.index("pair_id")]
+    rows[0][cols.index("jod")] = jod
+    labels = tmp_path / "labels.txt"
+    write_table(labels, "labels", cols, rows)
+    result = runner.invoke(cli.main, _train_args(pipeline / "samples" / "pairs.txt", labels, pipeline / "splits.txt", tmp_path))
+    _assert_one_line_error(result, "labels.txt", repr(pid), "outside [0, 10]")
+    assert not (tmp_path / "m.ckpt").exists()
+    metrics = tmp_path / "metrics.txt"
+    _run(runner, ["eval-baselines", "--pairs", str(pipeline / "samples" / "pairs.txt"), "--out", str(metrics)])
+    result = runner.invoke(cli.main, _correlate_args(
+        pipeline / "samples" / "pairs.txt", labels, metrics, tmp_path / "report.txt"))
+    _assert_one_line_error(result, "labels.txt", repr(pid), "outside [0, 10]")
+    assert not (tmp_path / "report.txt").exists()
 
 
 def test_correlate_single_variant_material_is_runtime_error(pipeline, runner, tmp_path):

@@ -55,6 +55,34 @@ def test_load_roundtrip_is_byte_exact(tmp_path):
     assert out.read_bytes() == original
 
 
+def test_save_over_the_file_a_table_maps_keeps_its_bytes(tmp_path):
+    """A loaded table maps its file; saving it back to that very path must
+    not truncate the pages it is about to write from."""
+    raw = np.random.default_rng(2).uniform(-0.5, 3.0, size=3 * 4 * 4 * 8)
+    p = tmp_path / "self.binary"
+    _write_file(p, (4, 4, 8), raw)
+    original = p.read_bytes()
+    merl.save_merl(merl.load_merl(p), p)
+    assert p.read_bytes() == original
+
+
+def test_lookup_on_a_loaded_table_equals_lookup_on_its_dense_values(tmp_path):
+    dims = (6, 5, 8)
+    raw = np.random.default_rng(4).uniform(0.0, 3.0, size=3 * 6 * 5 * 8)
+    raw[::11] = -1.0
+    p = tmp_path / "dense.binary"
+    _write_file(p, dims, raw)
+    loaded = merl.load_merl(p)
+    dense = TabulatedBrdf(name="dense", values=np.array(loaded.values))
+    assert dense.raw is None and not loaded.values.flags.writeable
+    rng = np.random.default_rng(5)
+    angles = rng.uniform(0.0, 1.0, size=(3, 7, 40)) * np.array([math.pi / 2, math.pi / 2, math.pi])[:, None, None]
+    got = merl.lookup(loaded, *angles)
+    assert got.shape == (7, 40, 3)
+    assert got.tobytes() == merl.lookup(dense, *angles).tobytes()
+    assert (got == 0.0).all(axis=-1).any()  # some sentinel bins were read
+
+
 def test_invalid_entries_keep_sentinel_and_read_as_zero(tmp_path):
     dims = (2, 2, 4)
     n = dims[0] * dims[1] * dims[2]

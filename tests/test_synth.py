@@ -333,7 +333,29 @@ def test_distort_matches_boolean_index_reference(ggx_table, kind, magnitude):
     assert ggx_table.invalid_mask().any()
     spec = DistortionSpec(kind, magnitude, seed=(3, 1, 4))
     out = synth.distort(ggx_table, spec)
-    assert out.values.tobytes() == _reference_distort(ggx_table, spec).tobytes()
+    want = _reference_distort(ggx_table, spec)
+    if kind is DistortionKind.ROUGHNESS_SHIFT and magnitude > 0.0:
+        # the blur is a matrix product, not scipy's tap loop: equal to rounding
+        np.testing.assert_allclose(out.values, want, rtol=1e-14, atol=0.0)
+    else:
+        assert out.values.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n, sigma", [
+    (90, 0.4),  # below one bin: radius 2
+    (90, 2.0),  # about two bins: radius 8
+    (12, 5.0),  # radius 20, wider than the axis: every row reads both edges
+    (1, 0.7),   # a single bin: every tap reads it
+])
+def test_blur_operator_matches_scipy_gaussian_filter1d(n, sigma):
+    from scipy.ndimage import gaussian_filter1d
+
+    # a specular-like column: values spanning six decades, so a misplaced
+    # tail weight would show against the small values
+    a = np.random.default_rng(n).uniform(0.0, 1.0, size=(n, 64)) ** 6 * 1e3
+    want = gaussian_filter1d(a, sigma=sigma, axis=0, mode="nearest")
+    got = synth._blur_operator(n, sigma) @ a
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("kind", list(DistortionKind))
