@@ -114,17 +114,20 @@ def cmd_gen_synthetic(n, levels, seed, out_dir, res):
     """Generate analytic reference/distorted table pairs plus a manifest."""
     specs = [_parse_level(t) for t in levels]
     out = pathlib.Path(out_dir)
-    check_field(out / "manifest.txt", "ref_path", str(out))  # before anything is made
+    # both check their arguments before anything is made
+    check_field(out / "manifest.txt", "ref_path", str(out))
+    triples = synth.iter_dataset(n, specs, seed, res=tuple(res))
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     current_ref = None
-    for i, (ref, dist, severity) in enumerate(synth.iter_dataset(n, specs, seed, res=tuple(res))):
-        li = i % len(specs)
+    for ref, dist, severity in triples:
+        li = len(rows) % len(specs)
         if li == 0:
             current_ref = out / f"{ref.name}.binary"
             save_merl(ref, current_ref)
         dist_path = out / f"{ref.name}_l{li:02d}.binary"
         save_merl(dist, dist_path)
+        del dist  # saved: free it before the loop asks for the next distortion
         lv = specs[li]
         rows.append([str(current_ref), str(dist_path), float(severity), seed, lv.kind.value, float(lv.magnitude), ref.name])
     write_table(out / "manifest.txt", "manifest", MANIFEST_COLUMNS, rows, meta={"seed": seed, "n": n})

@@ -19,6 +19,15 @@ from .merl import CANONICAL_RES, Rgb, TabulatedBrdf, bin_centers
 
 INVALID_SENTINEL = -1.0
 
+# bins per block of tabulate: each temporary of a block's evaluation is a
+# 128 KiB array, small enough to stay in cache between the ufuncs reading it
+_BLOCK = 1 << 14
+
+# largest radius of a rough blur kernel, in theta_h bins: its 2r + 1 taps
+# take 8 bytes each, so an absurd level would allocate gigabytes, and every
+# tap past the axis only adds weight to an edge column
+_MAX_BLUR_RADIUS = 1 << 16
+
 
 class BrdfModel(enum.Enum):
     LAMBERT = "lambert"
@@ -60,28 +69,27 @@ class DistortionSpec:
             raise ValueError(f"magnitude {self.magnitude} must be finite and >= 0")
 
 
-def _eval_analytic(params: AnalyticBrdfParams, cos_i, cos_o, cos_h, cos_hi):
-    """Evaluate the model from the cosines of one direction pair.
+def _eval_analytic(params: AnalyticBrdfParams, cos_i, cos_o, cos_h, cos_hi, out):
+    """Evaluate the model from the cosines of one direction pair into out.
 
     cos_i, cos_o and cos_h are the normal components of the unit vectors
-    wi, wo and h; cos_hi is wi . h. All have one shape; the result adds an
-    axis of 3 channels. It is a view of a channel-major (3, ...) array, so
-    moving the channel axis back to the front costs no copy.
+    wi, wo and h; cos_hi is wi . h. All have one shape; out is a
+    channel-major (3, ...) array of that shape, every element of which is
+    written.
     """
     diffuse = params.diffuse.as_array() / math.pi
-    out = np.empty((3, *np.shape(cos_i)))
     for c in range(3):
         out[c] = diffuse[c]
     spec = params.specular.as_array()
     if params.model is BrdfModel.LAMBERT or not np.any(spec > 0.0):
-        return np.moveaxis(out, 0, -1)
+        return
     n_h = np.clip(cos_h, 0.0, 1.0)
     if params.model is BrdfModel.BLINN_PHONG:
         exponent = 2.0 / params.roughness**2 - 2.0
         lobe = (exponent + 2.0) / (2.0 * math.pi) * n_h**exponent
         for c in range(3):
             out[c] += spec[c] * lobe
-        return np.moveaxis(out, 0, -1)
+        return
     # GGX with Smith shadowing and Schlick Fresnel
     n_wi = np.clip(cos_i, 1e-9, 1.0)
     n_wo = np.clip(cos_o, 1e-9, 1.0)
@@ -96,7 +104,6 @@ def _eval_analytic(params: AnalyticBrdfParams, cos_i, cos_o, cos_h, cos_hi):
         fresnel = spec[c] + (1.0 - spec[c]) * schlick
         fresnel *= lobe
         out[c] += fresnel
-    return np.moveaxis(out, 0, -1)
 
 
 def _bin_geometry(res: tuple[int, int, int]):
@@ -136,24 +143,41 @@ def tabulate(
     with the invalid sentinel, mirroring unmeasured regions of real tables.
     geometry is the bin geometry of res (see iter_dataset); it is built
     here when not given.
+
+    The model runs over blocks of _BLOCK bins, each written straight into
+    the one (3, bins) table, so its temporaries stay in cache and the call
+    allocates nothing of table size but the table itself. Every bin goes
+    through the same operations as in one whole-table pass, so the bytes
+    are those of that pass.
     """
     if geometry is None:
         geometry = _bin_geometry(res)
     *cosines, below = geometry
-    table = np.moveaxis(_eval_analytic(params, *cosines), -1, 0)
-    np.copyto(table, INVALID_SENTINEL, where=below)
+    table = np.empty((3, below.size))
+    for lo in range(0, below.size, _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        _eval_analytic(params, *(c[block] for c in cosines), table[:, block])
+        np.copyto(table[:, block], INVALID_SENTINEL, where=below[block])
     return TabulatedBrdf(name=name or params.model.value, values=table.reshape(3, *res))
 
 
 def distort(brdf: TabulatedBrdf, spec: DistortionSpec) -> TabulatedBrdf:
-    """Apply a seeded, table-level distortion; sentinel bins pass through."""
+    """Apply a seeded, table-level distortion; sentinel bins pass through.
+
+    Valid bins stay non-negative: spec keeps them at or above their
+    channel's floor, tint scales them by positive factors and rough blurs
+    non-negative values with non-negative weights, so only noise clamps.
+    """
     v = brdf.values
     invalid = brdf.invalid_mask()
     m = spec.magnitude
     # spec and tint run over every bin: the sentinel bins are restored below
     if spec.kind is DistortionKind.GAUSSIAN_NOISE:
         if m > 0.0:
-            out = v + np.random.default_rng(spec.seed).normal(0.0, m, size=v.shape)
+            # the noise array becomes the table: noise + v is v + noise bit for bit
+            out = np.random.default_rng(spec.seed).normal(0.0, m, size=v.shape)
+            out += v
+            np.maximum(out, 0.0, out=out)
         else:
             out = v.copy()
     elif spec.kind is DistortionKind.SPECULAR_SCALE:
@@ -174,15 +198,26 @@ def distort(brdf: TabulatedBrdf, spec: DistortionSpec) -> TabulatedBrdf:
         # widen the specular lobe: gaussian blur along the theta_h axis
         if m > 0.0:
             n_th = brdf.res_theta_h
+            _check_level(spec, n_th)
             filled = np.where(invalid[None, ...], 0.0, v).reshape(3, n_th, -1)
             out = np.matmul(_blur_operator(n_th, m * n_th), filled).reshape(v.shape)
         else:
             out = v.copy()
     else:  # pragma: no cover - enum is exhaustive
         raise BrdfError(f"unknown distortion kind {spec.kind}")
-    np.maximum(out, 0.0, out=out)
     np.copyto(out, v, where=invalid)
     return TabulatedBrdf(name=f"{brdf.name}_{spec.kind.value}{m:g}", values=out)
+
+
+def _check_level(level: DistortionSpec, n_th: int) -> None:
+    """ValueError naming a rough level whose blur kernel on n_th theta_h bins
+    has a radius int(4 m n_th + 0.5) above _MAX_BLUR_RADIUS."""
+    # compared as a float: the radius of a huge magnitude is no int
+    if level.kind is DistortionKind.ROUGHNESS_SHIFT and 4.0 * (level.magnitude * n_th) + 0.5 >= _MAX_BLUR_RADIUS + 1:
+        raise ValueError(
+            f"level rough:{level.magnitude:g} is too wide for {n_th} theta_h bins: "
+            f"its blur radius would exceed {_MAX_BLUR_RADIUS} bins"
+        )
 
 
 def _blur_operator(n: int, sigma: float) -> np.ndarray:
@@ -230,16 +265,27 @@ def iter_dataset(
     res: tuple[int, int, int] = CANONICAL_RES,
     model: BrdfModel = BrdfModel.GGX_MICROFACET,
 ):
-    """Yield (reference, distorted, severity) triples, one reference's levels at a time.
+    """An iterator of (reference, distorted, severity) triples, one reference's levels at a time.
 
     Deterministic in all arguments. Severity is the level magnitude
     normalized by the largest magnitude of the same kind, so it is strictly
     monotone across a monotone family of levels.
+
+    The arguments, every level included, are checked here, before the first
+    table is built. The iterator keeps no reference to a distorted table it
+    has yielded, so a caller that drops its own before asking for the next
+    triple holds at most one distorted table at a time.
     """
     if n_materials < 1:
         raise ValueError("n_materials must be >= 1")
     if not levels:
         raise ValueError("levels must be nonempty")
+    for lv in levels:
+        _check_level(lv, res[0])
+    return _triples(n_materials, levels, seed, res, model)
+
+
+def _triples(n_materials, levels, seed, res, model):
     scale = severity_scale(levels)
     rng = np.random.default_rng(seed)
     geometry = _bin_geometry(res)
@@ -249,6 +295,5 @@ def iter_dataset(
         for li, lv in enumerate(levels):
             # per-pair noise stream keyed by (seed, material, level) on every build
             pair_spec = DistortionSpec(lv.kind, lv.magnitude, seed=(seed, mat, li))
-            dist = distort(ref, pair_spec)
             sev = lv.magnitude / scale[lv.kind] if scale[lv.kind] > 0.0 else 0.0
-            yield ref, dist, sev
+            yield ref, distort(ref, pair_spec), sev

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from brdfnqm import sampling, synth
-from brdfnqm.merl import Rgb
+from brdfnqm.merl import Rgb, bin_centers
 from brdfnqm.preprocess import LabeledPair, Provenance
 from brdfnqm.sampling import DirectionSet, SampledBrdf
 
@@ -84,6 +84,44 @@ def reference_io_to_halfdiff_arrays(theta_i, phi_i, theta_o, phi_o):
     theta_d = np.arccos(np.clip(d[..., 2], -1.0, 1.0))
     phi_d = np.arctan2(d[..., 1], d[..., 0]) % math.pi
     return theta_h, theta_d, phi_d, phi_h
+
+
+# The bin geometry from the cartesian chain above, and the whole-table,
+# row-major model evaluation that synth.tabulate's blocked pass replaces,
+# frozen as the reference it must match bit for bit.
+
+
+def reference_bin_geometry(res):
+    th, td, pd = bin_centers(res)
+    TH, TD, PD = np.meshgrid(th, td, pd, indexing="ij")
+    ti, pi_, to, po = reference_halfdiff_to_io_arrays(TH.ravel(), TD.ravel(), PD.ravel())
+    wi = sph_to_cart(ti, pi_)
+    wo = sph_to_cart(to, po)
+    h = sph_to_cart(TH.ravel(), np.zeros_like(TH.ravel()))
+    cos_i, cos_o = wi[..., 2], wo[..., 2]
+    below = (cos_i <= 1e-9) | (cos_o <= 1e-9)
+    return cos_i, cos_o, h[..., 2], np.sum(wi * h, axis=-1), below
+
+
+def reference_tabulate(params, res):
+    cos_i, cos_o, cos_h, cos_hi, below = reference_bin_geometry(res)
+    out = np.broadcast_to(params.diffuse.as_array() / math.pi, (cos_i.size, 3)).copy()
+    spec = params.specular.as_array()
+    n_h = np.clip(cos_h, 0.0, 1.0)
+    if params.model is synth.BrdfModel.BLINN_PHONG:
+        exponent = 2.0 / params.roughness**2 - 2.0
+        out += spec * ((exponent + 2.0) / (2.0 * math.pi) * n_h**exponent)[..., None]
+    elif params.model is synth.BrdfModel.GGX_MICROFACET:
+        n_wi = np.clip(cos_i, 1e-9, 1.0)
+        n_wo = np.clip(cos_o, 1e-9, 1.0)
+        a2 = params.roughness**4
+        d_term = a2 / (math.pi * (n_h**2 * (a2 - 1.0) + 1.0) ** 2)
+        fresnel = spec + (1.0 - spec) * (1.0 - np.clip(cos_hi, 0.0, 1.0)[..., None]) ** 5
+        g1i = 2.0 * n_wi / (n_wi + np.sqrt(a2 + (1.0 - a2) * n_wi**2))
+        g1o = 2.0 * n_wo / (n_wo + np.sqrt(a2 + (1.0 - a2) * n_wo**2))
+        out += fresnel * (d_term * g1i * g1o / (4.0 * n_wi * n_wo))[..., None]
+    out[below] = synth.INVALID_SENTINEL
+    return np.ascontiguousarray(np.moveaxis(out.reshape(*res, 3), -1, 0))
 
 
 # The per-pair input chain that nn.input_matrix's one batched pass replaces,

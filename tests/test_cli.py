@@ -1,13 +1,15 @@
+import math
 import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from brdfnqm import cli, merl, sampling
+from brdfnqm import cli, merl, sampling, synth
 from brdfnqm.merl import TabulatedBrdf
 from brdfnqm.pairio import write_samples
 from brdfnqm.tables import read_table, write_table
@@ -70,6 +72,44 @@ def test_gen_synthetic_usage_errors(runner, tmp_path):
     assert "bad level spec" in result.output
     result = runner.invoke(cli.main, ["gen-synthetic", "--n", "1", "--level", "spec:0.1", "--seed", "-1", "--out-dir", str(tmp_path)])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("magnitude", [1e15, 1e308, (synth._MAX_BLUR_RADIUS + 1) / 48])
+def test_gen_synthetic_refuses_a_blur_wider_than_the_bound(runner, tmp_path, magnitude):
+    """A rough level whose blur radius int(4 m n_th + 0.5) exceeds the bound
+    is one Error line naming it, before --out-dir is made: 1e15 would
+    allocate petabytes of taps, 1e308 overflows the radius to inf, and
+    (bound + 1) / 48 is one bin past the bound at RES's 12 theta_h bins."""
+    out = tmp_path / "out"
+    result = runner.invoke(cli.main, ["gen-synthetic", "--n", "1", "--level", "spec:0.5",
+                                      "--level", f"rough:{magnitude!r}", *RES, "--out-dir", str(out)])
+    _assert_one_line_error(result, f"rough:{magnitude:g}")
+    assert not out.exists()
+
+
+def test_gen_synthetic_peak_memory_is_counted_in_tables(tmp_path):
+    """At most this much is allocated at once while gen-synthetic runs:
+    the bin geometry (four float arrays and a mask, 33 bytes a bin), the
+    reference, the table being made and one full-table temporary (24 bytes
+    a bin each; rough's zero-filled blur input, or the raw payload save_merl
+    writes), plus a quarter table for the bin masks and small arrays. No
+    distorted table outlives its save, and tabulate's block temporaries are
+    small. numpy reports its allocations to tracemalloc, so the traced peak
+    is the same on every run; a warm-up run first does the lazy imports."""
+    res = (45, 45, 90)
+    levels = ["--level", "spec:0.5", "--level", "rough:0.03", "--level", "tint:0.2", "--level", "noise:0.01"]
+    cli.main(["gen-synthetic", "--n", "1", *levels, "--res", "2", "2", "2", "--out-dir", str(tmp_path / "warm")],
+             standalone_mode=False)
+    tracemalloc.start()
+    try:
+        cli.main(["gen-synthetic", "--n", "2", *levels, "--res", *map(str, res), "--out-dir", str(tmp_path / "out")],
+                 standalone_mode=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    bins = math.prod(res)
+    geometry, table = 33 * bins, 24 * bins
+    assert peak < geometry + 3 * table + table // 4, peak / table
 
 
 @pytest.mark.parametrize("command, bad", [

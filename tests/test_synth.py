@@ -12,7 +12,7 @@ from brdfnqm.synth import (
     DistortionSpec,
 )
 
-from conftest import reference_halfdiff_to_io_arrays, sph_to_cart
+from conftest import reference_bin_geometry, reference_tabulate
 
 SMALL = (16, 16, 32)
 
@@ -62,10 +62,16 @@ def test_lambert_white_sky_albedo_quadrature(lambert_table):
     assert albedo == pytest.approx(0.5, rel=0.02)
 
 
+def _eval_one(params, cos_i, cos_o, cos_h, cos_hi):
+    """The three channels of one direction pair."""
+    out = np.empty((3, 1))
+    synth._eval_analytic(params, *(np.array([c]) for c in (cos_i, cos_o, cos_h, cos_hi)), out)
+    return out[:, 0]
+
+
 def _head_on(params):
     """wi = wo = h = normal: every cosine is 1."""
-    one = np.ones(1)
-    return synth._eval_analytic(params, one, one, one, one)[0]
+    return _eval_one(params, 1.0, 1.0, 1.0, 1.0)
 
 
 def test_ggx_matches_handwritten_formula():
@@ -82,8 +88,8 @@ def test_ggx_matches_handwritten_formula():
 def test_ggx_fresnel_rises_toward_grazing():
     params = _ggx_params()
     # wi and wo at 80 degrees on either side of h = normal
-    c = np.array([math.cos(math.radians(80))])
-    grazing = synth._eval_analytic(params, c, c, np.ones(1), c)[0, 0]
+    c = math.cos(math.radians(80))
+    grazing = _eval_one(params, c, c, 1.0, c)[0]
     head_on = _head_on(params)[0]
     # same half vector: the Schlick term and the 1 / (cos_i cos_o) factor
     # outgrow the Smith masking at this roughness
@@ -171,6 +177,21 @@ def test_roughness_shift_flattens_specular_ridge(ggx_table):
     assert out.values[1][valid].max() < ggx_table.values[1][valid].max()
 
 
+def test_rough_blur_radius_bound():
+    """A blur radius int(4 m n_th + 0.5) up to the bound is built; one bin
+    past it is a ValueError naming the level, from distort and, before any
+    table is built, from iter_dataset."""
+    table = synth.tabulate(_ggx_params(), res=(12, 8, 16))
+    bound = synth._MAX_BLUR_RADIUS
+    at = synth.distort(table, DistortionSpec(DistortionKind.ROUGHNESS_SHIFT, bound / 48))
+    assert np.all(at.values[:, ~table.invalid_mask()] >= 0.0)
+    past = DistortionSpec(DistortionKind.ROUGHNESS_SHIFT, (bound + 1) / 48)
+    with pytest.raises(ValueError, match=f"rough:{past.magnitude:g} "):
+        synth.distort(table, past)
+    with pytest.raises(ValueError, match=f"rough:{past.magnitude:g} "):
+        synth.iter_dataset(1, [past], seed=0, res=(12, 8, 16))
+
+
 def test_severity_scale_per_kind():
     levels = [
         DistortionSpec(DistortionKind.GAUSSIAN_NOISE, 0.1),
@@ -243,43 +264,9 @@ def test_noise_stream_is_keyed_by_seed_material_level():
     assert dist.values[1, 0, 0, 0] - ref.values[1, 0, 0, 0] == pytest.approx(-0.030220563344388243, abs=1e-12)
 
 
-# Reference kernels: the (n, 3) cartesian geometry chain, the row-major model
-# evaluation and the boolean-index distortions that synth's one-pass kernels
-# replace. Every floating-point operation is the same, so results match bit
-# for bit.
-
-
-def _reference_bin_geometry(res):
-    th, td, pd = bin_centers(res)
-    TH, TD, PD = np.meshgrid(th, td, pd, indexing="ij")
-    ti, pi_, to, po = reference_halfdiff_to_io_arrays(TH.ravel(), TD.ravel(), PD.ravel())
-    wi = sph_to_cart(ti, pi_)
-    wo = sph_to_cart(to, po)
-    h = sph_to_cart(TH.ravel(), np.zeros_like(TH.ravel()))
-    cos_i, cos_o = wi[..., 2], wo[..., 2]
-    below = (cos_i <= 1e-9) | (cos_o <= 1e-9)
-    return cos_i, cos_o, h[..., 2], np.sum(wi * h, axis=-1), below
-
-
-def _reference_tabulate(params, res):
-    cos_i, cos_o, cos_h, cos_hi, below = _reference_bin_geometry(res)
-    out = np.broadcast_to(params.diffuse.as_array() / math.pi, (cos_i.size, 3)).copy()
-    spec = params.specular.as_array()
-    n_h = np.clip(cos_h, 0.0, 1.0)
-    if params.model is BrdfModel.BLINN_PHONG:
-        exponent = 2.0 / params.roughness**2 - 2.0
-        out += spec * ((exponent + 2.0) / (2.0 * math.pi) * n_h**exponent)[..., None]
-    elif params.model is BrdfModel.GGX_MICROFACET:
-        n_wi = np.clip(cos_i, 1e-9, 1.0)
-        n_wo = np.clip(cos_o, 1e-9, 1.0)
-        a2 = params.roughness**4
-        d_term = a2 / (math.pi * (n_h**2 * (a2 - 1.0) + 1.0) ** 2)
-        fresnel = spec + (1.0 - spec) * (1.0 - np.clip(cos_hi, 0.0, 1.0)[..., None]) ** 5
-        g1i = 2.0 * n_wi / (n_wi + np.sqrt(a2 + (1.0 - a2) * n_wi**2))
-        g1o = 2.0 * n_wo / (n_wo + np.sqrt(a2 + (1.0 - a2) * n_wo**2))
-        out += fresnel * (d_term * g1i * g1o / (4.0 * n_wi * n_wo))[..., None]
-    out[below] = synth.INVALID_SENTINEL
-    return np.ascontiguousarray(np.moveaxis(out.reshape(*res, 3), -1, 0))
+# Reference kernels: the boolean-index distortions that synth's one-pass
+# kernels replace (the geometry and model references are in conftest). Every
+# floating-point operation is the same, so results match bit for bit.
 
 
 def _reference_distort(brdf, spec):
@@ -311,7 +298,7 @@ def _reference_distort(brdf, spec):
 def test_bin_geometry_matches_cartesian_reference():
     for res in (SMALL, (12, 8, 16), (45, 45, 90)):
         got = synth._bin_geometry(res)
-        want = _reference_bin_geometry(res)
+        want = reference_bin_geometry(res)
         assert len(got) == len(want) == 5
         for a, b in zip(got, want):
             assert a.shape == b.shape and a.dtype == b.dtype
@@ -324,7 +311,20 @@ def test_tabulate_matches_row_major_reference(model):
     table = synth.tabulate(params, res=SMALL)
     assert table.values.flags.c_contiguous
     assert table.invalid_mask().any()
-    assert table.values.tobytes() == _reference_tabulate(params, SMALL).tobytes()
+    assert table.values.tobytes() == reference_tabulate(params, SMALL).tobytes()
+
+
+@pytest.mark.parametrize("res", [(7, 5, 3), (12, 8, 16), (45, 45, 90)], ids=["7x5x3", "12x8x16", "45x45x90"])
+@pytest.mark.parametrize("model", list(BrdfModel))
+def test_tabulate_blocks_match_whole_table_reference(model, res):
+    """tabulate's blocks give the bytes of one whole-table pass, at bin
+    counts below one block and across several blocks and a partial one."""
+    assert math.prod(res) % synth._BLOCK != 0
+    assert 45 * 45 * 90 > 2 * synth._BLOCK
+    params = synth.random_params(np.random.default_rng(5), model=model)
+    table = synth.tabulate(params, res=res)
+    assert table.invalid_mask().any()
+    assert table.values.tobytes() == reference_tabulate(params, res).tobytes()
 
 
 @pytest.mark.parametrize("magnitude", [0.0, 0.3])
