@@ -4,9 +4,8 @@ All randomness flows from explicit --seed flags; any command rerun with
 identical inputs and seeds writes byte-identical outputs. Exit codes:
 0 success, 1 runtime/data error, 2 usage error.
 
-Only ``train`` and ``predict`` import :mod:`brdfnqm.nn` (and with it
-``scipy.special``), so every other command, ``gen-synthetic`` with ``rough:``
-levels included, starts with numpy and click alone.
+Every command runs on numpy and click alone; only ``train`` and ``predict``
+import :mod:`brdfnqm.nn`.
 """
 
 from __future__ import annotations
@@ -127,9 +126,11 @@ def cmd_gen_synthetic(n, levels, seed, out_dir, res):
             save_merl(ref, current_ref)
         dist_path = out / f"{ref.name}_l{li:02d}.binary"
         save_merl(dist, dist_path)
-        del dist  # saved: free it before the loop asks for the next distortion
         lv = specs[li]
         rows.append([str(current_ref), str(dist_path), float(severity), seed, lv.kind.value, float(lv.magnitude), ref.name])
+        # saved: free both before the loop asks for the next triple, whose
+        # distortion, or a new material's tabulate, would find them still held
+        del ref, dist
     write_table(out / "manifest.txt", "manifest", MANIFEST_COLUMNS, rows, meta={"seed": seed, "n": n})
     click.echo(f"wrote {len(rows)} pairs to {out}/manifest.txt")
 

@@ -1,8 +1,9 @@
 """The quality-predictor MLP and its from-scratch training machinery.
 
 Architecture: dense 3000->1024->716->501->1; every hidden dense layer is
-followed by layer normalization, exact-erf GELU, and dropout (p = 0.2,
-train mode only, inverted scaling). A sigmoid after the last layer
+followed by layer normalization, exact-erf GELU x Phi(x) (Hendrycks &
+Gimpel, "Gaussian Error Linear Units", 2016), and dropout (p = 0.2, train
+mode only, inverted scaling). A sigmoid after the last layer
 rescales the output into [jod_min, jod_max]. The whitening statistics and
 JOD range live inside the model so inference is self-contained: a raw
 (reference, distorted) pair of k x 3 samples becomes one input row of
@@ -14,6 +15,12 @@ gradient-check shadow models) and stays in the model's dtype, gradients and
 Adam moments included; gradients are hand-derived reverse-mode. Parameters,
 gradients and Adam moments each live in one contiguous vector in checkpoint
 blob order, cut into per-array views (see `FlatParams`).
+
+The normal CDF Phi is computed here (`_ndtr`) in float64 from W. J. Cody's
+rational Chebyshev approximations to erf and erfc ("Rational Chebyshev
+approximations for the error function", Math. Comp. 23 (1969) 631-637),
+with the coefficients and ranges of his SPECFUN routine CALERF. The
+forward pass keeps Phi of each hidden layer for the backward pass.
 """
 
 from __future__ import annotations
@@ -23,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import CheckpointError, PairingError
 from .preprocess import WhiteningStats, perceptual_transform
@@ -45,6 +51,31 @@ PLATEAU_REL_THRESHOLD = 1e-4
 
 # a Python float, so that float32 arrays stay float32 (NEP 50 scalar promotion)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_SQRT_2 = math.sqrt(2.0)
+_INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
+# Cody's CALERF coefficients, each tuple in his order (see `_cody_ratio`):
+# erf(z) = z A(z^2)/B(z^2) for |z| <= 0.46875,
+# erfc(z) = exp(-z^2) C(z)/D(z) for 0.46875 < z <= 4,
+# erfc(z) = exp(-z^2)/z (1/sqrt(pi) - P(1/z^2)/Q(1/z^2)/z^2) for z > 4
+_ERF_A = (3.16112374387056560e00, 1.13864154151050156e02, 3.77485237685302021e02,
+          3.20937758913846947e03, 1.85777706184603153e-1)
+_ERF_B = (2.36012909523441209e01, 2.44024637934444173e02, 1.28261652607737228e03,
+          2.84423683343917062e03)
+_ERFC_C = (5.64188496988670089e-1, 8.88314979438837594e00, 6.61191906371416295e01,
+           2.98635138197400131e02, 8.81952221241769090e02, 1.71204761263407058e03,
+           2.05107837782607147e03, 1.23033935479799725e03, 2.15311535474403846e-8)
+_ERFC_D = (1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02,
+           1.62138957456669019e03, 3.29079923573345963e03, 4.36261909014324716e03,
+           3.43936767414372164e03, 1.23033935480374942e03)
+_ERFC_P = (3.05326634961232344e-1, 3.60344899949804439e-1, 1.25781726111229246e-1,
+           1.60837851487422766e-2, 6.58749161529837803e-4, 1.63153871373020978e-2)
+_ERFC_Q = (2.56852019228982242e00, 1.87295284992346725e00, 5.27905102951428412e-1,
+           6.05183413124413191e-2, 2.33520497626869185e-3)
+_ERF_MAX = 0.46875  # |z| up to which erf itself is evaluated
+_ERFC_MID_MAX = 4.0  # z up to which erfc uses C/D, beyond it P/Q
+# exp(-z^2) is 0 in float64 beyond this z; larger |z| are evaluated at it,
+# where erfc is 0 as well and nothing overflows
+_ERFC_ZERO = 27.5
 _PARAM_KEYS = ("weights", "biases", "gammas", "betas")
 # elements per Adam block: its six operands (64 KB each in float32) stay in L2 cache
 _ADAM_BLOCK = 16384
@@ -149,14 +180,89 @@ def init_model(
     return model
 
 
-def gelu(x):
-    """Exact GELU: x * Phi(x) with the erf-based normal CDF."""
+def _cody_ratio(t, p, q):
+    """Cody's P(t)/Q(t) in his nesting and rounding order.
+
+    P = p[-1] t^n + p[0] t^(n-1) + ... + p[-2]; Q is monic, t^n + q[0]
+    t^(n-1) + ... + q[-1], for n = len(q).
+    """
+    num = p[-1] * t
+    num += p[0]
+    den = t + q[0]
+    for a, b in zip(p[1:-1], q[1:]):
+        num *= t
+        num += a
+        den *= t
+        den += b
+    num /= den
+    return num
+
+
+def _ndtr(x):
+    """Standard normal CDF Phi(x) = erfc(-x/sqrt(2))/2, elementwise.
+
+    Computed in float64 with Cody's erf/erfc and returned in x's float dtype
+    (float64 for other input), so float32 stays float32. In float64 it is
+    within about 8 ulp of the exact value; a float32 result rounds like one
+    from scipy.special.ndtr. Phi(+inf) = 1, Phi(-inf) = 0 and NaN stays NaN.
+
+    The elements are split by integer index into |z| <= 0.46875 and the rest,
+    and each part is evaluated only on its own elements: a gather and a
+    scatter cost less than a second rational function on every element, or a
+    select (`np.where`, boolean masks) that branches on the random signs.
+    """
     x = np.asarray(x)
-    return x * ndtr(x)
+    dtype = x.dtype if x.dtype.kind == "f" else np.dtype(np.float64)
+    z = np.divide(x, _SQRT_2, dtype=np.float64).ravel()
+    y = np.abs(z)
+    phi = np.empty_like(z)
+    in_erf = y <= _ERF_MAX
+    # |z| <= _ERF_MAX: Phi = 1/2 + erf(z)/2
+    idx = np.flatnonzero(in_erf)
+    zs = z[idx]
+    part = _cody_ratio(np.square(zs), _ERF_A, _ERF_B)
+    part *= zs
+    part *= 0.5
+    part += 0.5
+    phi[idx] = part
+    # the rest, NaN included: Phi = erfc(|z|)/2 for z < 0, 1 - erfc(|z|)/2 for z > 0
+    idx = np.flatnonzero(~in_erf)
+    y = np.minimum(y[idx], _ERFC_ZERO)
+    ratio = _cody_ratio(np.minimum(y, _ERFC_MID_MAX), _ERFC_C, _ERFC_D)
+    tail = np.flatnonzero(y > _ERFC_MID_MAX)
+    if tail.size:
+        yt = y[tail]
+        t = 1.0 / np.square(yt)
+        rt = _cody_ratio(t, _ERFC_P, _ERFC_Q)
+        rt *= t
+        np.subtract(_INV_SQRT_PI, rt, out=rt)
+        rt /= yt
+        ratio[tail] = rt
+    # exp(-y^2) = exp(-h^2) exp(-(y - h)(y + h)), h = y rounded down to 1/16,
+    # so that no rounding of y^2 reaches the exponent
+    h = np.multiply(y, 16.0)
+    np.floor(h, out=h)
+    h *= 0.0625
+    d = np.subtract(h, y)
+    y += h
+    d *= y
+    np.exp(d, out=d)
+    np.square(h, out=h)
+    np.negative(h, out=h)
+    np.exp(h, out=h)
+    h *= d
+    h *= ratio  # erfc(|z|)
+    part = np.copysign(0.5, z[idx], out=d)
+    h *= part
+    part += 0.5  # 1 for z > 0, 0 for z < 0
+    part -= h
+    phi[idx] = part
+    return phi.reshape(x.shape).astype(dtype, copy=False)
 
 
-def _gelu_grad(x):
-    return ndtr(x) + x * _INV_SQRT_2PI * np.exp(-0.5 * x * x)
+def _gelu_grad(x, phi):
+    """d/dx of GELU x Phi(x), given phi = Phi(x) from the forward pass."""
+    return phi + x * _INV_SQRT_2PI * np.exp(-0.5 * x * x)
 
 
 def _sigmoid(x):
@@ -180,7 +286,7 @@ def forward(model: MlpModel, batch: np.ndarray, mode: str = "eval", rng=None, dr
     if x.ndim != 2 or x.shape[1] != model.input_dim:
         raise ValueError(f"batch shape {x.shape} incompatible with input dim {model.input_dim}")
     keep = 1.0 - model.dropout
-    cache = {"mode": mode, "inputs": [], "z": [], "xhat": [], "inv_std": [], "y": [], "masks": []}
+    cache = {"mode": mode, "inputs": [], "z": [], "xhat": [], "inv_std": [], "y": [], "phi": [], "masks": []}
     a = x
     n_hidden = len(model.gammas)
     for i in range(n_hidden):
@@ -191,7 +297,8 @@ def forward(model: MlpModel, batch: np.ndarray, mode: str = "eval", rng=None, dr
         inv_std = 1.0 / np.sqrt(var + LN_EPS)
         xhat = (z - mu) * inv_std
         y = model.gammas[i] * xhat + model.betas[i]
-        a = gelu(y)
+        phi = _ndtr(y)
+        a = y * phi
         if mode == "train" and model.dropout > 0.0:
             if dropout_masks is not None:
                 mask = dropout_masks[i]
@@ -207,6 +314,7 @@ def forward(model: MlpModel, batch: np.ndarray, mode: str = "eval", rng=None, dr
         cache["xhat"].append(xhat)
         cache["inv_std"].append(inv_std)
         cache["y"].append(y)
+        cache["phi"].append(phi)
     cache["inputs"].append(a)
     zf = a @ model.weights[-1].T + model.biases[-1]
     s = _sigmoid(zf)
@@ -246,8 +354,7 @@ def backward(model: MlpModel, cache: dict, loss_grad: np.ndarray) -> FlatParams:
         mask = cache["masks"][i]
         if mask is not None:
             da = da * mask / keep
-        y = cache["y"][i]
-        dy = da * _gelu_grad(y)
+        dy = da * _gelu_grad(cache["y"][i], cache["phi"][i])
         xhat = cache["xhat"][i]
         (dy * xhat).sum(axis=0, out=grads["gammas"][i])
         dy.sum(axis=0, out=grads["betas"][i])

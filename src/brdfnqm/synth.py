@@ -273,8 +273,9 @@ def iter_dataset(
 
     The arguments, every level included, are checked here, before the first
     table is built. The iterator keeps no reference to a distorted table it
-    has yielded, so a caller that drops its own before asking for the next
-    triple holds at most one distorted table at a time.
+    has yielded, nor to a reference whose last level it has yielded, so a
+    caller that drops its own before asking for the next triple holds at most
+    one reference and one distorted table at a time.
     """
     if n_materials < 1:
         raise ValueError("n_materials must be >= 1")
@@ -297,3 +298,4 @@ def _triples(n_materials, levels, seed, res, model):
             pair_spec = DistortionSpec(lv.kind, lv.magnitude, seed=(seed, mat, li))
             sev = lv.magnitude / scale[lv.kind] if scale[lv.kind] > 0.0 else 0.0
             yield ref, distort(ref, pair_spec), sev
+        del ref  # its last level is yielded: the next tabulate must not find it held here

@@ -112,6 +112,36 @@ def test_gen_synthetic_peak_memory_is_counted_in_tables(tmp_path):
     assert peak < geometry + 3 * table + table // 4, peak / table
 
 
+def test_gen_synthetic_holds_no_table_when_the_next_material_starts(tmp_path, monkeypatch):
+    """On entry to the second material's tabulate, every table of the first
+    is saved and nothing holds it: only the bin geometry (33 bytes a bin) and
+    small arrays, under a quarter table (24 bytes a bin), are traced. A
+    previous reference still held by the CLI loop or the generator would add
+    a whole table."""
+    res = (45, 45, 90)
+    levels = ["--level", "spec:0.5", "--level", "rough:0.03", "--level", "tint:0.2", "--level", "noise:0.01"]
+    cli.main(["gen-synthetic", "--n", "1", *levels, "--res", "2", "2", "2", "--out-dir", str(tmp_path / "warm")],
+             standalone_mode=False)
+    held = []
+    tabulate = synth.tabulate
+
+    def traced_tabulate(*args, **kwargs):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return tabulate(*args, **kwargs)
+
+    monkeypatch.setattr(synth, "tabulate", traced_tabulate)
+    tracemalloc.start()
+    try:
+        cli.main(["gen-synthetic", "--n", "2", *levels, "--res", *map(str, res), "--out-dir", str(tmp_path / "out")],
+                 standalone_mode=False)
+    finally:
+        tracemalloc.stop()
+    bins = math.prod(res)
+    geometry, table = 33 * bins, 24 * bins
+    assert len(held) == 2
+    assert held[1] < geometry + table // 4, (held[1] - geometry) / table
+
+
 @pytest.mark.parametrize("command, bad", [
     ("gen-synthetic", ["--n", "0"]),
     ("gen-synthetic", ["--res", "0", "8", "16"]),
@@ -483,24 +513,28 @@ def test_non_finite_label_is_runtime_error(pipeline, runner, tmp_path, token):
     _assert_one_line_error(result, "labels.txt", repr(token))
 
 
-def test_cli_import_loads_no_scipy(tmp_path):
-    """Only train/predict (scipy.special) need scipy: importing the CLI, or
-    running gen-synthetic with every kind of level, loads no scipy module."""
+def test_cli_import_loads_no_scipy(pipeline, tmp_path):
+    """No command needs scipy: importing the CLI or the network module, running
+    gen-synthetic with every kind of level, or training and predicting on the
+    tiny pipeline loads no scipy module."""
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     report = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    code = f"import sys, brdfnqm.cli; {report}"
+    code = f"import sys, brdfnqm.cli, brdfnqm.nn; {report}"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
     levels = ["--level", "spec:0.3", "--level", "tint:0.2", "--level", "noise:0.01", "--level", "rough:0.05"]
     gen = ["gen-synthetic", "--n", "1", *levels, *RES, "--out-dir", str(tmp_path)]
-    code = (
-        "import sys\nfrom brdfnqm import cli\n"
-        f"cli.main({gen!r}, standalone_mode=False)\n{report}"
-    )
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip().splitlines()[-1] == "[]"
+    pairs = pipeline / "samples" / "pairs.txt"
+    train = _train_args(pairs, pipeline / "labels.txt", pipeline / "splits.txt", tmp_path)
+    predict = ["predict", "--checkpoint", str(tmp_path / "m.ckpt"), "--pairs", str(pairs), "--out", str(tmp_path / "p.txt")]
+    for commands in ([gen], [train, predict]):
+        code = "import sys\nfrom brdfnqm import cli\n" + "".join(
+            f"cli.main({args!r}, standalone_mode=False)\n" for args in commands) + report
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip().splitlines()[-1] == "[]"
     assert (tmp_path / "mat000_l03.binary").exists()
+    assert len(read_table(tmp_path / "p.txt", "predictions")[2]) == 9
 
 
 def test_rough_tables_are_byte_identical_at_one_and_two_blas_threads(tmp_path):
