@@ -173,13 +173,12 @@ def cmd_sample(manifest, k, seed, grid, out_dir):
 
 @main.command("fit-jod")
 @click.option("--calibration", type=click.Path(exists=True), required=True, help="Table with deitp/jod columns.")
-@click.option("--init", nargs=3, type=float, default=(jod.REFERENCE_PARAMS.b1, jod.REFERENCE_PARAMS.b2, jod.REFERENCE_PARAMS.b3), show_default=True)
 @click.option("--out", type=click.Path(), required=True)
-def cmd_fit_jod(calibration, init, out):
-    """Fit the logistic deitp->JOD regression by Levenberg-Marquardt."""
+def cmd_fit_jod(calibration, out):
+    """Fit the logistic deitp->JOD regression by Levenberg-Marquardt, starting from the reference parameters."""
     _, rows = _rows(calibration, "calibration", "deitp", "jod")
     points = [jod.CalibrationPoint(deitp=_number(calibration, "deitp", d), jod=_number(calibration, "jod", j)) for d, j in rows]
-    params = jod.fit_jod_regression(points, jod.JodRegressionParams(*init))
+    params = jod.fit_jod_regression(points, jod.REFERENCE_PARAMS)
     write_table(out, "jodparams", ["b1", "b2", "b3"], [[params.b1, params.b2, params.b3]])
     click.echo(f"fitted b1={params.b1:.4f} b2={params.b2:.4f} b3={params.b3:.4f}")
 
@@ -232,14 +231,10 @@ def cmd_split(pairs_file, test_materials, seed, out):
 @click.option("--pairs", "pairs_file", type=click.Path(exists=True), required=True)
 @click.option("--labels", "labels_file", type=click.Path(exists=True), required=True)
 @click.option("--splits", "splits_file", type=click.Path(exists=True), required=True)
-@click.option("--lo", type=float, default=0.95, show_default=True)
-@click.option("--hi", type=float, default=1.05, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out-dir", type=click.Path(), required=True)
-def cmd_augment(pairs_file, labels_file, splits_file, lo, hi, seed, out_dir):
+def cmd_augment(pairs_file, labels_file, splits_file, seed, out_dir):
     """Double the training set by random-scale augmentation of each pair."""
-    if lo > hi:
-        raise click.UsageError("--lo must be <= --hi")
     out = pathlib.Path(out_dir)
     check_field(out / "pairs.txt", "ref_samples", str(out))
     pairs_meta, prows = _rows(pairs_file, "pairs", *PAIRS_COLUMNS)
@@ -260,7 +255,7 @@ def cmd_augment(pairs_file, labels_file, splits_file, lo, hi, seed, out_dir):
     for (i, (pid, material, severity, _, _), (jod_value, provenance)), (ref, dist) in zip(train_rows, sampled):
         src = preprocess.LabeledPair(ref=ref, dist=dist, jod=jod_value, provenance=preprocess.Provenance(provenance),
                                      material=material)
-        aug = preprocess.augment_scale(src, lo=lo, hi=hi, seed=(seed, i))
+        aug = preprocess.augment_scale(src, seed=(seed, i))
         aug_id = f"{pid}_s"
         ref_path = out / f"{aug_id}_ref.txt"
         dist_path = out / f"{aug_id}_dist.txt"
@@ -280,11 +275,15 @@ def _load_dataset(pairs_file, labels_file, splits_file):
     labels = _read_jods(labels_file)
     _, srows = _rows(splits_file, "splits", *SPLIT_COLUMNS)
     split_of = _ByPair(splits_file, "splits", srows)
-    dataset = {"train": [], "val": [], "test": []}
-    for (pid, material, _, _), (ref, dist) in zip(prows, read_pairs([r[2:] for r in prows])):
-        split = split_of[pid]
-        if split not in dataset:
-            raise FormatError(f"{splits_file}: pair {pid!r} has split {split!r}, want train, val or test")
+    used = []  # (split, row) of every train and val pair: no test pair's samples are read
+    for row in prows:
+        split = split_of[row[0]]
+        if split not in ("train", "val", "test"):
+            raise FormatError(f"{splits_file}: pair {row[0]!r} has split {split!r}, want train, val or test")
+        if split != "test":
+            used.append((split, row))
+    dataset = {"train": [], "val": []}
+    for (split, (pid, material, _, _)), (ref, dist) in zip(used, read_pairs([row[2:] for _, row in used])):
         dataset[split].append({"pair_id": pid, "material": material, "ref": ref, "dist": dist, "jod": labels[pid]})
     return dataset
 
@@ -383,8 +382,7 @@ def cmd_eval_baselines(pairs_file, out):
 @click.option("--labels", "labels_file", type=click.Path(exists=True), required=True)
 @click.option("--pairs", "pairs_file", type=click.Path(exists=True), required=True)
 @click.option("--out", type=click.Path(), required=True)
-@click.option("--format", "fmt", type=click.Choice(["table", "plot-data"]), default="table", show_default=True)
-def cmd_correlate(metrics_file, predictions_file, labels_file, pairs_file, out, fmt):
+def cmd_correlate(metrics_file, predictions_file, labels_file, pairs_file, out):
     """Per-material Spearman of every metric against JOD labels."""
     _, prows = _rows(pairs_file, "pairs", "pair_id", "material")
     material_of = _ByPair(pairs_file, "pairs", prows)
@@ -404,7 +402,7 @@ def cmd_correlate(metrics_file, predictions_file, labels_file, pairs_file, out, 
         _, qrows = _rows(predictions_file, "predictions", "pair_id", "jod_pred")
         rep = evaluate.correlate_per_material(scored(predictions_file, "jod_pred", qrows), sign=1)
         report_rows.append(("brdf-nqm", rep.average))
-    evaluate.emit_report(report_rows, out, fmt=fmt)
+    evaluate.emit_report(report_rows, out)
     click.echo(f"wrote {len(report_rows)} metric rows to {out}")
 
 

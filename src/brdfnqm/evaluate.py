@@ -101,22 +101,11 @@ def correlate_per_material(scored: list[ScoredPair], sign: int = 1) -> Correlati
     )
 
 
-def emit_report(rows: list[tuple[str, float]], path, fmt: str = "table") -> None:
-    """Write (metric name, average correlation) rows, descending.
-
-    'table' is a human-readable aligned table; 'plot-data' is bare
-    tab-separated rows for external plotting. Both are deterministic.
-    """
-    if fmt not in ("table", "plot-data"):
-        raise ValueError(f"unknown format {fmt!r}")
+def emit_report(rows: list[tuple[str, float]], path) -> None:
+    """Write (metric name, average correlation) rows, descending, as a deterministic aligned table."""
     ordered = sorted(rows, key=lambda r: (-r[1], r[0]))
     with open(str(path), "w", encoding="ascii") as f:
-        if fmt == "table":
-            f.write(f"# metric correlation report: {len(ordered)} metrics\n")
-            f.write(f"{'metric':<16} {'avg_spearman':>12}\n")
-            for name, rho in ordered:
-                f.write(f"{name:<16} {rho:>12.6f}\n")
-        else:
-            f.write("# metric\tavg_spearman\n")
-            for name, rho in ordered:
-                f.write(f"{name}\t{rho:.6f}\n")
+        f.write(f"# metric correlation report: {len(ordered)} metrics\n")
+        f.write(f"{'metric':<16} {'avg_spearman':>12}\n")
+        for name, rho in ordered:
+            f.write(f"{name:<16} {rho:>12.6f}\n")

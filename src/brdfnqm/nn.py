@@ -133,7 +133,7 @@ class MlpModel:
     jod_max: float
     whitening: WhiteningStats
     seed: int
-    dropout: float = 0.2
+    dropout: float
 
     def __post_init__(self):
         if not self.jod_min < self.jod_max:
@@ -286,7 +286,7 @@ def forward(model: MlpModel, batch: np.ndarray, mode: str = "eval", rng=None, dr
     if x.ndim != 2 or x.shape[1] != model.input_dim:
         raise ValueError(f"batch shape {x.shape} incompatible with input dim {model.input_dim}")
     keep = 1.0 - model.dropout
-    cache = {"mode": mode, "inputs": [], "z": [], "xhat": [], "inv_std": [], "y": [], "phi": [], "masks": []}
+    cache = {"mode": mode, "inputs": [], "xhat": [], "inv_std": [], "y": [], "phi": [], "masks": []}
     a = x
     n_hidden = len(model.gammas)
     for i in range(n_hidden):
@@ -310,7 +310,6 @@ def forward(model: MlpModel, batch: np.ndarray, mode: str = "eval", rng=None, dr
             cache["masks"].append(mask)
         else:
             cache["masks"].append(None)
-        cache["z"].append(z)
         cache["xhat"].append(xhat)
         cache["inv_std"].append(inv_std)
         cache["y"].append(y)
@@ -449,7 +448,7 @@ class PlateauScheduler:
 
     lr_input: float
     lr_deep: float
-    patience: int = 5
+    patience: int
     best: float = float("inf")
     bad_epochs: int = 0
 
@@ -467,8 +466,8 @@ class PlateauScheduler:
 
 @dataclass
 class TrainConfig:
-    epochs: int = 100
-    batch_size: int = 512
+    epochs: int
+    batch_size: int
     lr_input: float = 1e-4
     lr_deep: float = 1e-3
     weight_decay: float = 1e-4

@@ -13,19 +13,7 @@ SAMPLE_COLUMNS = ["theta_h", "theta_d", "phi_d", "cos_wi", "cos_wo", "r", "g", "
 
 def write_samples(path, sampled: SampledBrdf) -> None:
     d = sampled.directions
-    rows = [
-        [
-            float(d.theta_h[i]),
-            float(d.theta_d[i]),
-            float(d.phi_d[i]),
-            float(d.cos_wi[i]),
-            float(d.cos_wo[i]),
-            float(sampled.values[i, 0]),
-            float(sampled.values[i, 1]),
-            float(sampled.values[i, 2]),
-        ]
-        for i in range(d.k)
-    ]
+    rows = np.column_stack((d.theta_h, d.theta_d, d.phi_d, d.cos_wi, d.cos_wo, sampled.values)).tolist()
     meta = {"k": d.k, "seed": d.seed, "material": d.source_material}
     write_table(path, "samples", SAMPLE_COLUMNS, rows, meta=meta)
 

@@ -12,6 +12,7 @@ from .baselines import MetricKind, baseline_metric
 from .sampling import SampledBrdf, check_paired
 
 STD_FLOOR = 1e-8
+SCALE_RANGE = (0.95, 1.05)
 
 
 class Provenance(enum.Enum):
@@ -88,16 +89,12 @@ def augment_noise(pair: LabeledPair, sigma: float = 0.01, seed: int = 0, labelle
     return out
 
 
-def augment_scale(
-    pair: LabeledPair, lo: float = 0.95, hi: float = 1.05, seed: int | tuple[int, ...] = 0
-) -> LabeledPair:
-    """Scale both members by one uniform random factor; the label is kept.
+def augment_scale(pair: LabeledPair, seed: int | tuple[int, ...] = 0) -> LabeledPair:
+    """Scale both members by one factor drawn uniformly from SCALE_RANGE; the label is kept.
 
     seed is an int or a tuple of ints, as np.random.default_rng takes them.
     """
-    if lo > hi:
-        raise ValueError("lo must be <= hi")
-    f = float(np.random.default_rng(seed).uniform(lo, hi))
+    f = float(np.random.default_rng(seed).uniform(*SCALE_RANGE))
     return LabeledPair(
         ref=SampledBrdf(values=pair.ref.values * f, directions=pair.ref.directions),
         dist=SampledBrdf(values=pair.dist.values * f, directions=pair.dist.directions),

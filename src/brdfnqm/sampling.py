@@ -102,10 +102,6 @@ def filter_grazing(cands: np.ndarray) -> np.ndarray:
     return cands[keep]
 
 
-def _canonical_order(cands: np.ndarray) -> np.ndarray:
-    return np.lexsort((cands[:, 2], cands[:, 1], cands[:, 0]))
-
-
 def select_samples(
     ref: TabulatedBrdf, cands: np.ndarray, k: int = DEFAULT_K, seed: int = 0
 ) -> DirectionSet:
@@ -124,13 +120,12 @@ def select_samples(
         raise ValueError(f"k must be >= 1, got {k}")
     cands = np.asarray(cands, dtype=float).reshape(-1, 3)
     cands = filter_grazing(cands)
-    # dedupe exact angle triples so the selection cannot repeat a direction
+    # dedupe exact angle triples so the selection cannot repeat a direction;
+    # the rows come back sorted, so in canonical (theta_h, theta_d, phi_d) order
     cands = np.unique(cands, axis=0)
     n = len(cands)
     if n < k:
         raise InsufficientCandidatesError(f"{n} candidates survive filtering, need {k}")
-    order = _canonical_order(cands)
-    cands = cands[order]
 
     vals = lookup(ref, cands[:, 0], cands[:, 1], cands[:, 2])
     lum = vals @ LUMA_WEIGHTS
@@ -170,20 +165,18 @@ def select_samples(
 
 def _allocate_quotas(weights: np.ndarray, sizes: list[int], k: int) -> list[int]:
     """Largest-remainder apportionment with a floor of 1 and capacity caps."""
-    m = len(weights)
     quotas = np.minimum(np.maximum(np.floor(weights * k).astype(int), 1), sizes)
-    # distribute the remainder by descending fractional part, then by weight
+    # distribute the remainder by descending fractional part, then by weight;
+    # the sizes sum to at least k, so some stratum below its size takes each one
     while quotas.sum() < k:
         frac = weights * k - quotas
         frac[quotas >= np.asarray(sizes)] = -np.inf
-        if np.all(np.isinf(frac) & (frac < 0)):
-            raise InsufficientCandidatesError("strata capacity exhausted")
         quotas[int(np.argmax(frac))] += 1
     while quotas.sum() > k:
         frac = weights * k - quotas
         frac[quotas <= 0] = np.inf
         quotas[int(np.argmin(frac))] -= 1
-    return [int(q) for q in quotas[:m]]
+    return [int(q) for q in quotas]
 
 
 def sample_brdf(brdf: TabulatedBrdf, dirs: DirectionSet) -> SampledBrdf:

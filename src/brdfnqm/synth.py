@@ -19,10 +19,6 @@ from .merl import CANONICAL_RES, Rgb, TabulatedBrdf, bin_centers
 
 INVALID_SENTINEL = -1.0
 
-# bins per block of tabulate: each temporary of a block's evaluation is a
-# 128 KiB array, small enough to stay in cache between the ufuncs reading it
-_BLOCK = 1 << 14
-
 # largest radius of a rough blur kernel, in theta_h bins: its 2r + 1 taps
 # take 8 bytes each, so an absurd level would allocate gigabytes, and every
 # tap past the axis only adds weight to an edge column
@@ -73,9 +69,9 @@ def _eval_analytic(params: AnalyticBrdfParams, cos_i, cos_o, cos_h, cos_hi, out)
     """Evaluate the model from the cosines of one direction pair into out.
 
     cos_i, cos_o and cos_h are the normal components of the unit vectors
-    wi, wo and h; cos_hi is wi . h. All have one shape; out is a
-    channel-major (3, ...) array of that shape, every element of which is
-    written.
+    wi, wo and h; cos_hi is wi . h. cos_i, cos_o and cos_hi have one shape,
+    which cos_h broadcasts to; out is a channel-major (3, ...) array of that
+    shape, every element of which is written.
     """
     diffuse = params.diffuse.as_array() / math.pi
     for c in range(3):
@@ -109,9 +105,11 @@ def _eval_analytic(params: AnalyticBrdfParams, cos_i, cos_o, cos_h, cos_hi, out)
 def _bin_geometry(res: tuple[int, int, int]):
     """What _eval_analytic reads at every bin center, plus the below-horizon mask.
 
-    Returns (cos_i, cos_o, cos_h, cos_hi, below), flat over the bins in
-    table order. It depends on the resolution alone, so a dataset builds it
-    once and shares it between all its materials.
+    Returns (cos_i, cos_o, cos_h, cos_hi, below), one row per theta_h bin:
+    cos_i, cos_o, cos_hi and below are (n_theta_h, n_theta_d * n_phi_d) in
+    table order, and cos_h, which only theta_h sets, is the (n_theta_h, 1)
+    column. It depends on the resolution alone, so a dataset builds it once
+    and shares it between all its materials.
     """
     th, td, pd = bin_centers(res)
     th = th[:, None, None]
@@ -127,8 +125,7 @@ def _bin_geometry(res: tuple[int, int, int]):
     cos_hi *= np.sin(th)
     cos_hi += cos_i * cos_h
     below = (cos_i <= 1e-9) | (cos_o <= 1e-9)
-    cos_h = np.broadcast_to(cos_h, ti.shape)
-    return tuple(a.ravel() for a in (cos_i, cos_o, cos_h, cos_hi, below))
+    return tuple(a.reshape(res[0], -1) for a in (cos_i, cos_o, cos_h, cos_hi, below))
 
 
 def tabulate(
@@ -144,8 +141,8 @@ def tabulate(
     geometry is the bin geometry of res (see iter_dataset); it is built
     here when not given.
 
-    The model runs over blocks of _BLOCK bins, each written straight into
-    the one (3, bins) table, so its temporaries stay in cache and the call
+    The model runs over one theta_h row of bins at a time, each written
+    straight into the one table, so its temporaries stay small and the call
     allocates nothing of table size but the table itself. Every bin goes
     through the same operations as in one whole-table pass, so the bytes
     are those of that pass.
@@ -153,11 +150,11 @@ def tabulate(
     if geometry is None:
         geometry = _bin_geometry(res)
     *cosines, below = geometry
-    table = np.empty((3, below.size))
-    for lo in range(0, below.size, _BLOCK):
-        block = slice(lo, lo + _BLOCK)
-        _eval_analytic(params, *(c[block] for c in cosines), table[:, block])
-        np.copyto(table[:, block], INVALID_SENTINEL, where=below[block])
+    table = np.empty((3, *below.shape))
+    for i, row in enumerate(zip(*cosines)):
+        # cos_h's row is a shape-(1,) array, so n_h**2 stays numpy's square
+        _eval_analytic(params, *row, table[:, i])
+        np.copyto(table[:, i], INVALID_SENTINEL, where=below[i])
     return TabulatedBrdf(name=name or params.model.value, values=table.reshape(3, *res))
 
 

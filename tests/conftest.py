@@ -87,7 +87,7 @@ def reference_io_to_halfdiff_arrays(theta_i, phi_i, theta_o, phi_o):
 
 
 # The bin geometry from the cartesian chain above, and the whole-table,
-# row-major model evaluation that synth.tabulate's blocked pass replaces,
+# row-major model evaluation that synth.tabulate's per-row pass replaces,
 # frozen as the reference it must match bit for bit.
 
 

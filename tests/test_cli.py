@@ -89,11 +89,11 @@ def test_gen_synthetic_refuses_a_blur_wider_than_the_bound(runner, tmp_path, mag
 
 def test_gen_synthetic_peak_memory_is_counted_in_tables(tmp_path):
     """At most this much is allocated at once while gen-synthetic runs:
-    the bin geometry (four float arrays and a mask, 33 bytes a bin), the
+    the bin geometry (three float arrays and a mask, 25 bytes a bin), the
     reference, the table being made and one full-table temporary (24 bytes
     a bin each; rough's zero-filled blur input, or the raw payload save_merl
     writes), plus a quarter table for the bin masks and small arrays. No
-    distorted table outlives its save, and tabulate's block temporaries are
+    distorted table outlives its save, and tabulate's per-row temporaries are
     small. numpy reports its allocations to tracemalloc, so the traced peak
     is the same on every run; a warm-up run first does the lazy imports."""
     res = (45, 45, 90)
@@ -108,13 +108,13 @@ def test_gen_synthetic_peak_memory_is_counted_in_tables(tmp_path):
     finally:
         tracemalloc.stop()
     bins = math.prod(res)
-    geometry, table = 33 * bins, 24 * bins
+    geometry, table = 25 * bins, 24 * bins
     assert peak < geometry + 3 * table + table // 4, peak / table
 
 
 def test_gen_synthetic_holds_no_table_when_the_next_material_starts(tmp_path, monkeypatch):
     """On entry to the second material's tabulate, every table of the first
-    is saved and nothing holds it: only the bin geometry (33 bytes a bin) and
+    is saved and nothing holds it: only the bin geometry (25 bytes a bin) and
     small arrays, under a quarter table (24 bytes a bin), are traced. A
     previous reference still held by the CLI loop or the generator would add
     a whole table."""
@@ -137,7 +137,7 @@ def test_gen_synthetic_holds_no_table_when_the_next_material_starts(tmp_path, mo
     finally:
         tracemalloc.stop()
     bins = math.prod(res)
-    geometry, table = 33 * bins, 24 * bins
+    geometry, table = 25 * bins, 24 * bins
     assert len(held) == 2
     assert held[1] < geometry + table // 4, (held[1] - geometry) / table
 
@@ -300,20 +300,19 @@ def test_predict_usage_errors(runner, tmp_path, pipeline):
 
 
 def test_fit_jod_roundtrip(runner, tmp_path):
-    from brdfnqm.jod import REFERENCE_PARAMS, jod_from_deitp
+    """fit-jod starts from the reference parameters and moves to those that made the calibration."""
+    from brdfnqm.jod import JodRegressionParams, jod_from_deitp
 
+    truth = JodRegressionParams(-10.0, -0.3, -0.3)
     d = np.linspace(0.1, 30.0, 25)
-    rows = [[f"p{i}", float(x), float(jod_from_deitp(x))] for i, x in enumerate(d)]
+    rows = [[f"p{i}", float(x), float(jod_from_deitp(x, truth))] for i, x in enumerate(d)]
     calib = tmp_path / "calib.txt"
     write_table(calib, "calibration", ["pair_id", "deitp", "jod"], rows)
     out = tmp_path / "params.txt"
-    _run(runner, [
-        "fit-jod", "--calibration", str(calib),
-        "--init", "-10.0", "-0.3", "-0.3", "--out", str(out),
-    ])
+    _run(runner, ["fit-jod", "--calibration", str(calib), "--out", str(out)])
     _, cols, prow = read_table(out, "jodparams")
     fitted = [float(v) for v in prow[0]]
-    np.testing.assert_allclose(fitted, REFERENCE_PARAMS.as_array(), rtol=1e-3)
+    np.testing.assert_allclose(fitted, truth.as_array(), rtol=1e-3)
 
     result = runner.invoke(cli.main, ["fit-jod", "--calibration", str(out), "--out", str(tmp_path / "x.txt")])
     assert result.exit_code == 1  # wrong table kind -> runtime error
@@ -462,6 +461,19 @@ def test_train_nan_samples_is_runtime_error(pipeline, runner, tmp_path):
     pairs = _pairs_with_bad_dist(pipeline, tmp_path, "nan")
     result = runner.invoke(cli.main, _train_args(pairs, pipeline / "labels.txt", pipeline / "splits.txt", tmp_path))
     _assert_one_line_error(result, "bad_dist.txt", "NaN")
+
+
+def test_train_reads_no_test_split_samples(pipeline, runner, tmp_path):
+    """A test-split pair whose dist file is missing trains; predict, which reads it, fails naming it."""
+    meta, cols, rows = read_table(pipeline / "samples" / "pairs.txt", "pairs")
+    row = next(r for r in rows if r[cols.index("material")] == "mat002")
+    row[cols.index("dist_samples")] = str(tmp_path / "missing_dist.txt")
+    pairs = tmp_path / "pairs.txt"
+    write_table(pairs, "pairs", cols, rows, meta=meta)
+    _run(runner, _train_args(pairs, pipeline / "labels.txt", pipeline / "splits.txt", tmp_path))
+    result = runner.invoke(cli.main, ["predict", "--checkpoint", str(tmp_path / "m.ckpt"), "--pairs", str(pairs),
+                                      "--out", str(tmp_path / "p.txt")])
+    _assert_one_line_error(result, "missing_dist.txt")
 
 
 @pytest.fixture(scope="module")

@@ -136,15 +136,3 @@ def test_emit_report_table_sorted_descending(tmp_path):
     p2 = tmp_path / "report2.txt"
     emit_report(rows, p2)
     assert p.read_bytes() == p2.read_bytes()
-
-
-def test_emit_report_plot_data(tmp_path):
-    rows = [("rmse", 0.3), ("mae", 0.31)]
-    p = tmp_path / "plot.tsv"
-    emit_report(rows, p, fmt="plot-data")
-    lines = p.read_text().splitlines()
-    assert lines[0] == "# metric\tavg_spearman"
-    assert lines[1] == "mae\t0.310000"
-    assert lines[2] == "rmse\t0.300000"
-    with pytest.raises(ValueError):
-        emit_report(rows, tmp_path / "x", fmt="csv")

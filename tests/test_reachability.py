@@ -11,7 +11,10 @@ must name a live public function, or be listed as retired with its reason.
 """
 
 import ast
+import re
 from pathlib import Path
+
+from brdfnqm import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -81,3 +84,22 @@ def test_every_timed_span_names_a_live_function():
         if name not in _public_functions(module):
             dead.add(span)
     assert dead == RETIRED_SPANS
+
+
+# options no pipeline command sets, with the ROADMAP item that keeps them
+ALLOWED_UNSET_OPTIONS = {
+    "--ref",  # ROADMAP item 9: `predict --ref/--dist` scores one pair
+    "--dist",  # ROADMAP item 9, with --ref
+}
+
+
+def test_every_cli_option_is_set_by_a_pipeline_caller():
+    """Every option of every command occurs in README.md, the benchmark or CI;
+    one that no pipeline sets is a constant, not an option."""
+    texts = [ROOT / "README.md", *sorted((ROOT / "perfbench").glob("*.py")),
+             *sorted((ROOT / ".github" / "workflows").glob("*.yml"))]
+    corpus = "\n".join(path.read_text() for path in texts)
+    options = {opt for command in cli.main.commands.values() for param in command.params
+               for opt in param.opts if opt.startswith("--")}
+    unset = {opt for opt in options if not re.search(re.escape(opt) + r"(?![\w-])", corpus)}
+    assert unset == ALLOWED_UNSET_OPTIONS, sorted(unset)

@@ -300,6 +300,9 @@ def test_bin_geometry_matches_cartesian_reference():
         got = synth._bin_geometry(res)
         want = reference_bin_geometry(res)
         assert len(got) == len(want) == 5
+        # one row per theta_h bin; cos_h is the theta_h column
+        want = [b.reshape(res[0], -1) for b in want]
+        want[2] = want[2][:, :1]
         for a, b in zip(got, want):
             assert a.shape == b.shape and a.dtype == b.dtype
             assert a.tobytes() == np.ascontiguousarray(b).tobytes()
@@ -317,10 +320,7 @@ def test_tabulate_matches_row_major_reference(model):
 @pytest.mark.parametrize("res", [(7, 5, 3), (12, 8, 16), (45, 45, 90)], ids=["7x5x3", "12x8x16", "45x45x90"])
 @pytest.mark.parametrize("model", list(BrdfModel))
 def test_tabulate_blocks_match_whole_table_reference(model, res):
-    """tabulate's blocks give the bytes of one whole-table pass, at bin
-    counts below one block and across several blocks and a partial one."""
-    assert math.prod(res) % synth._BLOCK != 0
-    assert 45 * 45 * 90 > 2 * synth._BLOCK
+    """tabulate's theta_h rows give the bytes of one whole-table pass."""
     params = synth.random_params(np.random.default_rng(5), model=model)
     table = synth.tabulate(params, res=res)
     assert table.invalid_mask().any()
