@@ -193,13 +193,15 @@ def _load_params(path) -> jod.JodRegressionParams:
 
 @main.command("label")
 @click.option("--deitp", "deitp_file", type=click.Path(exists=True), help="Table with pair_id/deitp columns.")
-@click.option("--params", "params_file", type=click.Path(exists=True), help="Fitted regression parameters.")
+@click.option("--params", "params_file", type=click.Path(exists=True), help="Fitted regression parameters (with --deitp only).")
 @click.option("--from-severity", "pairs_file", type=click.Path(exists=True), help="Pairs index: label via the synthetic severity oracle instead.")
 @click.option("--out", type=click.Path(), required=True)
 def cmd_label(deitp_file, params_file, pairs_file, out):
     """Assign JOD labels from deitp values or the synthetic severity oracle."""
     if bool(deitp_file) == bool(pairs_file):
         raise click.UsageError("give either --deitp (with --params) or --from-severity")
+    if pairs_file and params_file:
+        raise click.UsageError("--params goes with --deitp, not --from-severity")
     if pairs_file:
         _, prows = _rows(pairs_file, "pairs", "pair_id", "severity")
         provenance = preprocess.Provenance.SYNTHETIC_ORACLE.value
@@ -246,23 +248,22 @@ def cmd_augment(pairs_file, labels_file, splits_file, seed, out_dir):
     for _, _, provenance in lrows:
         if provenance not in provenances:
             raise FormatError(f"{labels_file}: provenance is {provenance!r}, want one of {', '.join(provenances)}")
-    labels = _ByPair(labels_file, "labels", ((pid, (j, provenance)) for pid, j, provenance in lrows))
+    labels = _ByPair(labels_file, "labels", ((pid, j) for pid, j, _ in lrows))
     split_of = _ByPair(splits_file, "splits", srows)
     out.mkdir(parents=True, exist_ok=True)
     new_pairs, new_labels, new_splits = list(prows), list(lrows), list(srows)
     train_rows = [(i, r, labels[r[0]]) for i, r in enumerate(prows) if split_of[r[0]] == "train"]
     sampled = read_pairs([r[3:] for _, r, _ in train_rows])
-    for (i, (pid, material, severity, _, _), (jod_value, provenance)), (ref, dist) in zip(train_rows, sampled):
-        src = preprocess.LabeledPair(ref=ref, dist=dist, jod=jod_value, provenance=preprocess.Provenance(provenance),
-                                     material=material)
-        aug = preprocess.augment_scale(src, seed=(seed, i))
+    aug_provenance = preprocess.Provenance.AUGMENTED_SCALE.value
+    for (i, (pid, material, severity, _, _), jod_value), (ref, dist) in zip(train_rows, sampled):
         aug_id = f"{pid}_s"
         ref_path = out / f"{aug_id}_ref.txt"
         dist_path = out / f"{aug_id}_dist.txt"
-        write_samples(ref_path, aug.ref)
-        write_samples(dist_path, aug.dist)
-        new_pairs.append([aug_id, aug.material, severity, str(ref_path), str(dist_path)])
-        new_labels.append([aug_id, aug.jod, aug.provenance.value])
+        aug_ref, aug_dist = preprocess.augment_scale(ref, dist, seed=(seed, i))
+        write_samples(ref_path, aug_ref)
+        write_samples(dist_path, aug_dist)
+        new_pairs.append([aug_id, material, severity, str(ref_path), str(dist_path)])
+        new_labels.append([aug_id, jod_value, aug_provenance])
         new_splits.append([aug_id, "train"])
     write_table(out / "pairs.txt", "pairs", PAIRS_COLUMNS, new_pairs, meta=pairs_meta)
     write_table(out / "labels.txt", "labels", LABEL_COLUMNS, new_labels)
@@ -337,7 +338,7 @@ def cmd_train(pairs_file, labels_file, splits_file, epochs, batch_size, seed, ch
 @click.option("--pairs", "pairs_file", type=click.Path(exists=True), help="Pairs index to score in batch.")
 @click.option("--ref", "ref_file", type=click.Path(exists=True), help="Single reference sample file.")
 @click.option("--dist", "dist_file", type=click.Path(exists=True), help="Single distorted sample file.")
-@click.option("--out", type=click.Path(), help="Output table (required with --pairs).")
+@click.option("--out", type=click.Path(), help="Output table (with --pairs only, where it is required).")
 def cmd_predict(checkpoint_path, pairs_file, ref_file, dist_file, out):
     """Predict JOD for sampled pairs with a trained checkpoint."""
     single = bool(ref_file or dist_file)
@@ -345,8 +346,8 @@ def cmd_predict(checkpoint_path, pairs_file, ref_file, dist_file, out):
         raise click.UsageError("--ref and --dist must be given together")
     if single == bool(pairs_file):
         raise click.UsageError("give either --pairs or --ref/--dist")
-    if pairs_file and not out:
-        raise click.UsageError("--out is required with --pairs")
+    if bool(out) != bool(pairs_file):
+        raise click.UsageError("--out goes with --pairs, and is required there; --ref/--dist prints the score")
     from . import nn
 
     model = nn.load_checkpoint(checkpoint_path)

@@ -5,7 +5,6 @@ import pytest
 
 from brdfnqm import sampling, synth
 from brdfnqm.merl import Rgb, bin_centers
-from brdfnqm.preprocess import LabeledPair, Provenance
 from brdfnqm.sampling import DirectionSet, SampledBrdf
 
 SMALL_RES = (16, 16, 32)
@@ -156,12 +155,13 @@ def tiny_direction_set(k: int = 4, seed: int = 0, material: str = "m") -> Direct
     )
 
 
-def make_pair(jod: float, material: str = "m", seed: int = 0, k: int = 4) -> LabeledPair:
+def make_pair(seed: int = 0, k: int = 4) -> tuple[SampledBrdf, SampledBrdf]:
+    """A (ref, dist) pair on one tiny direction set; dist is ref plus clamped noise."""
     rng = np.random.default_rng(seed)
-    ds = tiny_direction_set(k=k, seed=seed, material=material)
+    ds = tiny_direction_set(k=k, seed=seed)
     ref = SampledBrdf(values=rng.uniform(0.0, 2.0, size=(k, 3)), directions=ds)
     dist = SampledBrdf(values=np.maximum(ref.values + rng.normal(0, 0.1, size=(k, 3)), 0.0), directions=ds)
-    return LabeledPair(ref=ref, dist=dist, jod=jod, provenance=Provenance.SYNTHETIC_ORACLE, material=material)
+    return ref, dist
 
 
 @pytest.fixture

@@ -18,7 +18,7 @@ from brdfnqm.jod import (
     fit_jod_regression,
     jod_from_deitp,
 )
-from brdfnqm.preprocess import LabeledPair, Provenance, WhiteningStats
+from brdfnqm.preprocess import WhiteningStats
 from brdfnqm.sampling import SampledBrdf
 
 from conftest import tiny_direction_set
@@ -198,13 +198,10 @@ def test_acceptance_6_counting_invariants():
     ref = SampledBrdf(values=np.ones((4, 3)), directions=ds)
     dist = SampledBrdf(values=np.full((4, 3), 1.1), directions=ds)
 
-    def pair(material):
-        return LabeledPair(ref=ref, dist=dist, jod=5.0, provenance=Provenance.PSEUDO_DEITP, material=material)
-
     # 3,340 ordinary pairs + 180 pairs of held-out study materials = 3,520
-    pool = [pair(f"m{idx % 167}") for idx in range(3340)]
-    pool += [pair(f"held{idx % 9}") for idx in range(180)]
-    splits = preprocess.make_splits([p.material for p in pool], test_materials=[f"held{i}" for i in range(9)], seed=0)
+    materials = [f"m{idx % 167}" for idx in range(3340)]
+    materials += [f"held{idx % 9}" for idx in range(180)]
+    splits = preprocess.make_splits(materials, test_materials=[f"held{i}" for i in range(9)], seed=0)
     train = [i for i, s in enumerate(splits) if s == "train"]
     assert len(train) == 2672
     assert splits.count("val") == 668
@@ -212,8 +209,7 @@ def test_acceptance_6_counting_invariants():
     assert len(splits) == 3520
 
     # scale augmentation adds one scaled copy per training pair: 2672 -> 5344
-    augmented = [preprocess.augment_scale(pool[i], seed=i) for i in train]
-    assert all(p.provenance is Provenance.AUGMENTED_SCALE for p in augmented)
+    augmented = [preprocess.augment_scale(ref, dist, seed=i) for i in train]
     total_train = len(train) + len(augmented)
     assert total_train == 5344
     _ok(6, "counting invariants (3,520 -> 2,672/668/180; train 2,672 -> 5,344)")
@@ -251,9 +247,14 @@ def desk_dataset():
 def test_acceptance_7_end_to_end(desk_dataset):
     items = desk_dataset
     held_out = {f"mat{m:03d}" for m in range(24, 30)}
-    train_items = [it for it in items if it[0] not in held_out]
+    fit_items = [it for it in items if it[0] not in held_out]
     test_items = [it for it in items if it[0] in held_out]
-    assert len(train_items) == 24 * 9 and len(test_items) == 6 * 9
+    assert len(fit_items) == 24 * 9 and len(test_items) == 6 * 9
+    # the snapshot is chosen on a validation split of the training materials,
+    # as `split` makes it; the held-out materials are scored only
+    splits = preprocess.make_splits([it[0] for it in fit_items], test_materials=[], seed=0)
+    train_items = [it for it, s in zip(fit_items, splits) if s == "train"]
+    val_items = [it for it, s in zip(fit_items, splits) if s == "val"]
 
     seen, train_refs = set(), []
     for name, ref, _, _ in train_items:
@@ -262,13 +263,15 @@ def test_acceptance_7_end_to_end(desk_dataset):
             train_refs.append(ref)
     stats = preprocess.compute_whitening(train_refs)
     y_tr = np.array([j for _, _, _, j in train_items])
+    y_va = np.array([j for _, _, _, j in val_items])
     y_te = np.array([j for _, _, _, j in test_items])
     model = nn.init_model(seed=0, jod_min=float(y_tr.min()), jod_max=float(y_tr.max() + 1e-6),
                           whitening=stats, input_dim=3000)
     x_tr = nn.input_matrix(model, [(r, d) for _, r, d, _ in train_items])
+    x_va = nn.input_matrix(model, [(r, d) for _, r, d, _ in val_items])
     x_te = nn.input_matrix(model, [(r, d) for _, r, d, _ in test_items])
     cfg = nn.TrainConfig(epochs=200, batch_size=64, shuffle_seed=0)
-    model, history = nn.train(model, x_tr, y_tr, x_te, y_te, cfg)
+    model, history = nn.train(model, x_tr, y_tr, x_va, y_va, cfg)
 
     pred, _ = nn.forward(model, x_te, mode="eval")
     scored = [

@@ -202,8 +202,10 @@ def test_split_holds_out_material(pipeline):
     assert n_train == round(0.8 * 6) and n_train + n_val == 6
 
 
-def test_augment_doubles_training_rows(pipeline, runner, tmp_path):
-    out = tmp_path / "aug"
+@pytest.fixture(scope="module")
+def augmented(pipeline, runner, tmp_path_factory):
+    """The output directory of ``augment --seed 4`` on the shared pipeline."""
+    out = tmp_path_factory.mktemp("aug")
     _run(runner, [
         "augment",
         "--pairs", str(pipeline / "samples" / "pairs.txt"),
@@ -211,19 +213,15 @@ def test_augment_doubles_training_rows(pipeline, runner, tmp_path):
         "--splits", str(pipeline / "splits.txt"),
         "--seed", "4", "--out-dir", str(out),
     ])
-    _, cols, rows = read_table(out / "pairs.txt", "pairs")
-    _, scols, srows = read_table(out / "splits.txt", "splits")
-    split_of = {r[0]: r[1] for r in srows}
+    return out
+
+
+def test_augment_doubles_training_rows(pipeline, augmented):
+    _, cols, rows = read_table(augmented / "pairs.txt", "pairs")
+    _, scols, srows = read_table(augmented / "splits.txt", "splits")
     n_train_before = sum(1 for r in srows if not r[0].endswith("_s") and r[1] == "train")
     n_aug = sum(1 for r in rows if r[0].endswith("_s"))
     assert n_aug == n_train_before
-    assert all(split_of[r[0]] == "train" for r in rows if r[0].endswith("_s"))
-    # labels carried over unchanged for the scaled copies
-    _, lcols, lrows = read_table(out / "labels.txt", "labels")
-    jod_of = {r[0]: float(r[1]) for r in lrows}
-    for r in rows:
-        if r[0].endswith("_s"):
-            assert jod_of[r[0]] == pytest.approx(jod_of[r[0][:-2]])
     # row i of the input pairs is scaled by a draw keyed by (seed, i)
     scaled = {r[0][:-2]: r for r in rows if r[0].endswith("_s")}
     _, _, src_rows = read_table(pipeline / "samples" / "pairs.txt", "pairs")
@@ -235,6 +233,38 @@ def test_augment_doubles_training_rows(pipeline, runner, tmp_path):
                 _, _, after = read_table(scaled[src[0]][cols.index(col)], "samples")
                 np.testing.assert_allclose(
                     np.array(after, dtype=float)[:, 5:], factor * np.array(before, dtype=float)[:, 5:], rtol=1e-15)
+
+
+def test_augment_scaled_rows_copy_label_and_directions(augmented):
+    """Each <pid>_s pair is a train pair with its source's JOD, provenance
+    aug_scale, and the source's samples times one factor in SCALE_RANGE,
+    the same for ref and dist; the direction columns are copied unchanged."""
+    _, rows = cli._rows(augmented / "pairs.txt", "pairs", "pair_id", "ref_samples", "dist_samples")
+    _, lrows = cli._rows(augmented / "labels.txt", "labels", *cli.LABEL_COLUMNS)
+    _, srows = cli._rows(augmented / "splits.txt", "splits", *cli.SPLIT_COLUMNS)
+    label_of = {pid: (float(j), provenance) for pid, j, provenance in lrows}
+    split_of = dict(srows)
+    files_of = {pid: (ref, dist) for pid, ref, dist in rows}
+    scaled = [pid for pid in files_of if pid.endswith("_s")]
+    assert scaled
+    for pid in scaled:
+        src = pid[:-2]
+        assert label_of[pid] == (label_of[src][0], "aug_scale")
+        assert split_of[pid] == "train"
+        values = []  # (source, scaled) reflectance of ref, then of dist
+        for before_path, after_path in zip(files_of[src], files_of[pid]):
+            _, cols, before = read_table(before_path, "samples")
+            _, after_cols, after = read_table(after_path, "samples")
+            assert after_cols == cols
+            before, after = np.array(before, dtype=float), np.array(after, dtype=float)
+            rgb = [cols.index(c) for c in ("r", "g", "b")]
+            directions = [i for i in range(len(cols)) if i not in rgb]
+            np.testing.assert_array_equal(after[:, directions], before[:, directions])
+            values.append((before[:, rgb], after[:, rgb]))
+        f = values[0][1][0, 0] / values[0][0][0, 0]
+        assert 0.95 <= f <= 1.05
+        for before, after in values:
+            np.testing.assert_allclose(after, f * before, rtol=1e-14)
 
 
 def test_train_predict_correlate(pipeline, runner, tmp_path):
@@ -295,8 +325,16 @@ def test_train_predict_correlate(pipeline, runner, tmp_path):
 
 
 def test_predict_usage_errors(runner, tmp_path, pipeline):
-    result = runner.invoke(cli.main, ["predict", "--checkpoint", str(pipeline / "labels.txt")])
-    assert result.exit_code == 2  # neither --pairs nor --ref/--dist
+    _, rows = cli._rows(pipeline / "samples" / "pairs.txt", "pairs", "ref_samples", "dist_samples")
+    out = tmp_path / "preds.txt"
+    for args in (
+        [],  # neither --pairs nor --ref/--dist
+        ["--ref", rows[0][0], "--dist", rows[0][1], "--out", str(out)],  # --out belongs with --pairs
+    ):
+        result = runner.invoke(cli.main, ["predict", "--checkpoint", str(pipeline / "labels.txt"), *args])
+        assert result.exit_code == 2, result.output
+        assert result.output.strip().splitlines()[-1].startswith("Error: ")
+    assert not out.exists()
 
 
 def test_fit_jod_roundtrip(runner, tmp_path):
@@ -328,8 +366,17 @@ def test_fit_jod_too_few_distinct_points_is_runtime_error(runner, tmp_path, deit
 
 
 def test_label_usage_error(runner, tmp_path, pipeline):
-    result = runner.invoke(cli.main, ["label", "--out", str(tmp_path / "x.txt")])
-    assert result.exit_code == 2
+    params = tmp_path / "params.txt"
+    write_table(params, "jodparams", ["b1", "b2", "b3"], [[-14.11, -0.47, -0.21]])
+    out = tmp_path / "x.txt"
+    for args in (
+        [],  # neither --deitp nor --from-severity
+        ["--from-severity", str(pipeline / "samples" / "pairs.txt"), "--params", str(params)],  # --params needs --deitp
+    ):
+        result = runner.invoke(cli.main, ["label", *args, "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert result.output.strip().splitlines()[-1].startswith("Error: ")
+    assert not out.exists()
 
 
 def test_label_with_empty_params_table_is_runtime_error(runner, tmp_path):
@@ -842,10 +889,12 @@ def _table_read_cases():
         yield pytest.param(command, kind, dropped, _drop_column(dropped), id=f"{command}-{kind}-no-{dropped}")
         if numeric:
             yield pytest.param(command, kind, numeric, _spoil_last_row(numeric), id=f"{command}-{kind}-bad-{numeric}")
-    # values that parse but that augment's LabeledPair would refuse
+    # values that parse but that augment refuses: a JOD outside [0, 10], and a
+    # provenance that is not a Provenance, such as "aug_noise", which no command writes
     yield pytest.param("augment", "labels", "jod", _spoil_last_row("jod", "11.5"), id="augment-labels-jod-above-10")
-    yield pytest.param("augment", "labels", "provenance", _spoil_last_row("provenance", "bogus"),
-                       id="augment-labels-bogus-provenance")
+    for provenance in ("bogus", "aug_noise"):
+        yield pytest.param("augment", "labels", "provenance", _spoil_last_row("provenance", provenance),
+                           id=f"augment-labels-{provenance}-provenance")
 
 
 @pytest.mark.parametrize("command, kind, column, edit", _table_read_cases())

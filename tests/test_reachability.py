@@ -20,8 +20,6 @@ ROOT = Path(__file__).resolve().parent.parent
 
 ALLOWED = {
     "io_to_halfdiff_arrays",  # ROADMAP item 1: the renderer's per-pixel lookups
-    "balance_by_jod",  # ROADMAP item 2: wired into `augment` or deleted by measurement
-    "fit_label_proxy",  # ROADMAP item 2, with balance_by_jod
 }
 
 
