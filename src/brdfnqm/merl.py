@@ -24,7 +24,7 @@ from .geometry import HALF_PI
 CANONICAL_RES = (90, 90, 180)
 CHANNEL_SCALES = (1.0 / 1500.0, 1.15 / 1500.0, 1.66 / 1500.0)
 _SCALES = np.array(CHANNEL_SCALES).reshape(3, 1, 1, 1)
-_CHECK_CHUNK = 1 << 17  # payload values per read of load_merl's finite check (1 MiB)
+_CHECK_CHUNK = 1 << 16  # payload values per checked read (load_merl) or write (save_merl), 512 KiB
 
 
 @dataclass(frozen=True)
@@ -123,23 +123,40 @@ def load_merl(path, name: str | None = None) -> TabulatedBrdf:
 def save_merl(brdf: TabulatedBrdf, path) -> None:
     """Write the exact inverse of load_merl.
 
-    A table whose raw payload would hold NaN or infinite values (a value
-    above about max double / 1500 overflows the calibration divide) raises
-    FormatError and writes no file, since load_merl would refuse it.
+    The payload goes out one channel at a time, in chunks of _CHECK_CHUNK
+    values: a loaded table's raw payload as it is, other tables divided by
+    the channel scale with negative sentinels put back undivided. Each chunk
+    is checked before it is written, and a NaN or infinite value (a value
+    above about max double / 1500 overflows the divide) raises FormatError,
+    since load_merl would refuse it. The file is written under a temporary
+    name next to path and then moved onto it, so a refused table leaves any
+    file at path as it was and no temporary behind, and a loaded table can
+    be saved over the file it maps.
     """
-    if brdf.raw is not None:
-        # a copy: the file the payload maps may be the one about to be written
-        raw = np.array(brdf.raw)
-    else:
-        with np.errstate(over="ignore"):  # an overflow is refused just below
-            raw = brdf.values / _SCALES
-        # negative sentinels are put back undivided
-        np.copyto(raw, brdf.values, where=brdf.values < 0.0)
-    if not np.isfinite(raw).all():
-        raise FormatError(f"{path}: NaN or infinite values in the payload")
-    with open(str(path), "wb") as f:
-        f.write(struct.pack("<3i", *brdf.resolution))
-        f.write(memoryview(np.ascontiguousarray(raw, dtype="<f8")).cast("B"))
+    path = str(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    payload = brdf.values if brdf.raw is None else brdf.raw
+    f = open(tmp, "wb")
+    try:
+        with f:
+            f.write(struct.pack("<3i", *brdf.resolution))
+            buf = np.empty(min(payload[0].size, _CHECK_CHUNK), dtype="<f8")
+            for scale, channel in zip(CHANNEL_SCALES, payload):
+                channel = channel.reshape(-1)
+                for start in range(0, channel.size, _CHECK_CHUNK):
+                    part = channel[start : start + _CHECK_CHUNK]
+                    if brdf.raw is None:
+                        values, part = part, buf[: part.size]
+                        with np.errstate(over="ignore"):  # an overflow is refused just below
+                            np.divide(values, scale, out=part)
+                        np.copyto(part, values, where=values < 0.0)
+                    if not np.isfinite(part).all():
+                        raise FormatError(f"{path}: NaN or infinite values in the payload")
+                    f.write(memoryview(part).cast("B"))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def theta_h_index(theta_h, res: int):

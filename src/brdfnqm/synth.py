@@ -196,8 +196,16 @@ def distort(brdf: TabulatedBrdf, spec: DistortionSpec) -> TabulatedBrdf:
         if m > 0.0:
             n_th = brdf.res_theta_h
             _check_level(spec, n_th)
-            filled = np.where(invalid[None, ...], 0.0, v).reshape(3, n_th, -1)
-            out = np.matmul(_blur_operator(n_th, m * n_th), filled).reshape(v.shape)
+            op = _blur_operator(n_th, m * n_th)
+            # one channel at a time through one zero-filled buffer: the GEMM
+            # each channel gets is the one a stacked matmul would make, so
+            # the bytes are the same (column blocks would change them)
+            out = np.empty(v.shape)
+            buf = np.empty(v.shape[1:])
+            for c in range(3):
+                np.copyto(buf, v[c])
+                np.copyto(buf, 0.0, where=invalid)
+                np.matmul(op, buf.reshape(n_th, -1), out=out[c].reshape(n_th, -1))
         else:
             out = v.copy()
     else:  # pragma: no cover - enum is exhaustive

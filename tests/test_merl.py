@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -267,8 +268,37 @@ def test_damaged_file_loads_losslessly_or_raises_format_error(tmp_path, data):
 @pytest.mark.parametrize("value", [1e306, math.nan])
 def test_save_refuses_a_payload_that_load_would_refuse(tmp_path, value):
     """1e306 overflows the calibration divide to inf; NaN stays NaN. Either
-    is a FormatError naming the path, and no file is written."""
+    is a FormatError naming the path, in every value or only in the last,
+    after every chunk before it has been written. The file already at the
+    path keeps its bytes, and the directory holds no other file afterwards."""
     p = tmp_path / "bad.binary"
-    with pytest.raises(FormatError, match="bad.binary"):
-        merl.save_merl(TabulatedBrdf(name="bad", values=np.full((3, 2, 2, 2), value)), p)
-    assert not p.exists()
+    _write_file(p, (2, 2, 2), np.arange(24.0))
+    before = p.read_bytes()
+    last_only = np.ones((3, 2, 2, merl._CHECK_CHUNK))
+    last_only[-1, -1, -1, -1] = value
+    for values in (np.full((3, 2, 2, 2), value), last_only):
+        with pytest.raises(FormatError, match="bad.binary"):
+            merl.save_merl(TabulatedBrdf(name="bad", values=values), p)
+        assert p.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [p]
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["values", "load_merl"])
+def test_save_allocates_under_a_quarter_table(tmp_path, loaded):
+    """save_merl holds one chunk of the payload at a time, never a table-sized
+    copy (24 bytes a bin), whether it divides a table's values or writes a
+    loaded table's raw payload."""
+    res = (45, 45, 90)
+    table = TabulatedBrdf(name="t", values=np.random.default_rng(1).uniform(-0.1, 1.0, size=(3, *res)))
+    if loaded:
+        merl.save_merl(table, tmp_path / "t.binary")
+        table = merl.load_merl(tmp_path / "t.binary")
+    merl.save_merl(table, tmp_path / "warm.binary")
+    tracemalloc.start()
+    try:
+        merl.save_merl(table, tmp_path / "out.binary")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * math.prod(res) // 4, peak
+    assert (tmp_path / "out.binary").read_bytes() == (tmp_path / "warm.binary").read_bytes()

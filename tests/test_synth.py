@@ -327,6 +327,22 @@ def test_tabulate_blocks_match_whole_table_reference(model, res):
     assert table.values.tobytes() == reference_tabulate(params, res).tobytes()
 
 
+@pytest.mark.parametrize("res", [(7, 5, 3), (12, 8, 16), (33, 17, 41), (45, 45, 90)],
+                         ids=["7x5x3", "12x8x16", "33x17x41", "45x45x90"])
+def test_rough_channels_match_whole_table_reference(res):
+    """The rough blur, one channel at a time through one buffer, gives the
+    bytes of one stacked matrix product over the zero-filled table."""
+    table = synth.tabulate(synth.random_params(np.random.default_rng(5)), res=res)
+    v, invalid = table.values, table.invalid_mask()
+    assert invalid.any()
+    n = res[0]
+    for m in (0.01, 0.05, 0.3):
+        got = synth.distort(table, DistortionSpec(DistortionKind.ROUGHNESS_SHIFT, m))
+        want = np.matmul(synth._blur_operator(n, m * n), np.where(invalid, 0.0, v).reshape(3, n, -1)).reshape(v.shape)
+        np.copyto(want, v, where=invalid)
+        assert got.values.tobytes() == want.tobytes(), m
+
+
 @pytest.mark.parametrize("magnitude", [0.0, 0.3])
 @pytest.mark.parametrize("kind", list(DistortionKind))
 def test_distort_matches_boolean_index_reference(ggx_table, kind, magnitude):
