@@ -2,20 +2,48 @@
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from .errors import FormatError, PairingError
 from .sampling import DirectionSet, SampledBrdf
-from .tables import read_numeric_table, write_table
+from .tables import _write_lines, read_numeric_table
 
 SAMPLE_COLUMNS = ["theta_h", "theta_d", "phi_d", "cos_wi", "cos_wo", "r", "g", "b"]
 
+# row prefixes of each live DirectionSet, dropped when the set is freed;
+# a set's arrays are read-only, so its text cannot go stale
+_row_prefixes: weakref.WeakKeyDictionary[DirectionSet, list[str]] = weakref.WeakKeyDictionary()
+
+
+def _direction_columns(d: DirectionSet) -> np.ndarray:
+    return np.column_stack((d.theta_h, d.theta_d, d.phi_d, d.cos_wi, d.cos_wo))
+
+
+def _format_directions(path, d: DirectionSet) -> list[str]:
+    """Each row's five direction fields as repr text joined by spaces, plus a trailing space."""
+    columns = _direction_columns(d)
+    if not np.isfinite(columns).all():
+        raise FormatError(f"{path}: NaN or infinite direction values cannot be written")
+    return [" ".join(map(repr, row)) + " " for row in columns.tolist()]
+
 
 def write_samples(path, sampled: SampledBrdf) -> None:
+    """Write a sample file; a NaN or infinite value raises FormatError before the file is opened.
+
+    The direction columns' text is formatted once per DirectionSet and reused
+    by every file written on that set, so each further file formats only its
+    k x 3 values.
+    """
     d = sampled.directions
-    rows = np.column_stack((d.theta_h, d.theta_d, d.phi_d, d.cos_wi, d.cos_wo, sampled.values)).tolist()
-    meta = {"k": d.k, "seed": d.seed, "material": d.source_material}
-    write_table(path, "samples", SAMPLE_COLUMNS, rows, meta=meta)
+    if not np.isfinite(sampled.values).all():
+        raise FormatError(f"{path}: NaN or infinite values cannot be written")
+    prefixes = _row_prefixes.get(d)
+    if prefixes is None:
+        prefixes = _row_prefixes[d] = _format_directions(path, d)
+    lines = [f"{prefix}{r!r} {g!r} {b!r}\n" for prefix, (r, g, b) in zip(prefixes, sampled.values.tolist())]
+    _write_lines(path, "samples", SAMPLE_COLUMNS, lines, {"k": d.k, "seed": d.seed, "material": d.source_material})
 
 
 def read_samples(path, directions: DirectionSet | None = None) -> SampledBrdf:
@@ -30,18 +58,9 @@ def read_samples(path, directions: DirectionSet | None = None) -> SampledBrdf:
     if len(data) != k:
         raise FormatError(f"{path}: row count {len(data)} != header k={k}")
     if directions is None:
-        directions = DirectionSet(
-            theta_h=data[:, 0].copy(),
-            theta_d=data[:, 1].copy(),
-            phi_d=data[:, 2].copy(),
-            cos_wi=data[:, 3].copy(),
-            cos_wo=data[:, 4].copy(),
-            seed=seed,
-            source_material=meta.get("material", ""),
-        )
-    else:
-        if not np.array_equal(directions.angles(), data[:, :3]):
-            raise PairingError(f"{path}: directions differ from the shared set")
+        directions = DirectionSet(*data[:, :5].T, seed=seed, source_material=meta.get("material", ""))
+    elif not np.array_equal(_direction_columns(directions), data[:, :5]):
+        raise PairingError(f"{path}: directions differ from the shared set")
     return SampledBrdf(values=data[:, 5:8].copy(), directions=directions)
 
 

@@ -26,13 +26,17 @@ LUMA_WEIGHTS = np.array([0.2126, 0.7152, 0.0722])
 N_STRATA = 10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DirectionSet:
     """K half/diff directions with the cosines of their reconstructed pair.
 
     Angle arrays all have length K and are sorted canonically by
     (theta_h, theta_d, phi_d). cos_wi/cos_wo are cos(theta) of the incoming
     and outgoing directions reconstructed at phi_h = 0.
+
+    The five arrays are float64 copies of the ones passed in, made read-only,
+    so a set never changes after it is built; sets compare and hash by
+    identity.
     """
 
     theta_h: np.ndarray
@@ -42,6 +46,12 @@ class DirectionSet:
     cos_wo: np.ndarray
     seed: int
     source_material: str
+
+    def __post_init__(self):
+        for name in ("theta_h", "theta_d", "phi_d", "cos_wi", "cos_wo"):
+            a = np.array(getattr(self, name), dtype=np.float64)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @property
     def k(self) -> int:
@@ -153,9 +163,9 @@ def select_samples(
     sel = cands[idx]
     cos_i, cos_o = _reconstruct_cosines(sel)
     return DirectionSet(
-        theta_h=sel[:, 0].copy(),
-        theta_d=sel[:, 1].copy(),
-        phi_d=sel[:, 2].copy(),
+        theta_h=sel[:, 0],
+        theta_d=sel[:, 1],
+        phi_d=sel[:, 2],
         cos_wi=cos_i,
         cos_wo=cos_o,
         seed=seed,

@@ -37,6 +37,16 @@ def check_field(path, column: str, value) -> None:
         raise FormatError(f"{path}: {column} field {str(value)!r} is empty or holds whitespace") from None
 
 
+def _write_lines(path, kind: str, columns: list[str], lines: list[str], meta: dict | None) -> None:
+    """Write the kind line, the metadata and the column header, then the formatted body lines."""
+    with open(str(path), "w", encoding="ascii") as f:
+        f.write(f"# brdfnqm-{kind} v{FORMAT_VERSION}\n")
+        for key, value in (meta or {}).items():
+            f.write(f"# {key}={_fmt(value)}\n")
+        f.write("# " + " ".join(columns) + "\n")
+        f.writelines(lines)
+
+
 def write_table(path, kind: str, columns: list[str], rows, meta: dict | None = None) -> None:
     """Write a table; a row field that is empty or holds whitespace raises FormatError before the file is opened."""
     try:
@@ -46,12 +56,7 @@ def write_table(path, kind: str, columns: list[str], rows, meta: dict | None = N
             for column, value in zip(columns, row):
                 check_field(path, column, value)
         raise
-    with open(str(path), "w", encoding="ascii") as f:
-        f.write(f"# brdfnqm-{kind} v{FORMAT_VERSION}\n")
-        for key, value in (meta or {}).items():
-            f.write(f"# {key}={_fmt(value)}\n")
-        f.write("# " + " ".join(columns) + "\n")
-        f.writelines(lines)
+    _write_lines(path, kind, columns, lines, meta)
 
 
 def _read_parts(path, kind: str):

@@ -233,6 +233,104 @@ def test_numeric_reader_is_bit_exact_with_float(tmp_path, rows):
     assert parsed.tobytes() == by_float.tobytes() == data.tobytes()
 
 
+@pytest.mark.parametrize("where", ["values", "directions"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_write_samples_refuses_what_read_samples_refuses(tmp_path, where, bad):
+    s = _sampled(seed=2, k=4)
+    if where == "values":
+        vals = s.values.copy()
+        vals[1, 2] = bad
+        s = SampledBrdf(values=vals, directions=s.directions)
+    else:
+        d = s.directions
+        cos_wo = d.cos_wo.copy()
+        cos_wo[3] = bad
+        s = SampledBrdf(values=s.values, directions=DirectionSet(
+            d.theta_h, d.theta_d, d.phi_d, d.cos_wi, cos_wo, seed=d.seed, source_material=d.source_material))
+    p = tmp_path / "s.txt"
+    with pytest.raises(FormatError, match=r"s\.txt: NaN or infinite"):
+        pairio.write_samples(p, s)
+    assert not p.exists()
+
+
+def _assert_same_bytes_as_write_table(tmp_path, sampled, name):
+    """write_samples against the reference writer: every field through one write_table call."""
+    new, old = tmp_path / f"{name}.txt", tmp_path / f"{name}_ref.txt"
+    pairio.write_samples(new, sampled)
+    d = sampled.directions
+    rows = np.column_stack((d.theta_h, d.theta_d, d.phi_d, d.cos_wi, d.cos_wo, sampled.values)).tolist()
+    tables.write_table(old, "samples", pairio.SAMPLE_COLUMNS, rows, {"k": d.k, "seed": d.seed, "material": d.source_material})
+    assert new.read_bytes() == old.read_bytes()
+
+
+def test_write_samples_matches_write_table_on_extreme_values(tmp_path):
+    column = np.array([-0.0, 5e-324, 1e-5, 1e16, 1.7976931348623157e308, -1.0])
+    ds = DirectionSet(*(np.roll(column, j) for j in range(5)), seed=3, source_material="mat_x")
+    vals = np.column_stack([np.roll(column, j) for j in (5, 2, 4)])
+    _assert_same_bytes_as_write_table(tmp_path, SampledBrdf(values=vals, directions=ds), "extreme")
+
+
+def test_write_samples_matches_write_table_on_one_set_and_after_a_read(tmp_path):
+    ref = _sampled(seed=5, k=7)
+    rng = np.random.default_rng(5)
+    dists = [SampledBrdf(values=rng.uniform(0, 3, (7, 3)), directions=ref.directions) for _ in range(2)]
+    for name, s in [("ref", ref), ("dist0", dists[0]), ("dist1", dists[1])]:
+        _assert_same_bytes_as_write_table(tmp_path, s, name)
+    back = pairio.read_samples(tmp_path / "ref.txt")
+    assert back.directions is not ref.directions
+    _assert_same_bytes_as_write_table(tmp_path, back, "again")
+    assert (tmp_path / "again.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
+
+
+def test_direction_text_is_formatted_once_per_set(tmp_path, monkeypatch):
+    formatted = []
+    original = pairio._format_directions
+
+    def counting(path, d):
+        formatted.append(d)
+        return original(path, d)
+
+    monkeypatch.setattr(pairio, "_format_directions", counting)
+    a, b = _sampled(seed=7, k=6), _sampled(seed=8, k=6)
+    for i in range(10):
+        pairio.write_samples(tmp_path / f"a{i}.txt", SampledBrdf(values=a.values * (i + 1), directions=a.directions))
+    assert formatted == [a.directions]
+    for i in range(3):
+        pairio.write_samples(tmp_path / f"b{i}.txt", b)
+    assert formatted == [a.directions, b.directions]
+    assert pairio.read_samples(tmp_path / "a9.txt", directions=a.directions).values.tolist() == (a.values * 10).tolist()
+
+
+def test_direction_set_arrays_are_read_only_copies():
+    arrays = [np.linspace(0.1, 0.5, 4) + j for j in range(5)]
+    ds = DirectionSet(*arrays, seed=0, source_material="m")
+    for name in ("theta_h", "theta_d", "phi_d", "cos_wi", "cos_wo"):
+        with pytest.raises(ValueError):
+            getattr(ds, name)[0] = 9.0
+    for a in arrays:
+        assert a.flags.writeable
+        a[0] = 9.0
+    assert ds.theta_h[0] == 0.1 and ds.cos_wo[0] == 4.1
+
+
+def test_read_samples_compares_all_five_direction_columns(tmp_path):
+    ref = _sampled(seed=1, k=5)
+    pr, pd = tmp_path / "r.txt", tmp_path / "d.txt"
+    pairio.write_samples(pr, ref)
+    pairio.write_samples(pd, SampledBrdf(values=ref.values * 0.5, directions=ref.directions))
+    lines = pd.read_text().splitlines()
+    body = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    fields = lines[body].split()
+    fields[3:5] = ["0.1", "0.2"]
+    lines[body] = " ".join(fields)
+    pd.write_text("\n".join(lines) + "\n")
+    assert pairio.read_samples(pd).directions.cos_wi[0] == 0.1
+    with pytest.raises(PairingError, match=r"d\.txt"):
+        pairio.read_samples(pd, directions=ref.directions)
+    with pytest.raises(PairingError, match=r"d\.txt"):
+        pairio.read_pair(pr, pd)
+
+
 def test_read_samples_rejects_wrong_columns(tmp_path):
     p = tmp_path / "bad.txt"
     tables.write_table(p, "samples", ["x", "y"], [[1.0, 2.0]])
