@@ -320,6 +320,8 @@ def cmd_train(pairs_file, labels_file, splits_file, epochs, batch_size, seed, ch
     x_va = nn.input_matrix(model, [(it["ref"], it["dist"]) for it in val_items])
     y_tr = [it["jod"] for it in train_items]
     y_va = [it["jod"] for it in val_items]
+    # the sample pairs are in x_tr/x_va now; free them before training allocates
+    del dataset, train_items, val_items, ref_of_material
     cfg = nn.TrainConfig(epochs=epochs, batch_size=batch_size, shuffle_seed=seed)
     model, history = nn.train(model, x_tr, y_tr, x_va, y_va, cfg)
     nn.save_checkpoint(model, checkpoint_path)

@@ -77,6 +77,8 @@ _ERFC_MID_MAX = 4.0  # z up to which erfc uses C/D, beyond it P/Q
 # where erfc is 0 as well and nothing overflows
 _ERFC_ZERO = 27.5
 _PARAM_KEYS = ("weights", "biases", "gammas", "betas")
+# weight rows `init_model` draws at a time: a 3000-wide block is 1.5 MB of float64
+_INIT_ROWS = 64
 # elements per Adam block: its six operands (64 KB each in float32) stay in L2 cache
 _ADAM_BLOCK = 16384
 
@@ -146,6 +148,11 @@ class MlpModel:
         return self.flat.dtype
 
 
+def _flat_like(model: MlpModel, alloc) -> FlatParams:
+    """A FlatParams over ``alloc(model.flat)``, e.g. np.zeros_like."""
+    return FlatParams(alloc(model.flat), model.input_dim, model.hidden_widths)
+
+
 def param_count(model: MlpModel) -> int:
     return model.flat.size
 
@@ -160,7 +167,12 @@ def init_model(
     dtype=np.float32,
     dropout: float = 0.2,
 ) -> MlpModel:
-    """Fan-in uniform weights, zero biases, identity layer norms."""
+    """Fan-in uniform weights, zero biases, identity layer norms.
+
+    Each weight matrix is drawn `_INIT_ROWS` rows at a time in float64 and
+    cast into its float view; the generator yields the same stream in any
+    block size, so the values equal one whole-matrix draw.
+    """
     rng = np.random.default_rng(seed)
     model = MlpModel(
         flat=np.zeros(_size(input_dim, hidden), dtype=dtype),
@@ -174,7 +186,9 @@ def init_model(
     )
     for w in model.weights:
         bound = np.sqrt(1.0 / w.shape[1])
-        w[...] = rng.uniform(-bound, bound, size=w.shape)
+        for start in range(0, len(w), _INIT_ROWS):
+            rows = w[start : start + _INIT_ROWS]
+            rows[...] = rng.uniform(-bound, bound, size=rows.shape)
     for g in model.gammas:
         g.fill(1.0)
     return model
@@ -333,18 +347,19 @@ def logcosh_loss(pred: np.ndarray, target: np.ndarray):
     return loss, grad
 
 
-def backward(model: MlpModel, cache: dict, loss_grad: np.ndarray) -> FlatParams:
+def backward(model: MlpModel, cache: dict, loss_grad: np.ndarray, out: FlatParams | None = None) -> FlatParams:
     """Gradients of the loss w.r.t. every parameter, mirroring the model.
 
     They come back in the model's dtype, as views into one flat gradient
-    vector laid out like ``model.flat``.
+    vector laid out like ``model.flat``: ``out`` when given (every element
+    is overwritten), else a new one.
     """
     if cache.get("mode") != "train":
         raise ValueError("backward requires a cache from a train-mode forward pass")
     keep = 1.0 - model.dropout
     s = cache["s"]
     dzf = loss_grad * (model.jod_max - model.jod_min) * s * (1.0 - s)
-    grads = FlatParams(np.empty_like(model.flat), model.input_dim, model.hidden_widths)
+    grads = _flat_like(model, np.empty_like) if out is None else out
     a_last = cache["inputs"][-1]
     np.matmul(dzf.T, a_last, out=grads["weights"][-1])
     dzf.sum(axis=0, out=grads["biases"][-1])
@@ -382,10 +397,7 @@ class AdamState:
 
 
 def adam_init(model: MlpModel) -> AdamState:
-    def zeros():
-        return FlatParams(np.zeros_like(model.flat), model.input_dim, model.hidden_widths)
-
-    return AdamState(m=zeros(), v=zeros())
+    return AdamState(m=_flat_like(model, np.zeros_like), v=_flat_like(model, np.zeros_like))
 
 
 def adam_step(
@@ -490,12 +502,17 @@ def train(
     """Seeded minibatch training; returns (best-validation model, history).
 
     History has one row per epoch: train/val loss and the two group LRs.
+    Besides the parameters, the loop holds four parameter-sized vectors:
+    Adam's two moments, one gradient vector that every step's `backward`
+    overwrites, and the best epoch's parameters, made at the first
+    improvement and overwritten at each later one.
     """
     if len(x_train) == 0:
         raise ValueError("empty training set")
     y_train = np.asarray(y_train, dtype=model.dtype).reshape(-1, 1)
     y_val = np.asarray(y_val, dtype=model.dtype).reshape(-1, 1)
     state = adam_init(model)
+    grads = _flat_like(model, np.empty_like)
     sched = PlateauScheduler(lr_input=cfg.lr_input, lr_deep=cfg.lr_deep, patience=cfg.patience)
     history = []
     best_val = float("inf")
@@ -509,7 +526,7 @@ def train(
             idx = perm[start : start + cfg.batch_size]
             pred, cache = forward(model, x_train[idx], mode="train", rng=rng)
             loss, dpred = logcosh_loss(pred, y_train[idx])
-            grads = backward(model, cache, dpred)
+            backward(model, cache, dpred, out=grads)
             adam_step(model, grads, state, sched.lr_input, sched.lr_deep, cfg.weight_decay)
             epoch_loss += loss * len(idx)
         train_loss = epoch_loss / n
@@ -520,7 +537,10 @@ def train(
             val_loss = train_loss
         if val_loss < best_val:
             best_val = val_loss
-            best_params = model.flat.copy()
+            if best_params is None:
+                best_params = model.flat.copy()
+            else:
+                np.copyto(best_params, model.flat)
         sched.step(val_loss)
         history.append(
             {
@@ -592,8 +612,8 @@ def save_checkpoint(model: MlpModel, path) -> None:
     header.write("whitening_std " + " ".join(repr(float(v)) for v in model.whitening.std) + "\n")
     header.write(f"seed {model.seed}\n")
     header.write(f"dropout {model.dropout!r}\n")
-    payload = model.flat.astype("<f4", copy=False).tobytes()
-    header.write(f"payload_bytes {len(payload)}\n")
+    payload = model.flat.astype("<f4", copy=False)  # a view of a float32 model, written through its buffer
+    header.write(f"payload_bytes {payload.nbytes}\n")
     with open(str(path), "wb") as f:
         f.write(header.getvalue().encode("ascii"))
         f.write(b"\n")

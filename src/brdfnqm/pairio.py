@@ -17,13 +17,9 @@ SAMPLE_COLUMNS = ["theta_h", "theta_d", "phi_d", "cos_wi", "cos_wo", "r", "g", "
 _row_prefixes: weakref.WeakKeyDictionary[DirectionSet, list[str]] = weakref.WeakKeyDictionary()
 
 
-def _direction_columns(d: DirectionSet) -> np.ndarray:
-    return np.column_stack((d.theta_h, d.theta_d, d.phi_d, d.cos_wi, d.cos_wo))
-
-
 def _format_directions(path, d: DirectionSet) -> list[str]:
     """Each row's five direction fields as repr text joined by spaces, plus a trailing space."""
-    columns = _direction_columns(d)
+    columns = d.columns()
     if not np.isfinite(columns).all():
         raise FormatError(f"{path}: NaN or infinite direction values cannot be written")
     return [" ".join(map(repr, row)) + " " for row in columns.tolist()]
@@ -59,7 +55,7 @@ def read_samples(path, directions: DirectionSet | None = None) -> SampledBrdf:
         raise FormatError(f"{path}: row count {len(data)} != header k={k}")
     if directions is None:
         directions = DirectionSet(*data[:, :5].T, seed=seed, source_material=meta.get("material", ""))
-    elif not np.array_equal(_direction_columns(directions), data[:, :5]):
+    elif not np.array_equal(directions.columns(), data[:, :5]):
         raise PairingError(f"{path}: directions differ from the shared set")
     return SampledBrdf(values=data[:, 5:8].copy(), directions=directions)
 

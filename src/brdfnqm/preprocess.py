@@ -40,9 +40,13 @@ class WhiteningStats:
 def perceptual_transform(rho) -> np.ndarray:
     """log1p(cbrt(max(rho, 0))) in float64: compresses specular peaks and dynamic range.
 
-    Negative reflectance (noise on a dark bin) counts as zero.
+    Negative reflectance (noise on a dark bin) counts as zero. The result is
+    allocated once and transformed in place; a scalar gives a 0-d array.
     """
-    return np.log1p(np.cbrt(np.maximum(np.asarray(rho, dtype=np.float64), 0.0)))
+    t = np.maximum(rho, 0.0, dtype=np.float64, out=np.empty(np.shape(rho)))
+    np.cbrt(t, out=t)
+    np.log1p(t, out=t)
+    return t
 
 
 def compute_whitening(train_refs: list[SampledBrdf]) -> WhiteningStats:

@@ -57,8 +57,9 @@ class DirectionSet:
     def k(self) -> int:
         return len(self.theta_h)
 
-    def angles(self) -> np.ndarray:
-        return np.stack([self.theta_h, self.theta_d, self.phi_d], axis=1)
+    def columns(self) -> np.ndarray:
+        """(K, 5) array of the five direction columns, in sample-file order."""
+        return np.column_stack((self.theta_h, self.theta_d, self.phi_d, self.cos_wi, self.cos_wo))
 
 
 @dataclass(frozen=True)
@@ -76,10 +77,10 @@ class SampledBrdf:
 
 
 def check_paired(a: SampledBrdf, b: SampledBrdf) -> None:
-    """Both members of a pair must be sampled with one DirectionSet."""
+    """Both members of a pair must be sampled with one DirectionSet: the same object, or equal in all five columns."""
     if a.directions is b.directions:
         return
-    if not np.array_equal(a.directions.angles(), b.directions.angles()):
+    if not np.array_equal(a.directions.columns(), b.directions.columns()):
         raise PairingError("sampled BRDFs do not share a direction set")
 
 

@@ -1,5 +1,6 @@
 import math
 import tempfile
+import tracemalloc
 import warnings
 from functools import partial
 from pathlib import Path
@@ -346,6 +347,126 @@ def test_train_is_deterministic():
     for a, b in zip(m1.weights, m2.weights):
         np.testing.assert_array_equal(a, b)
     assert h1 == h2
+
+
+def _reference_train(model, x_train, y_train, x_val, y_val, cfg):
+    """The training loop as it was before the gradient vector and the best-epoch
+    snapshot were allocated once: a fresh `backward` result every step and a
+    fresh snapshot at every improvement."""
+    if len(x_train) == 0:
+        raise ValueError("empty training set")
+    y_train = np.asarray(y_train, dtype=model.dtype).reshape(-1, 1)
+    y_val = np.asarray(y_val, dtype=model.dtype).reshape(-1, 1)
+    state = nn.adam_init(model)
+    sched = nn.PlateauScheduler(lr_input=cfg.lr_input, lr_deep=cfg.lr_deep, patience=cfg.patience)
+    history = []
+    best_val = float("inf")
+    best_params = None
+    n = len(x_train)
+    for epoch in range(cfg.epochs):
+        rng = np.random.default_rng([cfg.shuffle_seed, epoch])
+        perm = rng.permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, cfg.batch_size):
+            idx = perm[start : start + cfg.batch_size]
+            pred, cache = nn.forward(model, x_train[idx], mode="train", rng=rng)
+            loss, dpred = nn.logcosh_loss(pred, y_train[idx])
+            grads = nn.backward(model, cache, dpred)
+            nn.adam_step(model, grads, state, sched.lr_input, sched.lr_deep, cfg.weight_decay)
+            epoch_loss += loss * len(idx)
+        train_loss = epoch_loss / n
+        if len(x_val):
+            val_pred, _ = nn.forward(model, x_val, mode="eval")
+            val_loss, _ = nn.logcosh_loss(val_pred, y_val)
+        else:
+            val_loss = train_loss
+        if val_loss < best_val:
+            best_val = val_loss
+            best_params = model.flat.copy()
+        sched.step(val_loss)
+        history.append(
+            {
+                "epoch": epoch,
+                "train_loss": train_loss,
+                "val_loss": val_loss,
+                "lr_input": sched.lr_input,
+                "lr_deep": sched.lr_deep,
+            }
+        )
+    if best_params is not None:
+        np.copyto(model.flat, best_params)
+    return model, history
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_train_matches_reference_loop_bit_for_bit(dtype):
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(48, 12))
+    y = rng.uniform(2, 8, size=48)
+    data = (x[:40], y[:40], x[40:], y[40:])  # random labels: validation improves, then worsens
+    cfg = nn.TrainConfig(epochs=12, batch_size=8, lr_input=1e-2, lr_deep=1e-2, patience=1, shuffle_seed=3)
+    ours, history = nn.train(_small_model(seed=6, dtype=dtype), *data, cfg)
+    ref, ref_history = _reference_train(_small_model(seed=6, dtype=dtype), *data, cfg)
+    assert ours.flat.tobytes() == ref.flat.tobytes()
+    assert history == ref_history
+    # the snapshot is overwritten after its first copy, and restoring it matters
+    val = [h["val_loss"] for h in history]
+    improvements = sum(v < min(val[:i], default=math.inf) for i, v in enumerate(val))
+    assert improvements >= 2 and int(np.argmin(val)) < len(val) - 1
+
+
+def test_backward_writes_into_a_given_gradient_vector():
+    model = _small_model(seed=3, dtype=np.float32)
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(5, 12))
+    pred, cache = nn.forward(model, x, mode="train", rng=rng)
+    _, dpred = nn.logcosh_loss(pred, rng.uniform(0, 10, size=(5, 1)))
+    fresh = nn.backward(model, cache, dpred)
+    buf = nn.FlatParams(np.full_like(model.flat, np.nan), model.input_dim, model.hidden_widths)
+    assert nn.backward(model, cache, dpred, out=buf) is buf
+    assert buf.flat.tobytes() == fresh.flat.tobytes()
+
+
+def _traced_peak(fn):
+    """Peak bytes numpy and Python allocate while ``fn()`` runs, above what was held before."""
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - start
+
+
+def test_train_holds_four_parameter_sized_vectors_besides_the_parameters():
+    # Adam's two moments, one gradient vector and one best-epoch snapshot, plus
+    # the batch activations; the default model, so the vectors dominate
+    model = nn.init_model(seed=0, jod_min=0.0, jod_max=10.0, whitening=_stats())
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(40, nn.INPUT_DIM)).astype(np.float32)
+    y = rng.uniform(0, 10, size=40)
+    cfg = nn.TrainConfig(epochs=4, batch_size=8)
+    peak = _traced_peak(lambda: nn.train(model, x[:32], y[:32], x[32:], y[32:], cfg))
+    assert peak < 4.25 * model.flat.nbytes
+
+
+def test_init_model_draws_weights_without_a_matrix_sized_temporary():
+    peak = _traced_peak(lambda: nn.init_model(seed=0, jod_min=0.0, jod_max=10.0, whitening=_stats()))
+    flat_bytes = 4 * nn._size(nn.INPUT_DIM, nn.HIDDEN_WIDTHS)
+    assert peak < 1.25 * flat_bytes
+
+
+@pytest.mark.parametrize("rows", [1, 3, nn._INIT_ROWS])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_init_model_equals_one_draw_per_matrix(monkeypatch, rows, dtype):
+    monkeypatch.setattr(nn, "_INIT_ROWS", rows)
+    hidden = (70, 130, 5)  # not multiples of the default block, nor of 3
+    model = _small_model(seed=9, input_dim=12, hidden=hidden, dtype=dtype)
+    rng = np.random.default_rng(9)
+    for w in model.weights:
+        bound = np.sqrt(1.0 / w.shape[1])
+        assert w.tobytes() == rng.uniform(-bound, bound, size=w.shape).astype(dtype).tobytes()
 
 
 def test_pair_to_input_and_predict():

@@ -75,14 +75,14 @@ def test_select_constant_table_takes_canonical_topk(lambert_table):
     surv = np.unique(filter_grazing(g), axis=0)
     order = np.lexsort((surv[:, 2], surv[:, 1], surv[:, 0]))
     expected = surv[order][:20]
-    np.testing.assert_allclose(ds.angles(), expected)
+    np.testing.assert_allclose(ds.columns()[:, :3], expected)
 
 
 def test_select_samples_properties(ggx_table):
     g = build_candidate_grid(16, 10, 10)
     ds = select_samples(ggx_table, g, k=100, seed=7)
     assert ds.k == 100
-    a = ds.angles()
+    a = ds.columns()[:, :3]
     # canonical sort and uniqueness
     assert len(np.unique(a, axis=0)) == 100
     keys = [tuple(r) for r in a]
@@ -108,7 +108,7 @@ def test_select_samples_deterministic(ggx_table):
     g = build_candidate_grid(16, 10, 10)
     a = select_samples(ggx_table, g, k=80, seed=1)
     b = select_samples(ggx_table, g, k=80, seed=1)
-    np.testing.assert_array_equal(a.angles(), b.angles())
+    np.testing.assert_array_equal(a.columns(), b.columns())
 
 
 def test_insufficient_candidates(lambert_table):
@@ -162,6 +162,18 @@ def test_check_paired_rejects_mismatched_sets():
     b = SampledBrdf(values=np.zeros((4, 3)), directions=tiny_direction_set(k=4, seed=5))
     with pytest.raises(PairingError):
         check_paired(a, b)
+
+
+def test_check_paired_compares_the_cosine_columns():
+    # equal angles, different reconstructed cosines: the cosine weights of the
+    # baselines would differ between the members, so the pair is refused
+    ds = tiny_direction_set(k=2, seed=0)
+    angles = dict(theta_h=ds.theta_h, theta_d=ds.theta_d, phi_d=ds.phi_d, seed=0, source_material="m")
+    a = SampledBrdf(values=np.ones((2, 3)), directions=DirectionSet(cos_wi=[0.9, 0.9], cos_wo=[0.8, 0.8], **angles))
+    b = SampledBrdf(values=np.ones((2, 3)), directions=DirectionSet(cos_wi=[0.1, 0.1], cos_wo=[0.1, 0.1], **angles))
+    for first, second in ((a, b), (b, a)):
+        with pytest.raises(PairingError):
+            check_paired(first, second)
 
 
 def test_default_pipeline_yields_500_samples(ggx_table):
