@@ -32,29 +32,28 @@ class MetricKind(enum.Enum):
     MA_LOGWE = "ma_logwe"
 
 
-_RMS_KINDS = {MetricKind.RMSE, MetricKind.RMS_CRWE, MetricKind.RMS_LOGE, MetricKind.RMS_LOGWE}
-
-
-def _transformed(kind: MetricKind, values: np.ndarray, w: np.ndarray) -> np.ndarray:
-    if kind in (MetricKind.RMSE, MetricKind.MAE):
-        return values
-    if kind in (MetricKind.RMS_CRWE, MetricKind.MA_CRWE):
-        return np.cbrt(w * values)
-    if kind in (MetricKind.RMS_LOGE, MetricKind.MA_LOGE):
-        return np.log1p(values)
-    return np.log1p(w * values)
-
-
-def baseline_metric(kind: MetricKind, ref: SampledBrdf, dist: SampledBrdf) -> float:
-    """Evaluate one metric on a raw (untransformed) sampled pair."""
-    check_paired(ref, dist)
-    d = ref.directions
-    w = (d.cos_wi * d.cos_wo)[:, None]
-    diff = _transformed(kind, ref.values, w) - _transformed(kind, dist.values, w)
-    if kind in _RMS_KINDS:
-        return float(np.sqrt(np.mean(diff**2)))
-    return float(np.mean(np.abs(diff)))
+# (RMS kind, MA kind, t(rho, w)): the two reductions of each transform
+_TRANSFORMS = (
+    (MetricKind.RMSE, MetricKind.MAE, lambda rho, w: rho),
+    (MetricKind.RMS_CRWE, MetricKind.MA_CRWE, lambda rho, w: np.cbrt(w * rho)),
+    (MetricKind.RMS_LOGE, MetricKind.MA_LOGE, lambda rho, w: np.log1p(rho)),
+    (MetricKind.RMS_LOGWE, MetricKind.MA_LOGWE, lambda rho, w: np.log1p(w * rho)),
+)
 
 
 def all_metrics(ref: SampledBrdf, dist: SampledBrdf) -> dict[MetricKind, float]:
-    return {kind: baseline_metric(kind, ref, dist) for kind in MetricKind}
+    """Every metric of a raw (untransformed) sampled pair, one difference per transform.
+
+    A value outside a transform's domain (rho <= -1 for the log metrics)
+    gives a non-finite metric, without a warning; the caller decides.
+    """
+    check_paired(ref, dist)
+    d = ref.directions
+    w = (d.cos_wi * d.cos_wo)[:, None]
+    out = {}
+    with np.errstate(all="ignore"):
+        for rms, ma, t in _TRANSFORMS:
+            diff = t(ref.values, w) - t(dist.values, w)
+            out[rms] = float(np.sqrt(np.mean(diff**2)))
+            out[ma] = float(np.mean(np.abs(diff)))
+    return out

@@ -44,11 +44,15 @@ class _PipelineGroup(click.Group):
 
 
 class _ByPair(dict):
-    """pair_id -> value of one table; an absent pair is a BrdfError naming it and the file."""
+    """pair_id -> value of one table; a repeated pair is a FormatError, an absent one a BrdfError, each naming it and the file."""
 
     def __init__(self, path, kind: str, items):
-        super().__init__(items)
+        super().__init__()
         self.path, self.kind = path, kind
+        for pid, value in items:
+            if pid in self:
+                raise FormatError(f"{path}: pair_id {pid!r} is repeated in the {kind} table")
+            self[pid] = value
 
     def __missing__(self, pid):
         raise BrdfError(f"{self.path}: pair {pid!r} is missing from the {self.kind} table")
@@ -64,8 +68,8 @@ def _rows(path, kind: str, *names):
     return meta, [[r[i] for i in idx] for r in rows]
 
 
-def _number(path, column: str, text: str) -> float:
-    """The finite float of a table field; anything else is a FormatError naming the file and ``column``."""
+def _number(path, column: str, text: str | float) -> float:
+    """The finite float of a table field, or of a value about to be written to one; anything else is a FormatError naming the file and ``column``."""
     try:
         value = float(text)
     except ValueError:
@@ -87,6 +91,15 @@ def _read_jods(labels_file) -> _ByPair:
     """pair_id -> JOD of a labels table, each read by ``_jod``."""
     _, rows = _rows(labels_file, "labels", "pair_id", "jod")
     return _ByPair(labels_file, "labels", ((pid, _jod(labels_file, pid, j)) for pid, j in rows))
+
+
+def _read_splits(splits_file) -> _ByPair:
+    """pair_id -> split of a splits table; a split other than train, val or test is a FormatError."""
+    _, rows = _rows(splits_file, "splits", *SPLIT_COLUMNS)
+    for pid, split in rows:
+        if split not in ("train", "val", "test"):
+            raise FormatError(f"{splits_file}: pair {pid!r} has split {split!r}, want train, val or test")
+    return _ByPair(splits_file, "splits", rows)
 
 
 @click.group(cls=_PipelineGroup)
@@ -241,7 +254,7 @@ def cmd_augment(pairs_file, labels_file, splits_file, seed, out_dir):
     check_field(out / "pairs.txt", "ref_samples", str(out))
     pairs_meta, prows = _rows(pairs_file, "pairs", *PAIRS_COLUMNS)
     _, lrows = _rows(labels_file, "labels", *LABEL_COLUMNS)
-    _, srows = _rows(splits_file, "splits", *SPLIT_COLUMNS)
+    split_of = _read_splits(splits_file)
     prows = [[pid, material, _number(pairs_file, "severity", sev), ref, dist] for pid, material, sev, ref, dist in prows]
     lrows = [[pid, _jod(labels_file, pid, j), provenance] for pid, j, provenance in lrows]
     provenances = [p.value for p in preprocess.Provenance]
@@ -249,14 +262,17 @@ def cmd_augment(pairs_file, labels_file, splits_file, seed, out_dir):
         if provenance not in provenances:
             raise FormatError(f"{labels_file}: provenance is {provenance!r}, want one of {', '.join(provenances)}")
     labels = _ByPair(labels_file, "labels", ((pid, j) for pid, j, _ in lrows))
-    split_of = _ByPair(splits_file, "splits", srows)
+    # (index, row, JOD, id of its scaled copy) of every training pair
+    train_rows = [(i, r, labels[r[0]], f"{r[0]}_s") for i, r in enumerate(prows) if split_of[r[0]] == "train"]
+    taken = {r[0] for r in prows}.union(labels, split_of)
+    for *_, aug_id in train_rows:
+        if aug_id in taken:
+            raise FormatError(f"{pairs_file}: augment would add pair_id {aug_id!r}, which the input tables already have")
     out.mkdir(parents=True, exist_ok=True)
-    new_pairs, new_labels, new_splits = list(prows), list(lrows), list(srows)
-    train_rows = [(i, r, labels[r[0]]) for i, r in enumerate(prows) if split_of[r[0]] == "train"]
-    sampled = read_pairs([r[3:] for _, r, _ in train_rows])
+    new_pairs, new_labels, new_splits = list(prows), list(lrows), [list(r) for r in split_of.items()]
+    sampled = read_pairs([r[3:] for _, r, _, _ in train_rows])
     aug_provenance = preprocess.Provenance.AUGMENTED_SCALE.value
-    for (i, (pid, material, severity, _, _), jod_value), (ref, dist) in zip(train_rows, sampled):
-        aug_id = f"{pid}_s"
+    for (i, (_, material, severity, _, _), jod_value, aug_id), (ref, dist) in zip(train_rows, sampled):
         ref_path = out / f"{aug_id}_ref.txt"
         dist_path = out / f"{aug_id}_dist.txt"
         aug_ref, aug_dist = preprocess.augment_scale(ref, dist, seed=(seed, i))
@@ -274,18 +290,12 @@ def cmd_augment(pairs_file, labels_file, splits_file, seed, out_dir):
 def _load_dataset(pairs_file, labels_file, splits_file):
     _, prows = _rows(pairs_file, "pairs", "pair_id", "material", "ref_samples", "dist_samples")
     labels = _read_jods(labels_file)
-    _, srows = _rows(splits_file, "splits", *SPLIT_COLUMNS)
-    split_of = _ByPair(splits_file, "splits", srows)
-    used = []  # (split, row) of every train and val pair: no test pair's samples are read
-    for row in prows:
-        split = split_of[row[0]]
-        if split not in ("train", "val", "test"):
-            raise FormatError(f"{splits_file}: pair {row[0]!r} has split {split!r}, want train, val or test")
-        if split != "test":
-            used.append((split, row))
+    split_of = _read_splits(splits_file)
+    # (split, row) of every train and val pair: no test pair's samples are read
+    used = [(split_of[row[0]], row) for row in prows if split_of[row[0]] != "test"]
     dataset = {"train": [], "val": []}
     for (split, (pid, material, _, _)), (ref, dist) in zip(used, read_pairs([row[2:] for _, row in used])):
-        dataset[split].append({"pair_id": pid, "material": material, "ref": ref, "dist": dist, "jod": labels[pid]})
+        dataset[split].append({"material": material, "ref": ref, "dist": dist, "jod": labels[pid]})
     return dataset
 
 
@@ -374,7 +384,7 @@ def cmd_eval_baselines(pairs_file, out):
     rows = []
     for (pid, _, _), (ref, dist) in zip(prows, read_pairs([r[1:] for r in prows])):
         metrics = baselines.all_metrics(ref, dist)
-        rows.append([pid, *(metrics[k] for k in kinds)])
+        rows.append([pid, *(_number(pairs_file, f"{k.value} of pair {pid!r}", metrics[k]) for k in kinds)])
     write_table(out, "metrics", ["pair_id", *(k.value for k in kinds)], rows)
     click.echo(f"evaluated {len(rows)} pairs x {len(kinds)} metrics")
 
@@ -391,20 +401,17 @@ def cmd_correlate(metrics_file, predictions_file, labels_file, pairs_file, out):
     material_of = _ByPair(pairs_file, "pairs", prows)
     jod_of = _read_jods(labels_file)
 
-    def scored(path, column, rows):
-        return [evaluate.ScoredPair(pair_id=pid, material=material_of[pid], predicted=_number(path, column, text),
-                                    ground_truth_jod=jod_of[pid]) for pid, text in rows]
+    def averages(path, kind, columns, sign):
+        """Average per-material Spearman of each of a table's score ``columns``; each pair's material and JOD are looked up once."""
+        _, rows = _rows(path, kind, "pair_id", *columns)
+        materials, truth = [material_of[r[0]] for r in rows], [jod_of[r[0]] for r in rows]
+        return [evaluate.correlate_per_material(materials, [_number(path, column, r[j]) for r in rows], truth, sign=sign).average
+                for j, column in enumerate(columns, start=1)]
 
     kinds = [k.value for k in baselines.MetricKind]
-    _, mrows = _rows(metrics_file, "metrics", "pair_id", *kinds)
-    report_rows = []
-    for j, kind in enumerate(kinds, start=1):
-        rep = evaluate.correlate_per_material(scored(metrics_file, kind, [(r[0], r[j]) for r in mrows]), sign=-1)
-        report_rows.append((kind, rep.average))
+    report_rows = list(zip(kinds, averages(metrics_file, "metrics", kinds, sign=-1)))
     if predictions_file:
-        _, qrows = _rows(predictions_file, "predictions", "pair_id", "jod_pred")
-        rep = evaluate.correlate_per_material(scored(predictions_file, "jod_pred", qrows), sign=1)
-        report_rows.append(("brdf-nqm", rep.average))
+        report_rows += zip(["brdf-nqm"], averages(predictions_file, "predictions", ["jod_pred"], sign=1))
     evaluate.emit_report(report_rows, out)
     click.echo(f"wrote {len(report_rows)} metric rows to {out}")
 

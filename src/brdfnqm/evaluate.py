@@ -10,19 +10,10 @@ from .errors import ConstantInputError
 
 
 @dataclass(frozen=True)
-class ScoredPair:
-    pair_id: str
-    material: str
-    predicted: float
-    ground_truth_jod: float
-
-
-@dataclass(frozen=True)
 class CorrelationReport:
     per_material: dict[str, float]
     average: float
-    n_materials: int
-    pooled: float | None = None
+    pooled: float
     excluded: tuple[str, ...] = ()
 
 
@@ -59,44 +50,43 @@ def spearman(x, y) -> float:
     return float((rx @ ry) / np.sqrt((rx @ rx) * (ry @ ry)))
 
 
-def correlate_per_material(scored: list[ScoredPair], sign: int = 1) -> CorrelationReport:
+def correlate_per_material(materials, predicted, truth, sign: int = 1) -> CorrelationReport:
     """Spearman within each material's variants, averaged unweighted.
 
-    sign=-1 negates predictions first (error metrics, where lower is
-    better) so every reported correlation reads "higher = better".
-    Materials whose predictions are constant are excluded and reported.
+    The three columns are parallel: row i is one pair's material, predicted
+    score and ground-truth JOD. sign=-1 negates predictions first (error
+    metrics, where lower is better) so every reported correlation reads
+    "higher = better". Materials whose predictions or truths are constant
+    are excluded and reported.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    by_material: dict[str, list[ScoredPair]] = {}
-    for s in scored:
-        by_material.setdefault(s.material, []).append(s)
+    predicted = sign * np.asarray(predicted, dtype=np.float64)
+    truth = np.asarray(truth, dtype=np.float64)
+    if not len(materials) == len(predicted) == len(truth):
+        raise ValueError("materials, predicted and truth need one entry per pair")
+    rows_of: dict[str, list[int]] = {}
+    for i, mat in enumerate(materials):
+        rows_of.setdefault(mat, []).append(i)
     per_material: dict[str, float] = {}
     excluded: list[str] = []
-    for mat, items in by_material.items():
-        if len(items) < 2:
+    for mat, rows in rows_of.items():
+        if len(rows) < 2:
             raise ValueError(
-                f"material {mat!r} has {len(items)} pair; per-material Spearman needs at least 2"
+                f"material {mat!r} has {len(rows)} pair; per-material Spearman needs at least 2"
             )
-        preds = [sign * s.predicted for s in items]
-        truths = [s.ground_truth_jod for s in items]
         try:
-            per_material[mat] = spearman(preds, truths)
+            per_material[mat] = spearman(predicted[rows], truth[rows])
         except ConstantInputError:
             excluded.append(mat)
     if not per_material:
         raise ConstantInputError("every material had constant predictions")
-    pooled_preds = [sign * s.predicted for s in scored if s.material in per_material]
-    pooled_truths = [s.ground_truth_jod for s in scored if s.material in per_material]
-    try:
-        pooled = spearman(pooled_preds, pooled_truths)
-    except ConstantInputError:
-        pooled = None
+    # a kept material's predictions and truths both vary, so the pooled columns do too
+    kept = [i for i, mat in enumerate(materials) if mat in per_material]
     return CorrelationReport(
         per_material=per_material,
         average=float(np.mean(list(per_material.values()))),
-        n_materials=len(per_material),
-        pooled=pooled,
+        pooled=spearman(predicted[kept], truth[kept]),
         excluded=tuple(sorted(excluded)),
     )
 

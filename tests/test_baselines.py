@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from brdfnqm.baselines import MetricKind, all_metrics, baseline_metric
+from brdfnqm.baselines import MetricKind, all_metrics
 from brdfnqm.errors import PairingError
-from brdfnqm.sampling import SampledBrdf
+from brdfnqm.sampling import DirectionSet, SampledBrdf, check_paired
 
 from conftest import tiny_direction_set
 
@@ -32,6 +32,32 @@ def _loop_oracle(kind, ref, dist):
     return sum(abs(v) for v in acc) / len(acc)
 
 
+# the per-kind metric as it was before `all_metrics` formed each transform's
+# difference once for both reductions: one full pass per metric
+_RMS_KINDS = {MetricKind.RMSE, MetricKind.RMS_CRWE, MetricKind.RMS_LOGE, MetricKind.RMS_LOGWE}
+
+
+def _transformed(kind: MetricKind, values: np.ndarray, w: np.ndarray) -> np.ndarray:
+    if kind in (MetricKind.RMSE, MetricKind.MAE):
+        return values
+    if kind in (MetricKind.RMS_CRWE, MetricKind.MA_CRWE):
+        return np.cbrt(w * values)
+    if kind in (MetricKind.RMS_LOGE, MetricKind.MA_LOGE):
+        return np.log1p(values)
+    return np.log1p(w * values)
+
+
+def _reference_metric(kind: MetricKind, ref: SampledBrdf, dist: SampledBrdf) -> float:
+    """Evaluate one metric on a raw (untransformed) sampled pair."""
+    check_paired(ref, dist)
+    d = ref.directions
+    w = (d.cos_wi * d.cos_wo)[:, None]
+    diff = _transformed(kind, ref.values, w) - _transformed(kind, dist.values, w)
+    if kind in _RMS_KINDS:
+        return float(np.sqrt(np.mean(diff**2)))
+    return float(np.mean(np.abs(diff)))
+
+
 def _random_pair(seed, k=20):
     rng = np.random.default_rng(seed)
     ds = tiny_direction_set(k=k, seed=seed)
@@ -45,7 +71,7 @@ def _random_pair(seed, k=20):
 def test_matches_loop_oracle(kind):
     for seed in range(10):
         ref, dist = _random_pair(seed)
-        got = baseline_metric(kind, ref, dist)
+        got = all_metrics(ref, dist)[kind]
         want = _loop_oracle(kind, ref, dist)
         assert got == pytest.approx(want, rel=1e-12), (kind, seed)
 
@@ -53,14 +79,14 @@ def test_matches_loop_oracle(kind):
 @pytest.mark.parametrize("kind", list(MetricKind))
 def test_identical_pair_scores_zero(kind):
     ref, _ = _random_pair(3)
-    assert baseline_metric(kind, ref, ref) == 0.0
+    assert all_metrics(ref, ref)[kind] == 0.0
 
 
 @pytest.mark.parametrize("kind", list(MetricKind))
 def test_symmetry(kind):
     ref, dist = _random_pair(4)
-    assert baseline_metric(kind, ref, dist) == pytest.approx(
-        baseline_metric(kind, dist, ref), rel=1e-13
+    assert all_metrics(ref, dist)[kind] == pytest.approx(
+        all_metrics(dist, ref)[kind], rel=1e-13
     )
 
 
@@ -68,20 +94,17 @@ def test_rmse_known_value():
     ds = tiny_direction_set(k=2, seed=0)
     ref = SampledBrdf(values=np.zeros((2, 3)), directions=ds)
     dist = SampledBrdf(values=np.full((2, 3), 2.0), directions=ds)
-    assert baseline_metric(MetricKind.RMSE, ref, dist) == pytest.approx(2.0)
-    assert baseline_metric(MetricKind.MAE, ref, dist) == pytest.approx(2.0)
+    metrics = all_metrics(ref, dist)
+    assert metrics[MetricKind.RMSE] == pytest.approx(2.0)
+    assert metrics[MetricKind.MAE] == pytest.approx(2.0)
 
 
 def test_rms_dominates_ma():
     # RMS >= MA on the same diff vector (power-mean inequality)
     for seed in range(5):
-        ref, dist = _random_pair(seed)
-        assert baseline_metric(MetricKind.RMSE, ref, dist) >= baseline_metric(
-            MetricKind.MAE, ref, dist
-        )
-        assert baseline_metric(MetricKind.RMS_LOGE, ref, dist) >= baseline_metric(
-            MetricKind.MA_LOGE, ref, dist
-        )
+        metrics = all_metrics(*_random_pair(seed))
+        assert metrics[MetricKind.RMSE] >= metrics[MetricKind.MAE]
+        assert metrics[MetricKind.RMS_LOGE] >= metrics[MetricKind.MA_LOGE]
 
 
 def test_all_metrics_covers_all_kinds():
@@ -89,12 +112,51 @@ def test_all_metrics_covers_all_kinds():
     out = all_metrics(ref, dist)
     assert set(out) == set(MetricKind)
     for kind, v in out.items():
-        assert v == baseline_metric(kind, ref, dist)
+        assert v == _reference_metric(kind, ref, dist)
 
 
 def test_rejects_unpaired_inputs():
     ref, _ = _random_pair(0)
     other, _ = _random_pair(1)
     with pytest.raises(PairingError):
-        baseline_metric(MetricKind.RMSE, ref, other)
+        all_metrics(ref, other)
+
+
+def _equal_but_distinct_sets(seed, k=20):
+    """A random pair whose members hold two equal direction sets, not one set object."""
+    ref, dist = _random_pair(seed, k)
+    d = ref.directions
+    twin = DirectionSet(*d.columns().T, seed=d.seed, source_material=d.source_material)
+    assert twin is not d
+    return ref, SampledBrdf(values=dist.values, directions=twin)
+
+
+def _zeros(k=20):
+    ds = tiny_direction_set(k=k, seed=7)
+    return SampledBrdf(values=np.zeros((k, 3)), directions=ds), SampledBrdf(values=np.zeros((k, 3)), directions=ds)
+
+
+@pytest.mark.parametrize("pair", [
+    *(pytest.param(lambda seed=seed: _random_pair(seed, k=1 + 13 * seed), id=f"random-{seed}") for seed in range(6)),
+    pytest.param(_zeros, id="zeros"),
+    pytest.param(lambda: (_random_pair(3)[0],) * 2, id="identical"),
+    pytest.param(lambda: _equal_but_distinct_sets(5), id="equal-distinct-sets"),
+])
+def test_all_metrics_equal_the_per_kind_reference_bit_for_bit(pair):
+    ref, dist = pair()
+    got = all_metrics(ref, dist)
+    assert list(got) == list(MetricKind)
+    assert {k: v.hex() for k, v in got.items()} == {k: _reference_metric(k, ref, dist).hex() for k in MetricKind}
+
+
+def test_values_outside_the_log_domain_give_non_finite_log_metrics_without_a_warning():
+    # the suite turns a RuntimeWarning into a failure, so none is raised here
+    ref, dist = _random_pair(2)
+    log_kinds = {MetricKind.RMS_LOGE, MetricKind.MA_LOGE}
+    for bad, word in ((-2.0, "nan"), (-1.0, "inf")):
+        values = dist.values.copy()
+        values[4, 1] = bad
+        got = all_metrics(ref, SampledBrdf(values=values, directions=dist.directions))
+        assert all(math.isfinite(v) == (k not in log_kinds) for k, v in got.items()), got
+        assert word in repr(got[MetricKind.MA_LOGE])
 

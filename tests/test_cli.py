@@ -510,6 +510,16 @@ def test_train_nan_samples_is_runtime_error(pipeline, runner, tmp_path):
     _assert_one_line_error(result, "bad_dist.txt", "NaN")
 
 
+@pytest.mark.parametrize("token, value", [("-2.0", "nan"), ("-1.0", "inf")])
+def test_eval_baselines_non_finite_metric_is_runtime_error(pipeline, runner, tmp_path, token, value):
+    """A dist value outside the log metrics' domain: refused, naming the pairs file, the pair and the metric; no table written."""
+    pairs = _pairs_with_bad_dist(pipeline, tmp_path, token)
+    metrics = tmp_path / "metrics.txt"
+    result = runner.invoke(cli.main, ["eval-baselines", "--pairs", str(pairs), "--out", str(metrics)])
+    _assert_one_line_error(result, str(pairs), f"rms_loge of pair 'mat000_l00' is {value}")
+    assert not metrics.exists()
+
+
 def test_train_reads_no_test_split_samples(pipeline, runner, tmp_path):
     """A test-split pair whose dist file is missing trains; predict, which reads it, fails naming it."""
     meta, cols, rows = read_table(pipeline / "samples" / "pairs.txt", "pairs")
@@ -684,6 +694,17 @@ def _train_with_unknown_split_name(pipeline, tmp_path):
     return _train_args(pipeline / "samples" / "pairs.txt", pipeline / "labels.txt", splits, tmp_path), "'holdout'", "splits.txt"
 
 
+def _augment_args(pairs, labels, splits, out):
+    return ["augment", "--pairs", str(pairs), "--labels", str(labels), "--splits", str(splits), "--out-dir", str(out)]
+
+
+def _augment_its_own_output(pipeline, tmp_path):
+    aug = tmp_path / "aug"
+    _run(CliRunner(), _augment_args(pipeline / "samples" / "pairs.txt", pipeline / "labels.txt", pipeline / "splits.txt", aug))
+    return (_augment_args(aug / "pairs.txt", aug / "labels.txt", aug / "splits.txt", tmp_path / "aug2"),
+            "pairs.txt", "pair_id", repr(_first_training_pair(pipeline) + "_s"))
+
+
 def _out_dir_is_a_file(command):
     def args(pipeline, tmp_path):
         blocker = tmp_path / "blocker"
@@ -703,11 +724,12 @@ def _out_dir_is_a_file(command):
     _split_without_material_column,
     _split_with_absent_test_material,
     _train_with_unknown_split_name,
+    _augment_its_own_output,
     _out_dir_is_a_file("gen-synthetic"),
     _out_dir_is_a_file("sample"),
     _out_dir_is_a_file("augment"),
 ], ids=["sample-bad-severity", "split-no-material", "split-absent-test-material", "train-unknown-split",
-        "gen-synthetic-out-file", "sample-out-file", "augment-out-file"])
+        "augment-own-output", "gen-synthetic-out-file", "sample-out-file", "augment-out-file"])
 def test_data_and_file_errors_end_in_one_line(pipeline, runner, tmp_path, case):
     args, *fragments = case(pipeline, tmp_path)
     _assert_one_line_error(runner.invoke(cli.main, args), *fragments)
@@ -884,6 +906,15 @@ def _spoil_last_row(column, text="abc"):
     return edit
 
 
+def _repeat_first_row(column, text):
+    """Append a copy of the first row, its ``column`` set to ``text``: the first row's pair_id twice."""
+    def edit(cols, rows):
+        row = list(rows[0])
+        row[cols.index(column)] = text
+        return cols, rows + [row]
+    return edit
+
+
 def _table_read_cases():
     for command, kind, dropped, numeric in TABLE_READS:
         yield pytest.param(command, kind, dropped, _drop_column(dropped), id=f"{command}-{kind}-no-{dropped}")
@@ -895,6 +926,12 @@ def _table_read_cases():
     for provenance in ("bogus", "aug_noise"):
         yield pytest.param("augment", "labels", "provenance", _spoil_last_row("provenance", provenance),
                            id=f"augment-labels-{provenance}-provenance")
+    # a split name the pipeline does not know, which augment would copy into its output
+    yield pytest.param("augment", "splits", "split", _spoil_last_row("split", "trian"), id="augment-splits-unknown-split")
+    # a pair_id given twice: refused, never read as its last row
+    for command, kind, column, text in [("correlate", "labels", "jod", "0.5"), ("correlate", "pairs", "material", "mat001"),
+                                        ("train", "splits", "split", "test"), ("augment", "labels", "jod", "0.5")]:
+        yield pytest.param(command, kind, "pair_id", _repeat_first_row(column, text), id=f"{command}-{kind}-repeated-pair_id")
 
 
 @pytest.mark.parametrize("command, kind, column, edit", _table_read_cases())

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from brdfnqm.errors import ConstantInputError
 from brdfnqm.evaluate import (
     CorrelationReport,
-    ScoredPair,
     _average_ranks,
     correlate_per_material,
     emit_report,
@@ -75,28 +75,26 @@ def test_spearman_validation():
 
 
 def _scored(material, preds, truths):
-    return [
-        ScoredPair(pair_id=f"{material}_{i}", material=material, predicted=p, ground_truth_jod=t)
-        for i, (p, t) in enumerate(zip(preds, truths))
-    ]
+    """(material, predicted, truth) rows of one material; ``correlate_per_material(*zip(*rows))`` takes their columns."""
+    return [(material, p, t) for p, t in zip(preds, truths)]
 
 
 def test_per_material_average_and_sign():
     scored = _scored("a", [1, 2, 3], [3, 2, 1]) + _scored("b", [1, 2, 3], [1, 2, 3])
-    rep = correlate_per_material(scored)
+    rep = correlate_per_material(*zip(*scored))
     assert rep.per_material["a"] == pytest.approx(-1.0)
     assert rep.per_material["b"] == pytest.approx(1.0)
     assert rep.average == pytest.approx(0.0)
-    assert rep.n_materials == 2
+    assert len(rep.per_material) == 2
     # an error metric (lower = better) read through sign=-1 flips both
-    rep_neg = correlate_per_material(scored, sign=-1)
+    rep_neg = correlate_per_material(*zip(*scored), sign=-1)
     assert rep_neg.per_material["a"] == pytest.approx(1.0)
     assert rep_neg.per_material["b"] == pytest.approx(-1.0)
 
 
 def test_constant_material_is_excluded():
     scored = _scored("flat", [2, 2, 2], [1, 2, 3]) + _scored("ok", [1, 2, 3], [1, 2, 3])
-    rep = correlate_per_material(scored)
+    rep = correlate_per_material(*zip(*scored))
     assert rep.excluded == ("flat",)
     assert rep.per_material.keys() == {"ok"}
     assert rep.average == pytest.approx(1.0)
@@ -105,24 +103,113 @@ def test_constant_material_is_excluded():
 def test_all_constant_raises():
     scored = _scored("flat", [2, 2, 2], [1, 2, 3])
     with pytest.raises(ConstantInputError):
-        correlate_per_material(scored)
+        correlate_per_material(*zip(*scored))
 
 
 def test_material_with_single_pair_rejected():
     scored = _scored("a", [1, 2], [1, 2]) + _scored("lonely", [1], [1])
     with pytest.raises(ValueError):
-        correlate_per_material(scored)
+        correlate_per_material(*zip(*scored))
 
 
 def test_bad_sign_rejected():
     with pytest.raises(ValueError):
-        correlate_per_material(_scored("a", [1, 2], [1, 2]), sign=0)
+        correlate_per_material(*zip(*_scored("a", [1, 2], [1, 2])), sign=0)
 
 
 def test_pooled_correlation_covers_included_materials():
     scored = _scored("a", [1, 2, 3], [1, 2, 3]) + _scored("b", [4, 5, 6], [4, 5, 6])
-    rep = correlate_per_material(scored)
+    rep = correlate_per_material(*zip(*scored))
     assert rep.pooled == pytest.approx(1.0)
+
+
+# the record-based correlation as it was before it took parallel columns
+@dataclass(frozen=True)
+class ScoredPair:
+    pair_id: str
+    material: str
+    predicted: float
+    ground_truth_jod: float
+
+
+@dataclass(frozen=True)
+class _ReferenceReport:
+    per_material: dict[str, float]
+    average: float
+    n_materials: int
+    pooled: float | None = None
+    excluded: tuple[str, ...] = ()
+
+
+def _reference_correlate_per_material(scored: list[ScoredPair], sign: int = 1) -> _ReferenceReport:
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    by_material: dict[str, list[ScoredPair]] = {}
+    for s in scored:
+        by_material.setdefault(s.material, []).append(s)
+    per_material: dict[str, float] = {}
+    excluded: list[str] = []
+    for mat, items in by_material.items():
+        if len(items) < 2:
+            raise ValueError(
+                f"material {mat!r} has {len(items)} pair; per-material Spearman needs at least 2"
+            )
+        preds = [sign * s.predicted for s in items]
+        truths = [s.ground_truth_jod for s in items]
+        try:
+            per_material[mat] = spearman(preds, truths)
+        except ConstantInputError:
+            excluded.append(mat)
+    if not per_material:
+        raise ConstantInputError("every material had constant predictions")
+    pooled_preds = [sign * s.predicted for s in scored if s.material in per_material]
+    pooled_truths = [s.ground_truth_jod for s in scored if s.material in per_material]
+    try:
+        pooled = spearman(pooled_preds, pooled_truths)
+    except ConstantInputError:
+        pooled = None
+    return _ReferenceReport(
+        per_material=per_material,
+        average=float(np.mean(list(per_material.values()))),
+        n_materials=len(per_material),
+        pooled=pooled,
+        excluded=tuple(sorted(excluded)),
+    )
+
+
+def _interleaved_rows(seed):
+    """Rows of four materials in shuffled order, with tied predictions and truths;
+    material "flat" has constant predictions, "level" constant truths."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for mat in ("a", "b", "flat", "level"):
+        n = int(rng.integers(2, 9))
+        preds = np.full(n, 0.5) if mat == "flat" else rng.integers(0, 4, size=n) * 0.1
+        truths = np.full(n, 7.0) if mat == "level" else rng.integers(0, 3, size=n) * 2.5
+        if mat in ("a", "b"):  # non-constant, so the material is kept
+            preds[:2], truths[:2] = (0.0, 0.3), (0.0, 5.0)
+        rows += _scored(mat, preds.tolist(), truths.tolist())
+    return [rows[i] for i in rng.permutation(len(rows))]
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("sign", [1, -1])
+def test_columns_equal_the_record_based_reference_bit_for_bit(seed, sign):
+    rows = _interleaved_rows(seed)
+    got = correlate_per_material(*zip(*rows), sign=sign)
+    want = _reference_correlate_per_material(
+        [ScoredPair(str(i), m, p, t) for i, (m, p, t) in enumerate(rows)], sign=sign)
+    assert [(m, r.hex()) for m, r in got.per_material.items()] == [(m, r.hex()) for m, r in want.per_material.items()]
+    assert got.average.hex() == want.average.hex()
+    # never None: a kept material's two columns vary, so the pooled ones do too
+    assert got.pooled.hex() == want.pooled.hex()
+    assert got.excluded == want.excluded == ("flat", "level")
+    assert len(got.per_material) == want.n_materials == 2
+
+
+def test_columns_of_unequal_length_rejected():
+    with pytest.raises(ValueError, match="one entry per pair"):
+        correlate_per_material(["a", "a", "a"], [1.0, 2.0], [1.0, 2.0, 3.0])
 
 
 def test_emit_report_table_sorted_descending(tmp_path):

@@ -86,8 +86,8 @@ def test_every_timed_span_names_a_live_function():
 
 # options no pipeline command sets, with the ROADMAP item that keeps them
 ALLOWED_UNSET_OPTIONS = {
-    "--ref",  # ROADMAP item 9: `predict --ref/--dist` scores one pair
-    "--dist",  # ROADMAP item 9, with --ref
+    "--ref",  # ROADMAP item 13: `predict --ref/--dist` scores one pair
+    "--dist",  # ROADMAP item 13, with --ref
 }
 
 
