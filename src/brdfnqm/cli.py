@@ -10,6 +10,7 @@ import :mod:`brdfnqm.nn`.
 
 from __future__ import annotations
 
+import collections
 import math
 import pathlib
 import sys
@@ -44,28 +45,28 @@ class _PipelineGroup(click.Group):
 
 
 class _ByPair(dict):
-    """pair_id -> value of one table; a repeated pair is a FormatError, an absent one a BrdfError, each naming it and the file."""
+    """pair_id -> value of one table; an absent pair is a BrdfError naming it and the file."""
 
     def __init__(self, path, kind: str, items):
-        super().__init__()
+        super().__init__(items)
         self.path, self.kind = path, kind
-        for pid, value in items:
-            if pid in self:
-                raise FormatError(f"{path}: pair_id {pid!r} is repeated in the {kind} table")
-            self[pid] = value
 
     def __missing__(self, pid):
         raise BrdfError(f"{self.path}: pair {pid!r} is missing from the {self.kind} table")
 
 
 def _rows(path, kind: str, *names):
-    """(meta, rows) of a table, each row the fields of columns ``names`` in that order; a missing one is a FormatError."""
+    """(meta, rows) of a table, each row the fields of columns ``names``; a missing column, or a repeated pair_id when ``pair_id`` comes first, is a FormatError."""
     meta, cols, rows = read_table(path, kind)
     for name in names:
         if name not in cols:
             raise FormatError(f"{path}: the {kind} table has no {name!r} column")
     idx = [cols.index(name) for name in names]
-    return meta, [[r[i] for i in idx] for r in rows]
+    rows = [[r[i] for i in idx] for r in rows]
+    if names[0] == "pair_id" and len({r[0] for r in rows}) < len(rows):
+        pid = next(pid for pid, n in collections.Counter(r[0] for r in rows).items() if n > 1)
+        raise FormatError(f"{path}: pair_id {pid!r} is repeated in the {kind} table")
+    return meta, rows
 
 
 def _number(path, column: str, text: str | float) -> float:
@@ -160,6 +161,10 @@ def cmd_sample(manifest, k, seed, grid, out_dir):
     check_field(out / "pairs.txt", "ref_samples", str(out))
     _, rows = _rows(manifest, "manifest", "ref_path", "dist_path", "severity", "material")
     rows = [(ref, dist, _number(manifest, "severity", sev), material) for ref, dist, sev, material in rows]
+    ref_of: dict[str, str] = {}
+    for ref_path, _, _, material in rows:  # one material, one reference, one <material>_ref.txt
+        if ref_of.setdefault(material, ref_path) != ref_path:
+            raise FormatError(f"{manifest}: material {material!r} names two ref_paths, {ref_of[material]!r} and {ref_path!r}")
     out.mkdir(parents=True, exist_ok=True)
     cands = sampling.build_candidate_grid(*grid)
     pair_rows = []
@@ -287,15 +292,19 @@ def cmd_augment(pairs_file, labels_file, splits_file, seed, out_dir):
     click.echo(f"training pairs: {len(prows)} rows -> {len(new_pairs)} rows total")
 
 
-def _load_dataset(pairs_file, labels_file, splits_file):
+def _load_dataset(pairs_file, labels_file, splits_file) -> dict:
+    """{"train": columns, "val": columns}, each (materials, sampled pairs, JODs), for `nn.fit`; no test pair's samples are read."""
     _, prows = _rows(pairs_file, "pairs", "pair_id", "material", "ref_samples", "dist_samples")
     labels = _read_jods(labels_file)
     split_of = _read_splits(splits_file)
-    # (split, row) of every train and val pair: no test pair's samples are read
-    used = [(split_of[row[0]], row) for row in prows if split_of[row[0]] != "test"]
-    dataset = {"train": [], "val": []}
-    for (split, (pid, material, _, _)), (ref, dist) in zip(used, read_pairs([row[2:] for _, row in used])):
-        dataset[split].append({"material": material, "ref": ref, "dist": dist, "jod": labels[pid]})
+    used = [r for r in prows if split_of[r[0]] != "test"]
+    pair_of = dict(zip((r[0] for r in used), read_pairs([r[2:] for r in used])))
+    dataset = {}
+    for split in ("train", "val"):
+        rows = [r for r in used if split_of[r[0]] == split]
+        dataset[split] = ([r[1] for r in rows], [pair_of[r[0]] for r in rows], [labels[r[0]] for r in rows])
+    if not dataset["train"][0]:
+        raise BrdfError(f"{splits_file}: no pair of {pairs_file} is in the train split")
     return dataset
 
 
@@ -312,37 +321,12 @@ def cmd_train(pairs_file, labels_file, splits_file, epochs, batch_size, seed, ch
     """Train the quality network on labelled sampled pairs."""
     from . import nn
 
-    dataset = _load_dataset(pairs_file, labels_file, splits_file)
-    train_items, val_items = dataset["train"], dataset["val"]
-    if not train_items:
-        raise BrdfError("empty training set")
-    ref_of_material = {}
-    for it in train_items:
-        ref_of_material.setdefault(it["material"], it["ref"])
-    stats = preprocess.compute_whitening(list(ref_of_material.values()))
-    jods = [it["jod"] for it in train_items + val_items]
-    jod_min, jod_max = min(jods), max(jods)
-    if jod_min == jod_max:
-        jod_min, jod_max = jod_min - 0.5, jod_max + 0.5
-    k = train_items[0]["ref"].directions.k
-    model = nn.init_model(seed, jod_min, jod_max, stats, input_dim=6 * k)
-    x_tr = nn.input_matrix(model, [(it["ref"], it["dist"]) for it in train_items])
-    x_va = nn.input_matrix(model, [(it["ref"], it["dist"]) for it in val_items])
-    y_tr = [it["jod"] for it in train_items]
-    y_va = [it["jod"] for it in val_items]
-    # the sample pairs are in x_tr/x_va now; free them before training allocates
-    del dataset, train_items, val_items, ref_of_material
-    cfg = nn.TrainConfig(epochs=epochs, batch_size=batch_size, shuffle_seed=seed)
-    model, history = nn.train(model, x_tr, y_tr, x_va, y_va, cfg)
+    # the dataset's only reference is fit's argument, so fit frees the sample pairs before training
+    model, history = nn.fit(_load_dataset(pairs_file, labels_file, splits_file), epochs, batch_size, seed)
     nn.save_checkpoint(model, checkpoint_path)
-    write_table(
-        history_path,
-        "history",
-        HISTORY_COLUMNS,
-        [[h["epoch"], h["train_loss"], h["val_loss"], h["lr_input"], h["lr_deep"]] for h in history],
-        meta={"params": nn.param_count(model), "seed": seed},
-    )
-    click.echo(f"trained {nn.param_count(model)} parameters; checkpoint at {checkpoint_path}")
+    write_table(history_path, "history", HISTORY_COLUMNS, [[h[c] for c in HISTORY_COLUMNS] for h in history],
+                meta={"params": model.flat.size, "seed": seed})
+    click.echo(f"trained {model.flat.size} parameters; checkpoint at {checkpoint_path}")
 
 
 @main.command("predict")
@@ -401,17 +385,21 @@ def cmd_correlate(metrics_file, predictions_file, labels_file, pairs_file, out):
     material_of = _ByPair(pairs_file, "pairs", prows)
     jod_of = _read_jods(labels_file)
 
-    def averages(path, kind, columns, sign):
+    def averages(path, rows, columns, sign):
         """Average per-material Spearman of each of a table's score ``columns``; each pair's material and JOD are looked up once."""
-        _, rows = _rows(path, kind, "pair_id", *columns)
         materials, truth = [material_of[r[0]] for r in rows], [jod_of[r[0]] for r in rows]
         return [evaluate.correlate_per_material(materials, [_number(path, column, r[j]) for r in rows], truth, sign=sign).average
                 for j, column in enumerate(columns, start=1)]
 
     kinds = [k.value for k in baselines.MetricKind]
-    report_rows = list(zip(kinds, averages(metrics_file, "metrics", kinds, sign=-1)))
+    _, metric_rows = _rows(metrics_file, "metrics", "pair_id", *kinds)
+    report_rows = list(zip(kinds, averages(metrics_file, metric_rows, kinds, sign=-1)))
     if predictions_file:
-        report_rows += zip(["brdf-nqm"], averages(predictions_file, "predictions", ["jod_pred"], sign=1))
+        _, pred_rows = _rows(predictions_file, "predictions", "pair_id", "jod_pred")
+        only_one = {r[0] for r in metric_rows} ^ {r[0] for r in pred_rows}
+        if only_one:
+            raise BrdfError(f"{metrics_file} and {predictions_file} score different pairs: {min(only_one)!r} is in only one of them")
+        report_rows += zip(["brdf-nqm"], averages(predictions_file, pred_rows, ["jod_pred"], sign=1))
     evaluate.emit_report(report_rows, out)
     click.echo(f"wrote {len(report_rows)} metric rows to {out}")
 

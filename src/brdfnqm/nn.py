@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CheckpointError, PairingError
-from .preprocess import WhiteningStats, perceptual_transform
+from .preprocess import WhiteningStats, compute_whitening, perceptual_transform
 from .sampling import SampledBrdf, check_paired
 
 INPUT_DIM = 3000
@@ -151,10 +151,6 @@ class MlpModel:
 def _flat_like(model: MlpModel, alloc) -> FlatParams:
     """A FlatParams over ``alloc(model.flat)``, e.g. np.zeros_like."""
     return FlatParams(alloc(model.flat), model.input_dim, model.hidden_widths)
-
-
-def param_count(model: MlpModel) -> int:
-    return model.flat.size
 
 
 def init_model(
@@ -542,18 +538,31 @@ def train(
             else:
                 np.copyto(best_params, model.flat)
         sched.step(val_loss)
-        history.append(
-            {
-                "epoch": epoch,
-                "train_loss": train_loss,
-                "val_loss": val_loss,
-                "lr_input": sched.lr_input,
-                "lr_deep": sched.lr_deep,
-            }
-        )
+        history.append({"epoch": epoch, "train_loss": train_loss, "val_loss": val_loss,
+                        "lr_input": sched.lr_input, "lr_deep": sched.lr_deep})
     if best_params is not None:
         np.copyto(model.flat, best_params)
     return model, history
+
+
+def fit(dataset: dict, epochs: int, batch_size: int, seed: int):
+    """The ``train`` command's recipe; returns (best-validation model, history).
+
+    ``dataset`` maps "train" (at least one pair) and "val" to (materials, raw
+    sampled (ref, dist) pairs, JODs) columns. Whitening: the first reference
+    of each training material; output range: the train and val JODs, widened
+    by 0.5 each way when all equal. The pairs are freed before training, so
+    pass ``dataset`` as the only reference to them.
+    """
+    (materials, train_pairs, y_tr), (_, val_pairs, y_va) = dataset["train"], dataset["val"]
+    stats = compute_whitening([train_pairs[materials.index(m)][0] for m in dict.fromkeys(materials)])
+    jods = [*y_tr, *y_va]
+    pad = 0.5 if min(jods) == max(jods) else 0.0
+    model = init_model(seed, min(jods) - pad, max(jods) + pad, stats, input_dim=6 * train_pairs[0][0].directions.k)
+    x_tr, x_va = input_matrix(model, train_pairs), input_matrix(model, val_pairs)
+    # the sample pairs are in x_tr/x_va now; free them before training allocates
+    del dataset, train_pairs, val_pairs
+    return train(model, x_tr, y_tr, x_va, y_va, TrainConfig(epochs=epochs, batch_size=batch_size, shuffle_seed=seed))
 
 
 def input_matrix(model: MlpModel, pairs) -> np.ndarray:

@@ -37,7 +37,7 @@ def _stats():
 # --------------------------------------------------------------------------
 def test_acceptance_1_architecture(tmp_path):
     model = nn.init_model(seed=0, jod_min=0.0, jod_max=10.0, whitening=_stats())
-    assert nn.param_count(model) == 4_171_125
+    assert model.flat.size == 4_171_125
     path = tmp_path / "full.ckpt"
     nn.save_checkpoint(model, path)
     header = path.read_bytes().split(b"\n\n", 1)[0].decode("ascii")
@@ -243,37 +243,32 @@ def desk_dataset():
     return _build_desk_dataset()
 
 
-def test_acceptance_7_end_to_end(desk_dataset):
-    items = desk_dataset
-    held_out = {f"mat{m:03d}" for m in range(24, 30)}
-    fit_items = [it for it in items if it[0] not in held_out]
-    test_items = [it for it in items if it[0] in held_out]
-    assert len(fit_items) == 24 * 9 and len(test_items) == 6 * 9
-    # the snapshot is chosen on a validation split of the training materials,
-    # as `split` makes it; the held-out materials are scored only
+HELD_OUT = {f"mat{m:03d}" for m in range(24, 30)}
+
+
+@pytest.fixture(scope="module")
+def desk_fit(desk_dataset):
+    """(model, its train/val columns, held-out items): `nn.fit`, the recipe `train` runs, on the training materials.
+
+    The snapshot is chosen on a validation split of the training materials,
+    as `split` makes it; the held-out materials are scored only.
+    """
+    fit_items = [it for it in desk_dataset if it[0] not in HELD_OUT]
     splits = preprocess.make_splits([it[0] for it in fit_items], test_materials=[], seed=0)
-    train_items = [it for it, s in zip(fit_items, splits) if s == "train"]
-    val_items = [it for it, s in zip(fit_items, splits) if s == "val"]
+    dataset = {}
+    for split in ("train", "val"):
+        items = [it for it, s in zip(fit_items, splits) if s == split]
+        dataset[split] = ([name for name, _, _, _ in items], [(r, d) for _, r, d, _ in items], [j for _, _, _, j in items])
+    model, _ = nn.fit(dataset, epochs=200, batch_size=64, seed=0)
+    return model, dataset, [it for it in desk_dataset if it[0] in HELD_OUT]
 
-    seen, train_refs = set(), []
-    for name, ref, _, _ in train_items:
-        if name not in seen:
-            seen.add(name)
-            train_refs.append(ref)
-    stats = preprocess.compute_whitening(train_refs)
-    y_tr = np.array([j for _, _, _, j in train_items])
-    y_va = np.array([j for _, _, _, j in val_items])
-    y_te = np.array([j for _, _, _, j in test_items])
-    model = nn.init_model(seed=0, jod_min=float(y_tr.min()), jod_max=float(y_tr.max() + 1e-6),
-                          whitening=stats, input_dim=3000)
-    x_tr = nn.input_matrix(model, [(r, d) for _, r, d, _ in train_items])
-    x_va = nn.input_matrix(model, [(r, d) for _, r, d, _ in val_items])
-    x_te = nn.input_matrix(model, [(r, d) for _, r, d, _ in test_items])
-    cfg = nn.TrainConfig(epochs=200, batch_size=64, shuffle_seed=0)
-    model, history = nn.train(model, x_tr, y_tr, x_va, y_va, cfg)
 
-    pred, _ = nn.forward(model, x_te, mode="eval")
-    report = evaluate.correlate_per_material([it[0] for it in test_items], pred[:, 0], y_te)
+def test_acceptance_7_end_to_end(desk_fit):
+    model, dataset, test_items = desk_fit
+    assert len(dataset["train"][0]) + len(dataset["val"][0]) == 24 * 9 and len(test_items) == 6 * 9
+
+    pred = nn.predict_jods(model, [(r, d) for _, r, d, _ in test_items])
+    report = evaluate.correlate_per_material([it[0] for it in test_items], pred, [j for _, _, _, j in test_items])
     assert len(report.per_material) == 6
     assert report.average >= 0.8, f"held-out per-material Spearman {report.average:.3f} < 0.8"
 
@@ -281,9 +276,10 @@ def test_acceptance_7_end_to_end(desk_dataset):
     # Regularizers (dropout, weight decay) and the plateau LR decay are
     # switched off, as is standard for a capacity/plumbing sanity check, and
     # the output range is padded so no label sits at a sigmoid endpoint.
-    xo, yo = x_tr[:32], y_tr[:32]
+    _, train_pairs, y_tr = dataset["train"]
+    xo, yo = nn.input_matrix(model, train_pairs[:32]), np.array(y_tr[:32])
     over = nn.init_model(seed=1, jod_min=float(yo.min()) - 0.5, jod_max=float(yo.max()) + 0.5,
-                         whitening=stats, input_dim=3000, dropout=0.0)
+                         whitening=model.whitening, input_dim=3000, dropout=0.0)
     over, hist = nn.train(
         over, xo, yo, xo, yo,
         nn.TrainConfig(epochs=200, batch_size=32, shuffle_seed=1,

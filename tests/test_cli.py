@@ -694,6 +694,31 @@ def _train_with_unknown_split_name(pipeline, tmp_path):
     return _train_args(pipeline / "samples" / "pairs.txt", pipeline / "labels.txt", splits, tmp_path), "'holdout'", "splits.txt"
 
 
+def _train_without_training_pair(pipeline, tmp_path):
+    _, cols, rows = read_table(pipeline / "splits.txt", "splits")
+    splits = tmp_path / "splits.txt"
+    write_table(splits, "splits", cols, [[pid, "val" if split == "train" else split] for pid, split in rows])
+    return _train_args(pipeline / "samples" / "pairs.txt", pipeline / "labels.txt", splits, tmp_path), str(splits), "train split"
+
+
+def _sample_material_with_two_references(pipeline, tmp_path):
+    meta, cols, rows = read_table(pipeline / "tables" / "manifest.txt", "manifest")
+    for r in rows:
+        r[cols.index("material")] = r[cols.index("material")].replace("mat001", "mat000")
+    manifest = tmp_path / "manifest.txt"
+    write_table(manifest, "manifest", cols, rows, meta=meta)
+    return ["sample", "--manifest", str(manifest), "--k", "5", *GRID, "--out-dir", str(tmp_path / "s")], str(manifest), "'mat000'"
+
+
+def _correlate_predictions_of_other_pairs(pipeline, tmp_path):
+    pairs, metrics, predictions = pipeline / "samples" / "pairs.txt", tmp_path / "metrics.txt", tmp_path / "predictions.txt"
+    _run(CliRunner(), ["eval-baselines", "--pairs", str(pairs), "--out", str(metrics)])
+    _, cols, rows = read_table(pairs, "pairs")
+    write_table(predictions, "predictions", ["pair_id", "jod_pred"], [[r[cols.index("pair_id")], float(i)] for i, r in enumerate(rows[1:])])
+    args = _correlate_args(pairs, pipeline / "labels.txt", metrics, tmp_path / "report.txt")
+    return [*args, "--predictions", str(predictions)], str(metrics), str(predictions)
+
+
 def _augment_args(pairs, labels, splits, out):
     return ["augment", "--pairs", str(pairs), "--labels", str(labels), "--splits", str(splits), "--out-dir", str(out)]
 
@@ -724,11 +749,15 @@ def _out_dir_is_a_file(command):
     _split_without_material_column,
     _split_with_absent_test_material,
     _train_with_unknown_split_name,
+    _train_without_training_pair,
+    _sample_material_with_two_references,
+    _correlate_predictions_of_other_pairs,
     _augment_its_own_output,
     _out_dir_is_a_file("gen-synthetic"),
     _out_dir_is_a_file("sample"),
     _out_dir_is_a_file("augment"),
 ], ids=["sample-bad-severity", "split-no-material", "split-absent-test-material", "train-unknown-split",
+        "train-no-training-pair", "sample-material-two-references", "correlate-predictions-other-pairs",
         "augment-own-output", "gen-synthetic-out-file", "sample-out-file", "augment-out-file"])
 def test_data_and_file_errors_end_in_one_line(pipeline, runner, tmp_path, case):
     args, *fragments = case(pipeline, tmp_path)
@@ -892,6 +921,10 @@ TABLE_READS = [
 ]
 
 
+# the table kinds keyed by a pair_id column
+PAIR_KEYED = {"pairs", "deitp", "labels", "splits", "metrics", "predictions"}
+
+
 def _drop_column(column):
     def edit(cols, rows):
         keep = [i for i, c in enumerate(cols) if c != column]
@@ -906,13 +939,10 @@ def _spoil_last_row(column, text="abc"):
     return edit
 
 
-def _repeat_first_row(column, text):
-    """Append a copy of the first row, its ``column`` set to ``text``: the first row's pair_id twice."""
-    def edit(cols, rows):
-        row = list(rows[0])
-        row[cols.index(column)] = text
-        return cols, rows + [row]
-    return edit
+def _repeat_first_pair_id(cols, rows):
+    """Append the last row's values under the first row's pair_id: that pair_id twice, with two sets of values."""
+    i = cols.index("pair_id")
+    return cols, rows + [rows[-1][:i] + [rows[0][i]] + rows[-1][i + 1:]]
 
 
 def _table_read_cases():
@@ -928,10 +958,10 @@ def _table_read_cases():
                            id=f"augment-labels-{provenance}-provenance")
     # a split name the pipeline does not know, which augment would copy into its output
     yield pytest.param("augment", "splits", "split", _spoil_last_row("split", "trian"), id="augment-splits-unknown-split")
-    # a pair_id given twice: refused, never read as its last row
-    for command, kind, column, text in [("correlate", "labels", "jod", "0.5"), ("correlate", "pairs", "material", "mat001"),
-                                        ("train", "splits", "split", "test"), ("augment", "labels", "jod", "0.5")]:
-        yield pytest.param(command, kind, "pair_id", _repeat_first_row(column, text), id=f"{command}-{kind}-repeated-pair_id")
+    # a pair_id given twice, in every table keyed by it: refused, never read as either row
+    for command, kind, _, _ in TABLE_READS:
+        if kind in PAIR_KEYED:
+            yield pytest.param(command, kind, "pair_id", _repeat_first_pair_id, id=f"{command}-{kind}-repeated-pair_id")
 
 
 @pytest.mark.parametrize("command, kind, column, edit", _table_read_cases())

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from brdfnqm import nn
 from brdfnqm.errors import CheckpointError, PairingError
-from brdfnqm.preprocess import WhiteningStats
+from brdfnqm.preprocess import WhiteningStats, compute_whitening
 from brdfnqm.sampling import SampledBrdf
 
 from conftest import flip_bit, reference_pair_to_input, tiny_direction_set
@@ -46,13 +46,13 @@ def test_param_count_full_model():
     dims = [3000, 1024, 716, 501, 1]
     dense = sum(o * i + o for i, o in zip(dims[:-1], dims[1:]))
     ln = 2 * (1024 + 716 + 501)
-    assert nn.param_count(model) == dense + ln == 4_171_125
+    assert model.flat.size == dense + ln == 4_171_125
 
 
 def test_param_count_small_oracle():
     model = _small_model()
     # 12->8->6->4->1: (12*8+8)+(8*6+6)+(6*4+4)+(4*1+1)+2*(8+6+4)
-    assert nn.param_count(model) == 104 + 54 + 28 + 5 + 36
+    assert model.flat.size == 104 + 54 + 28 + 5 + 36
 
 
 def test_init_is_deterministic_and_bounded():
@@ -713,6 +713,28 @@ def test_blocked_adam_matches_unblocked_bit_for_bit(monkeypatch, weight_decay, b
             assert ours.tobytes() == theirs.tobytes()
 
 
+@pytest.mark.parametrize("train_jods, val_jods, jod_range", [
+    ([7.0, 7.0, 7.0], [7.0], (6.5, 7.5)),  # all equal: widened by 0.5 each way
+    ([3.0, 7.0, 5.0], [8.5], (3.0, 8.5)),  # the val JODs count too
+])
+def test_fit_takes_whitening_and_output_range_from_the_dataset(train_jods, val_jods, jod_range):
+    rng = np.random.default_rng(0)
+    sets = {m: tiny_direction_set(k=4, seed=i, material=m) for i, m in enumerate("ab")}
+
+    def pair(m):
+        return tuple(SampledBrdf(values=rng.uniform(0.0, 2.0, (4, 3)), directions=sets[m]) for _ in range(2))
+
+    materials = ["a", "b", "a"]
+    train_pairs = [pair(m) for m in materials]
+    dataset = {"train": (materials, train_pairs, train_jods), "val": (["b"], [pair("b")], val_jods)}
+    model, history = nn.fit(dataset, epochs=1, batch_size=2, seed=3)
+    assert (model.jod_min, model.jod_max) == jod_range
+    # the first reference of each training material, not the third pair's
+    want = compute_whitening([train_pairs[0][0], train_pairs[1][0]])
+    assert np.array_equal(model.whitening.mean, want.mean) and np.array_equal(model.whitening.std, want.std)
+    assert model.input_dim == 24 and model.seed == 3 and len(history) == 1
+
+
 def test_parameters_are_views_of_the_flat_buffer_after_train():
     rng = np.random.default_rng(3)
     model = _small_model(seed=1, dtype=np.float32)
@@ -734,7 +756,7 @@ def test_loaded_checkpoint_parameters_view_one_float32_buffer(tmp_path):
     nn.save_checkpoint(_small_model(dtype=np.float64), p)
     loaded = nn.load_checkpoint(p)
     assert loaded.dtype == np.float32 and loaded.flat.flags.writeable
-    assert loaded.flat.size == nn.param_count(loaded)
+    assert loaded.flat.size == nn._size(loaded.input_dim, loaded.hidden_widths)
     for key in ("weights", "biases", "gammas", "betas"):
         for arr in getattr(loaded, key):
             assert np.shares_memory(arr, loaded.flat), key

@@ -84,11 +84,8 @@ def test_every_timed_span_names_a_live_function():
     assert dead == RETIRED_SPANS
 
 
-# options no pipeline command sets, with the ROADMAP item that keeps them
-ALLOWED_UNSET_OPTIONS = {
-    "--ref",  # ROADMAP item 13: `predict --ref/--dist` scores one pair
-    "--dist",  # ROADMAP item 13, with --ref
-}
+# options no pipeline command sets, each with the ROADMAP item that keeps it
+ALLOWED_UNSET_OPTIONS: set[str] = set()
 
 
 def test_every_cli_option_is_set_by_a_pipeline_caller():
