@@ -80,18 +80,26 @@ def _number(path, column: str, text: str | float) -> float:
     return value
 
 
-def _jod(path, pid: str, text: str) -> float:
-    """The JOD of pair ``pid`` in a labels table; one that is not a number in [0, 10] is a FormatError naming the file and the pair."""
-    value = _number(path, f"jod of pair {pid!r}", text)
+def _jod(path, column: str, text: str) -> float:
+    """A JOD field; one that is not a number in [0, 10] is a FormatError naming the file and ``column``."""
+    value = _number(path, column, text)
     if not 0.0 <= value <= 10.0:
-        raise FormatError(f"{path}: jod of pair {pid!r} is {value!r}, outside [0, 10]")
+        raise FormatError(f"{path}: {column} is {value!r}, outside [0, 10]")
+    return value
+
+
+def _deitp(path, column: str, text: str) -> float:
+    """A deitp field; one that is not a finite number >= 0 is a FormatError naming the file and ``column``."""
+    value = _number(path, column, text)
+    if value < 0.0:
+        raise FormatError(f"{path}: {column} is {value!r}, below 0")
     return value
 
 
 def _read_jods(labels_file) -> _ByPair:
     """pair_id -> JOD of a labels table, each read by ``_jod``."""
     _, rows = _rows(labels_file, "labels", "pair_id", "jod")
-    return _ByPair(labels_file, "labels", ((pid, _jod(labels_file, pid, j)) for pid, j in rows))
+    return _ByPair(labels_file, "labels", ((pid, _jod(labels_file, f"jod of pair {pid!r}", j)) for pid, j in rows))
 
 
 def _read_splits(splits_file) -> _ByPair:
@@ -153,9 +161,8 @@ def cmd_gen_synthetic(n, levels, seed, out_dir, res):
 @click.option("--manifest", type=click.Path(exists=True), required=True)
 @click.option("--k", type=click.IntRange(min=1), default=sampling.DEFAULT_K, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True, help="Recorded in the headers; the directions chosen do not depend on it.")
-@click.option("--grid", nargs=3, type=click.IntRange(min=2), default=sampling.DEFAULT_GRID, show_default=True)
 @click.option("--out-dir", type=click.Path(), required=True)
-def cmd_sample(manifest, k, seed, grid, out_dir):
+def cmd_sample(manifest, k, seed, out_dir):
     """Sample every manifest pair at directions chosen from its reference."""
     out = pathlib.Path(out_dir)
     check_field(out / "pairs.txt", "ref_samples", str(out))
@@ -166,7 +173,7 @@ def cmd_sample(manifest, k, seed, grid, out_dir):
         if ref_of.setdefault(material, ref_path) != ref_path:
             raise FormatError(f"{manifest}: material {material!r} names two ref_paths, {ref_of[material]!r} and {ref_path!r}")
     out.mkdir(parents=True, exist_ok=True)
-    cands = sampling.build_candidate_grid(*grid)
+    cands = sampling.build_candidate_grid()
     pair_rows = []
     dirsets: dict[str, tuple] = {}
     counters: dict[str, int] = {}
@@ -195,7 +202,7 @@ def cmd_sample(manifest, k, seed, grid, out_dir):
 def cmd_fit_jod(calibration, out):
     """Fit the logistic deitp->JOD regression by Levenberg-Marquardt, starting from the reference parameters."""
     _, rows = _rows(calibration, "calibration", "deitp", "jod")
-    points = [jod.CalibrationPoint(deitp=_number(calibration, "deitp", d), jod=_number(calibration, "jod", j)) for d, j in rows]
+    points = [jod.CalibrationPoint(deitp=_deitp(calibration, "deitp", d), jod=_jod(calibration, "jod", j)) for d, j in rows]
     params = jod.fit_jod_regression(points, jod.REFERENCE_PARAMS)
     write_table(out, "jodparams", ["b1", "b2", "b3"], [[params.b1, params.b2, params.b3]])
     click.echo(f"fitted b1={params.b1:.4f} b2={params.b2:.4f} b3={params.b3:.4f}")
@@ -228,7 +235,7 @@ def cmd_label(deitp_file, params_file, pairs_file, out):
         params = _load_params(params_file) if params_file else jod.REFERENCE_PARAMS
         _, drows = _rows(deitp_file, "deitp", "pair_id", "deitp")
         provenance = preprocess.Provenance.PSEUDO_DEITP.value
-        rows = [[pid, jod.jod_from_deitp(_number(deitp_file, "deitp", d), params), provenance] for pid, d in drows]
+        rows = [[pid, jod.jod_from_deitp(_deitp(deitp_file, f"deitp of pair {pid!r}", d), params), provenance] for pid, d in drows]
     write_table(out, "labels", LABEL_COLUMNS, rows)
     click.echo(f"labelled {len(rows)} pairs")
 
@@ -261,7 +268,7 @@ def cmd_augment(pairs_file, labels_file, splits_file, seed, out_dir):
     _, lrows = _rows(labels_file, "labels", *LABEL_COLUMNS)
     split_of = _read_splits(splits_file)
     prows = [[pid, material, _number(pairs_file, "severity", sev), ref, dist] for pid, material, sev, ref, dist in prows]
-    lrows = [[pid, _jod(labels_file, pid, j), provenance] for pid, j, provenance in lrows]
+    lrows = [[pid, _jod(labels_file, f"jod of pair {pid!r}", j), provenance] for pid, j, provenance in lrows]
     provenances = [p.value for p in preprocess.Provenance]
     for _, _, provenance in lrows:
         if provenance not in provenances:

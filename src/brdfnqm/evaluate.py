@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstantInputError
+from .tables import write_table
 
 
 @dataclass(frozen=True)
@@ -92,10 +93,5 @@ def correlate_per_material(materials, predicted, truth, sign: int = 1) -> Correl
 
 
 def emit_report(rows: list[tuple[str, float]], path) -> None:
-    """Write (metric name, average correlation) rows, descending, as a deterministic aligned table."""
-    ordered = sorted(rows, key=lambda r: (-r[1], r[0]))
-    with open(str(path), "w", encoding="ascii") as f:
-        f.write(f"# metric correlation report: {len(ordered)} metrics\n")
-        f.write(f"{'metric':<16} {'avg_spearman':>12}\n")
-        for name, rho in ordered:
-            f.write(f"{name:<16} {rho:>12.6f}\n")
+    """Write (metric name, average correlation) rows, descending, as a ``report`` table."""
+    write_table(path, "report", ["metric", "avg_spearman"], sorted(rows, key=lambda r: (-r[1], r[0])))

@@ -83,7 +83,7 @@ def _scaled(raw: np.ndarray) -> np.ndarray:
     return vals
 
 
-def load_merl(path, name: str | None = None) -> TabulatedBrdf:
+def load_merl(path) -> TabulatedBrdf:
     """Map a MERL-convention binary table at any resolution.
 
     Every payload value is read once, in fixed-size chunks, and a NaN or
@@ -115,9 +115,7 @@ def load_merl(path, name: str | None = None) -> TabulatedBrdf:
             if not np.isfinite(part).all():
                 raise FormatError(f"{path}: NaN or infinite values in the payload")
         raw = np.memmap(f, dtype="<f8", mode="r", offset=12, shape=(3, *dims))
-    if name is None:
-        name = path.rsplit("/", 1)[-1].rsplit(".", 1)[0]
-    return TabulatedBrdf(name=name, raw=raw)
+    return TabulatedBrdf(name=path.rsplit("/", 1)[-1].rsplit(".", 1)[0], raw=raw)
 
 
 def save_merl(brdf: TabulatedBrdf, path) -> None:

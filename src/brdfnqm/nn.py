@@ -19,8 +19,9 @@ blob order, cut into per-array views (see `FlatParams`).
 The normal CDF Phi is computed here (`_ndtr`) in float64 from W. J. Cody's
 rational Chebyshev approximations to erf and erfc ("Rational Chebyshev
 approximations for the error function", Math. Comp. 23 (1969) 631-637),
-with the coefficients and ranges of his SPECFUN routine CALERF. The
-forward pass keeps Phi of each hidden layer for the backward pass.
+with the coefficients and ranges of his SPECFUN routine CALERF. A
+train-mode forward pass keeps Phi of each hidden layer for the backward
+pass.
 """
 
 from __future__ import annotations
@@ -284,52 +285,43 @@ def _sigmoid(x):
     return out
 
 
-def forward(model: MlpModel, batch: np.ndarray, mode: str = "eval", rng=None, dropout_masks=None):
+def forward(model: MlpModel, batch: np.ndarray, mode: str = "eval", rng=None):
     """Run the network; returns (predictions (B, 1), cache for backward).
 
-    Train mode needs either an rng to draw dropout masks or explicit masks
-    (one boolean array per hidden layer, used by the gradient checker).
+    A train-mode cache holds one record (input, xhat, inv_std, y, phi, mask)
+    per hidden layer, then the last layer's input and its sigmoid; mask is
+    None without dropout, else drawn from ``rng``, which train mode with
+    dropout needs. An eval pass keeps no activations: its cache is None.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
     x = np.asarray(batch, dtype=model.dtype)
     if x.ndim != 2 or x.shape[1] != model.input_dim:
         raise ValueError(f"batch shape {x.shape} incompatible with input dim {model.input_dim}")
+    train = mode == "train"
+    drop = train and model.dropout > 0.0
+    if drop and rng is None:
+        raise ValueError("train mode with dropout requires an rng")
     keep = 1.0 - model.dropout
-    cache = {"mode": mode, "inputs": [], "xhat": [], "inv_std": [], "y": [], "phi": [], "masks": []}
+    layers = []
     a = x
-    n_hidden = len(model.gammas)
-    for i in range(n_hidden):
-        cache["inputs"].append(a)
-        z = a @ model.weights[i].T + model.biases[i]
+    for w, b, gamma, beta in zip(model.weights, model.biases, model.gammas, model.betas):  # hidden layers only
+        z = a @ w.T + b
         mu = z.mean(axis=1, keepdims=True)
         var = z.var(axis=1, keepdims=True)
         inv_std = 1.0 / np.sqrt(var + LN_EPS)
         xhat = (z - mu) * inv_std
-        y = model.gammas[i] * xhat + model.betas[i]
+        y = gamma * xhat + beta
         phi = _ndtr(y)
+        mask = rng.random(y.shape) < keep if drop else None
+        if train:
+            layers.append((a, xhat, inv_std, y, phi, mask))
         a = y * phi
-        if mode == "train" and model.dropout > 0.0:
-            if dropout_masks is not None:
-                mask = dropout_masks[i]
-            elif rng is not None:
-                mask = rng.random(a.shape) < keep
-            else:
-                raise ValueError("train mode requires an rng or explicit dropout masks")
+        if drop:
             a = a * mask / keep
-            cache["masks"].append(mask)
-        else:
-            cache["masks"].append(None)
-        cache["xhat"].append(xhat)
-        cache["inv_std"].append(inv_std)
-        cache["y"].append(y)
-        cache["phi"].append(phi)
-    cache["inputs"].append(a)
-    zf = a @ model.weights[-1].T + model.biases[-1]
-    s = _sigmoid(zf)
-    cache["s"] = s
+    s = _sigmoid(a @ model.weights[-1].T + model.biases[-1])
     pred = model.jod_min + s * (model.jod_max - model.jod_min)
-    return pred, cache
+    return pred, ((layers, a, s) if train else None)
 
 
 def logcosh_loss(pred: np.ndarray, target: np.ndarray):
@@ -343,39 +335,36 @@ def logcosh_loss(pred: np.ndarray, target: np.ndarray):
     return loss, grad
 
 
-def backward(model: MlpModel, cache: dict, loss_grad: np.ndarray, out: FlatParams | None = None) -> FlatParams:
+def backward(model: MlpModel, cache, loss_grad: np.ndarray, out: FlatParams | None = None) -> FlatParams:
     """Gradients of the loss w.r.t. every parameter, mirroring the model.
 
-    They come back in the model's dtype, as views into one flat gradient
-    vector laid out like ``model.flat``: ``out`` when given (every element
-    is overwritten), else a new one.
+    ``cache`` is what a train-mode `forward` returned. The gradients come
+    back in the model's dtype, as views into one flat gradient vector laid
+    out like ``model.flat``: ``out`` when given (every element is
+    overwritten), else a new one.
     """
-    if cache.get("mode") != "train":
+    if cache is None:
         raise ValueError("backward requires a cache from a train-mode forward pass")
+    layers, a_last, s = cache
     keep = 1.0 - model.dropout
-    s = cache["s"]
     dzf = loss_grad * (model.jod_max - model.jod_min) * s * (1.0 - s)
     grads = _flat_like(model, np.empty_like) if out is None else out
-    a_last = cache["inputs"][-1]
     np.matmul(dzf.T, a_last, out=grads["weights"][-1])
     dzf.sum(axis=0, out=grads["biases"][-1])
     da = dzf @ model.weights[-1]
-    for i in reversed(range(len(model.gammas))):
-        mask = cache["masks"][i]
+    for i in reversed(range(len(layers))):
+        x_in, xhat, inv_std, y, phi, mask = layers[i]
         if mask is not None:
             da = da * mask / keep
-        dy = da * _gelu_grad(cache["y"][i], cache["phi"][i])
-        xhat = cache["xhat"][i]
+        dy = da * _gelu_grad(y, phi)
         (dy * xhat).sum(axis=0, out=grads["gammas"][i])
         dy.sum(axis=0, out=grads["betas"][i])
         dxhat = dy * model.gammas[i]
-        inv_std = cache["inv_std"][i]
         dz = inv_std * (
             dxhat
             - dxhat.mean(axis=1, keepdims=True)
             - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
         )
-        x_in = cache["inputs"][i]
         np.matmul(dz.T, x_in, out=grads["weights"][i])
         dz.sum(axis=0, out=grads["biases"][i])
         if i > 0:  # below layer 0 lies the input batch, which needs no gradient

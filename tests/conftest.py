@@ -173,3 +173,72 @@ def random_sampled_pair(ggx_table):
         synth.distort(ggx_table, synth.DistortionSpec(synth.DistortionKind.GAUSSIAN_NOISE, 0.05, seed=1)), ds
     )
     return ref, dist
+
+
+# The network pass with a dict cache of parallel per-layer lists, kept in
+# eval mode too, and dropout masks passed in explicitly, that nn.forward's
+# per-layer records replace; frozen as the reference nn.forward and
+# nn.backward must match bit for bit.
+
+
+def reference_forward(model, batch, mode, dropout_masks=None):
+    from brdfnqm import nn
+
+    x = np.asarray(batch, dtype=model.dtype)
+    keep = 1.0 - model.dropout
+    cache = {"mode": mode, "inputs": [], "xhat": [], "inv_std": [], "y": [], "phi": [], "masks": []}
+    a = x
+    for i in range(len(model.gammas)):
+        cache["inputs"].append(a)
+        z = a @ model.weights[i].T + model.biases[i]
+        mu = z.mean(axis=1, keepdims=True)
+        var = z.var(axis=1, keepdims=True)
+        inv_std = 1.0 / np.sqrt(var + nn.LN_EPS)
+        xhat = (z - mu) * inv_std
+        y = model.gammas[i] * xhat + model.betas[i]
+        phi = nn._ndtr(y)
+        a = y * phi
+        if mode == "train" and model.dropout > 0.0:
+            mask = dropout_masks[i]
+            a = a * mask / keep
+            cache["masks"].append(mask)
+        else:
+            cache["masks"].append(None)
+        cache["xhat"].append(xhat)
+        cache["inv_std"].append(inv_std)
+        cache["y"].append(y)
+        cache["phi"].append(phi)
+    cache["inputs"].append(a)
+    s = nn._sigmoid(a @ model.weights[-1].T + model.biases[-1])
+    cache["s"] = s
+    return model.jod_min + s * (model.jod_max - model.jod_min), cache
+
+
+def reference_backward(model, cache, loss_grad):
+    from brdfnqm import nn
+
+    keep = 1.0 - model.dropout
+    s = cache["s"]
+    dzf = loss_grad * (model.jod_max - model.jod_min) * s * (1.0 - s)
+    grads = nn._flat_like(model, np.empty_like)
+    np.matmul(dzf.T, cache["inputs"][-1], out=grads["weights"][-1])
+    dzf.sum(axis=0, out=grads["biases"][-1])
+    da = dzf @ model.weights[-1]
+    for i in reversed(range(len(model.gammas))):
+        if cache["masks"][i] is not None:
+            da = da * cache["masks"][i] / keep
+        dy = da * nn._gelu_grad(cache["y"][i], cache["phi"][i])
+        xhat = cache["xhat"][i]
+        (dy * xhat).sum(axis=0, out=grads["gammas"][i])
+        dy.sum(axis=0, out=grads["betas"][i])
+        dxhat = dy * model.gammas[i]
+        dz = cache["inv_std"][i] * (
+            dxhat
+            - dxhat.mean(axis=1, keepdims=True)
+            - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
+        )
+        np.matmul(dz.T, cache["inputs"][i], out=grads["weights"][i])
+        dz.sum(axis=0, out=grads["biases"][i])
+        if i > 0:
+            da = dz @ model.weights[i]
+    return grads

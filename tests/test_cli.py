@@ -15,7 +15,6 @@ from brdfnqm.pairio import write_samples
 from brdfnqm.tables import read_table, write_table
 
 RES = ["--res", "12", "8", "16"]
-GRID = ["--grid", "10", "6", "6"]
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +41,7 @@ def pipeline(tmp_path_factory, runner):
     ])
     _run(runner, [
         "sample", "--manifest", str(tables_dir / "manifest.txt"),
-        "--k", "40", "--seed", "2", *GRID, "--out-dir", str(samples_dir),
+        "--k", "40", "--seed", "2", "--out-dir", str(samples_dir),
     ])
     _run(runner, [
         "label", "--from-severity", str(samples_dir / "pairs.txt"),
@@ -147,16 +146,15 @@ def test_gen_synthetic_holds_no_table_when_the_next_material_starts(tmp_path, mo
     ("gen-synthetic", ["--res", "0", "8", "16"]),
     ("sample", ["--k", "0"]),
     ("sample", ["--k", "-3"]),
-    ("sample", ["--grid", "1", "16", "16"]),
     ("train", ["--epochs", "0"]),
     ("train", ["--batch-size", "0"]),
-], ids=["n-0", "res-0", "k-0", "k-neg", "grid-1", "epochs-0", "batch-size-0"])
+], ids=["n-0", "res-0", "k-0", "k-neg", "epochs-0", "batch-size-0"])
 def test_nonpositive_counts_are_usage_errors(runner, tmp_path, pipeline, command, bad):
     """Refused while parsing the options: nothing is read, made or written."""
     out = tmp_path / "out"
     args = {
         "gen-synthetic": ["--n", "1", "--level", "spec:0.1", *RES, "--out-dir", str(out)],
-        "sample": ["--manifest", str(pipeline / "tables" / "manifest.txt"), "--k", "5", *GRID, "--out-dir", str(out)],
+        "sample": ["--manifest", str(pipeline / "tables" / "manifest.txt"), "--k", "5", "--out-dir", str(out)],
         "train": _train_args(pipeline / "samples" / "pairs.txt", pipeline / "labels.txt", pipeline / "splits.txt", out),
     }[command]
     result = runner.invoke(cli.main, [command, *args, *bad])
@@ -314,12 +312,11 @@ def test_train_predict_correlate(pipeline, runner, tmp_path):
         "--pairs", str(pipeline / "samples" / "pairs.txt"),
         "--out", str(report),
     ])
-    text = report.read_text()
-    assert "brdf-nqm" in text
+    _, rcols, rrows = read_table(report, "report")
+    assert rcols == ["metric", "avg_spearman"]
+    assert "brdf-nqm" in [name for name, _ in rrows]
     # monotone specular-scale family: every baseline separates it perfectly
-    _, _, rrows_ = read_table(metrics, "metrics")
-    for line in text.splitlines()[2:]:
-        name, rho = line.split()
+    for name, rho in rrows:
         if name != "brdf-nqm":
             assert float(rho) == pytest.approx(1.0)
 
@@ -416,7 +413,7 @@ def _assert_one_line_error(result, *fragments):
 
 @pytest.mark.parametrize("command, table", [
     (["gen-synthetic", "--n", "1", "--level", "spec:0.5", *RES], "manifest.txt"),
-    (["sample", "--manifest", "{root}/tables/manifest.txt", "--k", "5", *GRID], "pairs.txt"),
+    (["sample", "--manifest", "{root}/tables/manifest.txt", "--k", "5"], "pairs.txt"),
     (["augment", "--pairs", "{root}/samples/pairs.txt", "--labels", "{root}/labels.txt", "--splits", "{root}/splits.txt"], "pairs.txt"),
 ])
 def test_out_dir_with_a_space_is_runtime_error(runner, tmp_path, pipeline, command, table):
@@ -436,7 +433,7 @@ def _one_table_sample(runner, tmp_path, damage):
     dist = tables / "mat000_l00.binary"
     dist.write_bytes(damage(dist.read_bytes()))
     return runner.invoke(cli.main, [
-        "sample", "--manifest", str(tables / "manifest.txt"), "--k", "5", *GRID, "--out-dir", str(tmp_path / "s"),
+        "sample", "--manifest", str(tables / "manifest.txt"), "--k", "5", "--out-dir", str(tmp_path / "s"),
     ])
 
 
@@ -469,7 +466,7 @@ def test_sample_files_equal_sampling_the_tables_in_memory(runner, tmp_path, pipe
     write_samples writes for the same calibrated tables held as dense arrays."""
     _, rows = cli._rows(pipeline / "samples" / "pairs.txt", "pairs", "pair_id", "ref_samples", "dist_samples")
     _, mrows = cli._rows(pipeline / "tables" / "manifest.txt", "manifest", "ref_path", "dist_path")
-    cands = sampling.build_candidate_grid(*map(int, GRID[1:]))
+    cands = sampling.build_candidate_grid()
 
     def dense(path):
         loaded = merl.load_merl(path)
@@ -670,7 +667,7 @@ def _sample_with_bad_severity(pipeline, tmp_path):
     rows[0][cols.index("severity")] = "high"
     manifest = tmp_path / "manifest.txt"
     write_table(manifest, "manifest", cols, rows, meta=meta)
-    return ["sample", "--manifest", str(manifest), "--k", "5", *GRID, "--out-dir", str(tmp_path / "s")], "'high'"
+    return ["sample", "--manifest", str(manifest), "--k", "5", "--out-dir", str(tmp_path / "s")], "'high'"
 
 
 def _split_without_material_column(pipeline, tmp_path):
@@ -707,7 +704,7 @@ def _sample_material_with_two_references(pipeline, tmp_path):
         r[cols.index("material")] = r[cols.index("material")].replace("mat001", "mat000")
     manifest = tmp_path / "manifest.txt"
     write_table(manifest, "manifest", cols, rows, meta=meta)
-    return ["sample", "--manifest", str(manifest), "--k", "5", *GRID, "--out-dir", str(tmp_path / "s")], str(manifest), "'mat000'"
+    return ["sample", "--manifest", str(manifest), "--k", "5", "--out-dir", str(tmp_path / "s")], str(manifest), "'mat000'"
 
 
 def _correlate_predictions_of_other_pairs(pipeline, tmp_path):
@@ -730,13 +727,30 @@ def _augment_its_own_output(pipeline, tmp_path):
             "pairs.txt", "pair_id", repr(_first_training_pair(pipeline) + "_s"))
 
 
+def _label_with_negative_deitp(pipeline, tmp_path):
+    deitp = tmp_path / "deitp.txt"
+    write_table(deitp, "deitp", ["pair_id", "deitp"], [["mat000_l00", 1.0], ["mat000_l01", -5.0]])
+    return ["label", "--deitp", str(deitp), "--out", str(tmp_path / "labels.txt")], str(deitp), "deitp", "'mat000_l01'", "-5.0"
+
+
+def _fit_jod_with(column, value):
+    """fit-jod on a calibration table whose last ``column`` field is ``value``."""
+    def args(pipeline, tmp_path):
+        calibration = tmp_path / "calibration.txt"
+        rows = [[d, 10.0 - d] for d in (0.5, 1.0, 2.0, 4.0, 8.0)]
+        rows[-1][["deitp", "jod"].index(column)] = value
+        write_table(calibration, "calibration", ["deitp", "jod"], rows)
+        return ["fit-jod", "--calibration", str(calibration), "--out", str(tmp_path / "params.txt")], str(calibration), column, repr(value)
+    return args
+
+
 def _out_dir_is_a_file(command):
     def args(pipeline, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("")
         inputs = {
             "gen-synthetic": ["--n", "1", "--level", "spec:0.5", *RES],
-            "sample": ["--manifest", str(pipeline / "tables" / "manifest.txt"), "--k", "5", *GRID],
+            "sample": ["--manifest", str(pipeline / "tables" / "manifest.txt"), "--k", "5"],
             "augment": ["--pairs", str(pipeline / "samples" / "pairs.txt"), "--labels", str(pipeline / "labels.txt"),
                         "--splits", str(pipeline / "splits.txt")],
         }[command]
@@ -756,9 +770,13 @@ def _out_dir_is_a_file(command):
     _out_dir_is_a_file("gen-synthetic"),
     _out_dir_is_a_file("sample"),
     _out_dir_is_a_file("augment"),
+    _label_with_negative_deitp,
+    _fit_jod_with("deitp", -1.0),
+    _fit_jod_with("jod", 11.0),
 ], ids=["sample-bad-severity", "split-no-material", "split-absent-test-material", "train-unknown-split",
         "train-no-training-pair", "sample-material-two-references", "correlate-predictions-other-pairs",
-        "augment-own-output", "gen-synthetic-out-file", "sample-out-file", "augment-out-file"])
+        "augment-own-output", "gen-synthetic-out-file", "sample-out-file", "augment-out-file",
+        "label-negative-deitp", "fit-jod-negative-deitp", "fit-jod-jod-above-10"])
 def test_data_and_file_errors_end_in_one_line(pipeline, runner, tmp_path, case):
     args, *fragments = case(pipeline, tmp_path)
     _assert_one_line_error(runner.invoke(cli.main, args), *fragments)
@@ -846,7 +864,7 @@ def inputs(pipeline, runner, checkpoint, tmp_path_factory):
 
 # each command's arguments, with {kind} for an input table and {out} for the output
 COMMANDS = {
-    "sample": ["sample", "--manifest", "{manifest}", "--k", "40", *GRID, "--out-dir", "{out}"],
+    "sample": ["sample", "--manifest", "{manifest}", "--k", "40", "--out-dir", "{out}"],
     "fit-jod": ["fit-jod", "--calibration", "{calibration}", "--out", "{out}"],
     "label-severity": ["label", "--from-severity", "{pairs}", "--out", "{out}"],
     "label-deitp": ["label", "--deitp", "{deitp}", "--params", "{jodparams}", "--out", "{out}"],

@@ -14,6 +14,7 @@ from brdfnqm.evaluate import (
     emit_report,
     spearman,
 )
+from brdfnqm.tables import read_table
 
 
 def _rank_oracle(v):
@@ -213,12 +214,13 @@ def test_columns_of_unequal_length_rejected():
 
 
 def test_emit_report_table_sorted_descending(tmp_path):
-    rows = [("rmse", 0.3), ("brdf-nqm", 0.9), ("ma_loge", 0.5)]
+    rows = [("rmse", 0.1 + 0.2), ("brdf-nqm", 2.0 / 3.0), ("ma_loge", 0.5)]
     p = tmp_path / "report.txt"
     emit_report(rows, p)
-    lines = p.read_text().splitlines()
-    names = [ln.split()[0] for ln in lines[2:]]
-    assert names == ["brdf-nqm", "ma_loge", "rmse"]
+    _, cols, got = read_table(p, "report")
+    assert cols == ["metric", "avg_spearman"]
+    # repr floats: every value reads back exactly, 0.30000000000000004 included
+    assert [(name, float(rho)) for name, rho in got] == sorted(rows, key=lambda r: -r[1])
     # rerun is byte-identical
     p2 = tmp_path / "report2.txt"
     emit_report(rows, p2)

@@ -50,7 +50,7 @@ def test_load_roundtrip_is_byte_exact(tmp_path):
     _write_file(p, dims, raw)
     original = p.read_bytes()
 
-    brdf = merl.load_merl(p, name="mat")
+    brdf = merl.load_merl(p)
     out = tmp_path / "copy.binary"
     merl.save_merl(brdf, out)
     assert out.read_bytes() == original
@@ -91,7 +91,7 @@ def test_invalid_entries_keep_sentinel_and_read_as_zero(tmp_path):
     raw[0] = -1.0
     p = tmp_path / "x.binary"
     _write_file(p, dims, raw)
-    brdf = merl.load_merl(p, name="x")
+    brdf = merl.load_merl(p)
     assert brdf.values[0, 0, 0, 0] == -1.0  # sentinel preserved in memory
     mask = brdf.invalid_mask()
     assert mask[0, 0, 0] and not mask[0, 0, 1]
@@ -106,7 +106,7 @@ def test_layout_channel_major_phi_d_innermost(tmp_path):
     raw = np.arange(3 * n, dtype=float)
     p = tmp_path / "layout.binary"
     _write_file(p, dims, raw)
-    brdf = merl.load_merl(p, name="layout")
+    brdf = merl.load_merl(p)
     # element (channel c, th i, td j, pd k) sits at raw offset
     # c*n + i*(n_td*n_pd) + j*n_pd + k, scaled by the per-channel factor
     for c, i, j, k in [(0, 0, 0, 0), (1, 1, 2, 3), (2, 0, 1, 2), (0, 1, 0, 3)]:
@@ -120,21 +120,21 @@ def test_truncated_file_raises(tmp_path):
         f.write(struct.pack("<3i", *CANONICAL_RES))
         f.write(b"\x00" * 100)
     with pytest.raises(TruncatedFileError):
-        merl.load_merl(p, name="short")
+        merl.load_merl(p)
 
 
 def test_short_header_raises(tmp_path):
     p = tmp_path / "stub.binary"
     p.write_bytes(b"\x01\x02")
     with pytest.raises(TruncatedFileError):
-        merl.load_merl(p, name="stub")
+        merl.load_merl(p)
 
 
 def test_garbage_header_raises(tmp_path):
     p = tmp_path / "bad.binary"
     p.write_bytes(struct.pack("<3i", -5, 0, 7) + b"\x00" * 64)
     with pytest.raises(FormatError):
-        merl.load_merl(p, name="bad")
+        merl.load_merl(p)
 
 
 def test_trailing_bytes_raise(tmp_path):
@@ -146,7 +146,7 @@ def test_trailing_bytes_raise(tmp_path):
         f.write(np.zeros(n).astype("<f8").tobytes())
         f.write(b"\x00")
     with pytest.raises(FormatError):
-        merl.load_merl(p, name="extra")
+        merl.load_merl(p)
 
 
 def test_header_claiming_more_than_the_file_holds_raises_before_allocating(tmp_path):
@@ -154,7 +154,7 @@ def test_header_claiming_more_than_the_file_holds_raises_before_allocating(tmp_p
     p = tmp_path / "liar.binary"
     p.write_bytes(struct.pack("<3i", 2**20, 90, 180) + b"\x00" * 64)
     with pytest.raises(TruncatedFileError, match="got 64"):
-        merl.load_merl(p, name="liar")
+        merl.load_merl(p)
 
 
 def test_strict_resolution(tmp_path):
@@ -162,7 +162,7 @@ def test_strict_resolution(tmp_path):
     n = dims[0] * dims[1] * dims[2]
     p = tmp_path / "small.binary"
     _write_file(p, dims, np.zeros(3 * n))
-    brdf = merl.load_merl(p, name="small")
+    brdf = merl.load_merl(p)
     assert brdf.resolution == dims
 
 

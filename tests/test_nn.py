@@ -15,7 +15,7 @@ from brdfnqm.errors import CheckpointError, PairingError
 from brdfnqm.preprocess import WhiteningStats, compute_whitening
 from brdfnqm.sampling import SampledBrdf
 
-from conftest import flip_bit, reference_pair_to_input, tiny_direction_set
+from conftest import flip_bit, reference_backward, reference_forward, reference_pair_to_input, tiny_direction_set
 
 
 def _stats():
@@ -191,7 +191,7 @@ def test_forward_output_range_and_shapes():
     pred, cache = nn.forward(model, x, mode="eval")
     assert pred.shape == (5, 1)
     assert np.all((pred > 0.0) & (pred < 10.0))  # sigmoid rescale keeps range open
-    assert all(m is None for m in cache["masks"])
+    assert cache is None  # an eval pass keeps no activations
 
 
 def test_forward_validates_inputs():
@@ -201,7 +201,7 @@ def test_forward_validates_inputs():
     with pytest.raises(ValueError):
         nn.forward(model, np.zeros((2, 12)), mode="test")
     with pytest.raises(ValueError):
-        nn.forward(model, np.zeros((2, 12)), mode="train")  # no rng, no masks
+        nn.forward(model, np.zeros((2, 12)), mode="train")  # dropout and no rng
 
 
 def test_dropout_train_vs_eval():
@@ -215,15 +215,16 @@ def test_dropout_train_vs_eval():
     t3, _ = nn.forward(model, x, mode="train", rng=np.random.default_rng(9))
     np.testing.assert_array_equal(t1, t2)
     assert not np.array_equal(t1, t3)
-    assert all(m is not None for m in c1["masks"])
+    layers, _, _ = c1
+    assert [mask.shape for *_, mask in layers] == [(4, 8), (4, 6), (4, 4)]
 
 
-def _numeric_grads(model, x, y, masks, h_scale=1e-5):
-    """Central finite differences over every parameter."""
+def _numeric_grads(model, x, y, mask_seed, h_scale=1e-5):
+    """Central finite differences over every parameter; every pass draws its dropout masks from one fresh seeded rng."""
     out = {k: [np.zeros_like(a) for a in getattr(model, k)] for k in ("weights", "biases", "gammas", "betas")}
 
     def loss_at():
-        pred, _ = nn.forward(model, x, mode="train", dropout_masks=masks)
+        pred, _ = nn.forward(model, x, mode="train", rng=np.random.default_rng(mask_seed))
         loss, _ = nn.logcosh_loss(pred, y)
         return loss
 
@@ -249,11 +250,10 @@ def test_backward_matches_finite_differences():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(3, 6))
     y = rng.uniform(0, 10, size=(3, 1))
-    masks = [rng.random((3, h)) < 0.8 for h in (5, 4, 3)]
-    pred, cache = nn.forward(model, x, mode="train", dropout_masks=masks)
+    pred, cache = nn.forward(model, x, mode="train", rng=np.random.default_rng(3))
     _, dpred = nn.logcosh_loss(pred, y)
     analytic = nn.backward(model, cache, dpred)
-    numeric = _numeric_grads(model, x, y, masks)
+    numeric = _numeric_grads(model, x, y, mask_seed=3)
     for key in ("weights", "biases", "gammas", "betas"):
         for ga, gn in zip(analytic[key], numeric[key]):
             denom = np.maximum(np.maximum(np.abs(ga), np.abs(gn)), 1e-8)
@@ -263,9 +263,32 @@ def test_backward_matches_finite_differences():
 def test_backward_requires_train_cache():
     model = _small_model()
     x = np.zeros((2, 12))
-    _, cache = nn.forward(model, x, mode="eval")
-    with pytest.raises(ValueError):
-        nn.backward(model, cache, np.zeros((2, 1)))
+    pred, cache = nn.forward(model, x, mode="eval")
+    assert cache is None
+    with pytest.raises(ValueError, match="train-mode"):
+        nn.backward(model, cache, np.zeros_like(pred))
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.2])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_forward_and_backward_match_the_dict_cache_reference_bit_for_bit(dtype, dropout):
+    """The per-layer records give the predictions and every gradient of the
+    parallel-list cache with explicit masks, drawn from the same seeded rng."""
+    model = _small_model(seed=5, input_dim=20, hidden=(9, 7, 5), dtype=dtype, dropout=dropout)
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(6, 20))
+    y = rng.uniform(0, 10, size=(6, 1)).astype(dtype)
+    pred, cache = nn.forward(model, x, mode="train", rng=np.random.default_rng(11))
+    mask_rng = np.random.default_rng(11)
+    masks = [mask_rng.random((6, h)) < 1.0 - dropout for h in (9, 7, 5)]
+    ref_pred, ref_cache = reference_forward(model, x, "train", masks)
+    assert pred.dtype == ref_pred.dtype == dtype
+    assert pred.tobytes() == ref_pred.tobytes()
+    _, dpred = nn.logcosh_loss(pred, y)
+    assert nn.backward(model, cache, dpred).flat.tobytes() == reference_backward(model, ref_cache, dpred).flat.tobytes()
+    eval_pred, eval_cache = nn.forward(model, x, mode="eval")
+    assert eval_cache is None
+    assert eval_pred.tobytes() == reference_forward(model, x, "eval")[0].tobytes()
 
 
 def test_adam_single_step_matches_hand_computation():
