@@ -2,57 +2,75 @@
 
 from __future__ import annotations
 
-import weakref
+import re
 
 import numpy as np
 
 from .errors import FormatError, PairingError
 from .sampling import DirectionSet, SampledBrdf
-from .tables import _write_lines, read_numeric_table
+from .tables import _read_parts, _write_lines
 
 SAMPLE_COLUMNS = ["theta_h", "theta_d", "phi_d", "cos_wi", "cos_wo", "r", "g", "b"]
 
-# row prefixes of each live DirectionSet, dropped when the set is freed;
-# a set's arrays are read-only, so its text cannot go stale
-_row_prefixes: weakref.WeakKeyDictionary[DirectionSet, list[str]] = weakref.WeakKeyDictionary()
-
-
-def _format_directions(path, d: DirectionSet) -> list[str]:
-    """Each row's five direction fields as repr text joined by spaces, plus a trailing space."""
-    columns = d.columns()
-    if not np.isfinite(columns).all():
-        raise FormatError(f"{path}: NaN or infinite direction values cannot be written")
-    return [" ".join(map(repr, row)) + " " for row in columns.tolist()]
+# v2 rows hold each float64 as the 16 hex digits of its big-endian IEEE-754 bits
+SAMPLES_VERSION = 2
+_ROW_WIDTH = 17 * len(SAMPLE_COLUMNS) - 1
+_HEX_FIELD = re.compile(r"[0-9a-fA-F]{16}")
 
 
 def write_samples(path, sampled: SampledBrdf) -> None:
-    """Write a sample file; a NaN or infinite value raises FormatError before the file is opened.
-
-    The direction columns' text is formatted once per DirectionSet and reused
-    by every file written on that set, so each further file formats only its
-    k x 3 values.
-    """
+    """Write a sample file; a NaN or infinite value raises FormatError before the file is opened."""
     d = sampled.directions
-    if not np.isfinite(sampled.values).all():
+    data = np.column_stack((d.columns(), sampled.values))
+    if not np.isfinite(data).all():
         raise FormatError(f"{path}: NaN or infinite values cannot be written")
-    prefixes = _row_prefixes.get(d)
-    if prefixes is None:
-        prefixes = _row_prefixes[d] = _format_directions(path, d)
-    lines = [f"{prefix}{r!r} {g!r} {b!r}\n" for prefix, (r, g, b) in zip(prefixes, sampled.values.tolist())]
-    _write_lines(path, "samples", SAMPLE_COLUMNS, lines, {"k": d.k, "seed": d.seed, "material": d.source_material})
+    body = bytearray(data.astype(">f8").tobytes().hex(" ", 8) + "\n", "ascii")
+    body[_ROW_WIDTH::_ROW_WIDTH + 1] = b"\n" * d.k  # the space after each row's last field ends the row
+    _write_lines(path, "samples", SAMPLE_COLUMNS, [body.decode()] if d.k else [],
+                 {"k": d.k, "seed": d.seed, "material": d.source_material}, SAMPLES_VERSION)
+
+
+def _malformed_row(path, rows) -> FormatError:
+    """The error naming the first row that is not eight 16-digit hex fields separated by single spaces."""
+    for i, row in enumerate(rows, start=1):
+        fields = row.split(" ")
+        bad = next((f for f in fields if not _HEX_FIELD.fullmatch(f)), None)
+        if bad is not None:
+            return FormatError(f"{path}: row {i} field {bad!r} is not 16 hex digits")
+        if len(fields) != len(SAMPLE_COLUMNS):
+            return FormatError(f"{path}: row {i} has {len(fields)} fields, not {len(SAMPLE_COLUMNS)}")
+    return FormatError(f"{path}: malformed sample rows")
 
 
 def read_samples(path, directions: DirectionSet | None = None) -> SampledBrdf:
-    """Load a sample file; pass a DirectionSet to share it across a pair."""
-    meta, columns, data = read_numeric_table(path, "samples")
+    """Load a sample file; pass a DirectionSet to share it across a pair.
+
+    The rows are checked for layout, then decoded by one ``bytes.fromhex``;
+    a header without a sample count k >= 1, a malformed row or a NaN/infinite
+    value raises `FormatError`.
+    """
+    meta, columns, body = _read_parts(path, "samples", SAMPLES_VERSION)
     if columns != SAMPLE_COLUMNS:
         raise FormatError(f"{path}: unexpected columns {columns}")
     try:
-        k, seed = int(meta.get("k", len(data))), int(meta.get("seed", 0))
+        k, seed = int(meta.get("k", 0)), int(meta.get("seed", 0))
     except ValueError:
         raise FormatError(f"{path}: header k={meta.get('k')} seed={meta.get('seed')} is not integral") from None
-    if len(data) != k:
-        raise FormatError(f"{path}: row count {len(data)} != header k={k}")
+    if k < 1:
+        raise FormatError(f"{path}: header k={meta.get('k')} is not a sample count of at least 1")
+    rows = list(filter(None, body))
+    if len(rows) != k:
+        raise FormatError(f"{path}: row count {len(rows)} != header k={k}")
+    # every 17th character separates two fields: a space within a row, a newline between rows
+    text = "\n".join(rows)
+    if len(text) != (_ROW_WIDTH + 1) * k - 1 or text[16::17] != ((" " * 7 + "\n") * k)[:-1]:
+        raise _malformed_row(path, rows)
+    try:  # a field that holds whitespace decodes to fewer bytes, which do not reshape
+        data = np.frombuffer(bytes.fromhex(text), ">f8").reshape(k, len(SAMPLE_COLUMNS)).astype(np.float64)
+    except ValueError:
+        raise _malformed_row(path, rows) from None
+    if not np.isfinite(data).all():
+        raise FormatError(f"{path}: NaN or infinite values in the table")
     if directions is None:
         directions = DirectionSet(*data[:, :5].T, seed=seed, source_material=meta.get("material", ""))
     elif not np.array_equal(directions.columns(), data[:, :5]):

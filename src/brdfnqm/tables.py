@@ -2,7 +2,8 @@
 
 Every file starts with a versioned kind line, optional `# key=value`
 metadata lines, a `# col col ...` column header, then whitespace-separated
-rows. Floats are written with repr so rereads are bit-exact.
+rows. Floats are written with repr so rereads are bit-exact; sample files
+(`pairio`) have their own version, whose rows hold floats as hex bit patterns.
 """
 
 from __future__ import annotations
@@ -37,10 +38,10 @@ def check_field(path, column: str, value) -> None:
         raise FormatError(f"{path}: {column} field {str(value)!r} is empty or holds whitespace") from None
 
 
-def _write_lines(path, kind: str, columns: list[str], lines: list[str], meta: dict | None) -> None:
+def _write_lines(path, kind: str, columns: list[str], lines: list[str], meta: dict | None, version: int = FORMAT_VERSION) -> None:
     """Write the kind line, the metadata and the column header, then the formatted body lines."""
     with open(str(path), "w", encoding="ascii") as f:
-        f.write(f"# brdfnqm-{kind} v{FORMAT_VERSION}\n")
+        f.write(f"# brdfnqm-{kind} v{version}\n")
         for key, value in (meta or {}).items():
             f.write(f"# {key}={_fmt(value)}\n")
         f.write("# " + " ".join(columns) + "\n")
@@ -59,7 +60,7 @@ def write_table(path, kind: str, columns: list[str], rows, meta: dict | None = N
     _write_lines(path, kind, columns, lines, meta)
 
 
-def _read_parts(path, kind: str):
+def _read_parts(path, kind: str, version: int = FORMAT_VERSION):
     """Returns (meta dict of strings, column names, body lines after the column header)."""
     try:
         with open(str(path), "r", encoding="ascii") as f:
@@ -68,9 +69,9 @@ def _read_parts(path, kind: str):
         raise FormatError(f"{path}: not an ASCII brdfnqm-{kind} table") from None
     if not lines or not lines[0].startswith(f"# brdfnqm-{kind} v"):
         raise FormatError(f"{path}: not a brdfnqm-{kind} table")
-    version = lines[0].rsplit("v", 1)[-1]
-    if version != str(FORMAT_VERSION):
-        raise FormatError(f"{path}: unsupported table version {version}")
+    found = lines[0].rsplit("v", 1)[-1]
+    if found != str(version):
+        raise FormatError(f"{path}: unsupported table version {found}")
     meta: dict[str, str] = {}
     for body_start, line in enumerate(lines[1:], start=2):
         if line.startswith("# ") and "=" in line:
@@ -91,25 +92,3 @@ def read_table(path, kind: str):
         if len(r) != len(columns):
             raise FormatError(f"{path}: row width {len(r)} != {len(columns)} columns")
     return meta, columns, rows
-
-
-def read_numeric_table(path, kind: str):
-    """Returns (meta, column names, float64 array of shape (rows, columns)).
-
-    The body is parsed in one vectorised pass that rounds exactly as
-    ``float()`` does; a malformed number, a ragged row or a NaN/infinite
-    value raises `FormatError`.
-    """
-    meta, columns, body = _read_parts(path, kind)
-    if any(map(str.strip, body)):
-        try:
-            data = np.loadtxt(body, dtype=np.float64, comments=None, ndmin=2)
-        except ValueError as exc:
-            raise FormatError(f"{path}: {exc}") from None
-    else:
-        data = np.empty((0, len(columns)))
-    if data.shape[1] != len(columns):
-        raise FormatError(f"{path}: row width {data.shape[1]} != {len(columns)} columns")
-    if not np.isfinite(data).all():
-        raise FormatError(f"{path}: NaN or infinite values in the table")
-    return meta, columns, data

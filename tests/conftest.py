@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -25,6 +26,11 @@ def ggx_table():
         roughness=0.25,
     )
     return synth.tabulate(params, res=SMALL_RES, name="ggx025")
+
+
+def hex_bits(value: float) -> str:
+    """A sample file's field for ``value``: its big-endian float64 bits as 16 hex digits."""
+    return struct.pack(">d", value).hex()
 
 
 def flip_bit(data: bytes, bit: int) -> bytes:

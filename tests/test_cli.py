@@ -11,8 +11,11 @@ from click.testing import CliRunner
 
 from brdfnqm import cli, merl, sampling, synth
 from brdfnqm.merl import TabulatedBrdf
-from brdfnqm.pairio import write_samples
+from brdfnqm.pairio import SAMPLE_COLUMNS, read_samples, write_samples
+from brdfnqm.sampling import DirectionSet, SampledBrdf
 from brdfnqm.tables import read_table, write_table
+
+from conftest import hex_bits
 
 RES = ["--res", "12", "8", "16"]
 
@@ -171,8 +174,7 @@ def test_sample_outputs(pipeline):
     # every referenced sample file exists and has k rows
     for r in rows:
         for col in ("ref_samples", "dist_samples"):
-            _, scols, srows = read_table(r[cols.index(col)], "samples")
-            assert len(srows) == 40
+            assert read_samples(r[cols.index(col)]).values.shape == (40, 3)
 
 
 def test_label_from_severity(pipeline):
@@ -227,10 +229,9 @@ def test_augment_doubles_training_rows(pipeline, augmented):
         if src[0] in scaled:
             factor = np.random.default_rng((4, i)).uniform(0.95, 1.05)
             for col in ("ref_samples", "dist_samples"):
-                _, _, before = read_table(src[cols.index(col)], "samples")
-                _, _, after = read_table(scaled[src[0]][cols.index(col)], "samples")
-                np.testing.assert_allclose(
-                    np.array(after, dtype=float)[:, 5:], factor * np.array(before, dtype=float)[:, 5:], rtol=1e-15)
+                before = read_samples(src[cols.index(col)]).values
+                after = read_samples(scaled[src[0]][cols.index(col)]).values
+                np.testing.assert_allclose(after, factor * before, rtol=1e-15)
 
 
 def test_augment_scaled_rows_copy_label_and_directions(augmented):
@@ -251,14 +252,9 @@ def test_augment_scaled_rows_copy_label_and_directions(augmented):
         assert split_of[pid] == "train"
         values = []  # (source, scaled) reflectance of ref, then of dist
         for before_path, after_path in zip(files_of[src], files_of[pid]):
-            _, cols, before = read_table(before_path, "samples")
-            _, after_cols, after = read_table(after_path, "samples")
-            assert after_cols == cols
-            before, after = np.array(before, dtype=float), np.array(after, dtype=float)
-            rgb = [cols.index(c) for c in ("r", "g", "b")]
-            directions = [i for i in range(len(cols)) if i not in rgb]
-            np.testing.assert_array_equal(after[:, directions], before[:, directions])
-            values.append((before[:, rgb], after[:, rgb]))
+            before, after = read_samples(before_path), read_samples(after_path)
+            np.testing.assert_array_equal(after.directions.columns(), before.directions.columns())
+            values.append((before.values, after.values))
         f = values[0][1][0, 0] / values[0][0][0, 0]
         assert 0.95 <= f <= 1.05
         for before, after in values:
@@ -481,14 +477,16 @@ def test_sample_files_equal_sampling_the_tables_in_memory(runner, tmp_path, pipe
         assert (tmp_path / "dist.txt").read_bytes() == pathlib.Path(dist_out).read_bytes()
 
 
-def _pairs_with_bad_dist(pipeline, tmp_path, token):
-    """A copy of the pipeline's pairs table whose first dist file has ``token`` as one value."""
+def _pairs_with_bad_dist(pipeline, tmp_path, field):
+    """A copy of the pipeline's pairs table whose first dist file has ``field`` as one value."""
     meta, cols, rows = read_table(pipeline / "samples" / "pairs.txt", "pairs")
-    src = rows[0][cols.index("dist_samples")]
-    smeta, scols, srows = read_table(src, "samples")
-    srows[3][scols.index("g")] = token
+    lines = pathlib.Path(rows[0][cols.index("dist_samples")]).read_text().splitlines()
+    row = [line.startswith("#") for line in lines].index(False) + 3
+    fields = lines[row].split(" ")
+    fields[SAMPLE_COLUMNS.index("g")] = field
+    lines[row] = " ".join(fields)
     bad = tmp_path / "bad_dist.txt"
-    write_table(bad, "samples", scols, srows, meta=smeta)
+    bad.write_text("\n".join(lines) + "\n")
     rows[0][cols.index("dist_samples")] = str(bad)
     pairs = tmp_path / "pairs.txt"
     write_table(pairs, "pairs", cols, rows, meta=meta)
@@ -502,15 +500,15 @@ def _train_args(pairs, labels, splits, out_dir):
 
 
 def test_train_nan_samples_is_runtime_error(pipeline, runner, tmp_path):
-    pairs = _pairs_with_bad_dist(pipeline, tmp_path, "nan")
+    pairs = _pairs_with_bad_dist(pipeline, tmp_path, hex_bits(math.nan))
     result = runner.invoke(cli.main, _train_args(pairs, pipeline / "labels.txt", pipeline / "splits.txt", tmp_path))
     _assert_one_line_error(result, "bad_dist.txt", "NaN")
 
 
-@pytest.mark.parametrize("token, value", [("-2.0", "nan"), ("-1.0", "inf")])
+@pytest.mark.parametrize("token, value", [(-2.0, "nan"), (-1.0, "inf")])
 def test_eval_baselines_non_finite_metric_is_runtime_error(pipeline, runner, tmp_path, token, value):
     """A dist value outside the log metrics' domain: refused, naming the pairs file, the pair and the metric; no table written."""
-    pairs = _pairs_with_bad_dist(pipeline, tmp_path, token)
+    pairs = _pairs_with_bad_dist(pipeline, tmp_path, hex_bits(token))
     metrics = tmp_path / "metrics.txt"
     result = runner.invoke(cli.main, ["eval-baselines", "--pairs", str(pairs), "--out", str(metrics)])
     _assert_one_line_error(result, str(pairs), f"rms_loge of pair 'mat000_l00' is {value}")
@@ -554,13 +552,14 @@ def test_predict_with_overflowing_checkpoint_is_runtime_error(pipeline, runner, 
 
 
 def test_malformed_sample_number_is_runtime_error(pipeline, runner, tmp_path, checkpoint):
-    pairs = _pairs_with_bad_dist(pipeline, tmp_path, "0.1x")
+    """The bits of 0.1 with a last digit that is not hex: one line naming the file, the row and the field."""
+    pairs = _pairs_with_bad_dist(pipeline, tmp_path, "3fb999999999999x")
     for args in (
         ["predict", "--checkpoint", str(checkpoint), "--pairs", str(pairs), "--out", str(tmp_path / "p.txt")],
         ["eval-baselines", "--pairs", str(pairs), "--out", str(tmp_path / "m.txt")],
         _train_args(pairs, pipeline / "labels.txt", pipeline / "splits.txt", tmp_path),
     ):
-        _assert_one_line_error(runner.invoke(cli.main, args), "bad_dist.txt", "0.1x")
+        _assert_one_line_error(runner.invoke(cli.main, args), "bad_dist.txt", "row 4", "'3fb999999999999x'")
 
 
 @pytest.mark.parametrize("token", ["nan", "-inf", "high"])
@@ -744,6 +743,44 @@ def _fit_jod_with(column, value):
     return args
 
 
+def _pairs_on_sample_files(pipeline, tmp_path, ref, dist):
+    """A copy of the pipeline's pairs table whose every pair reads the sample files ``ref`` and ``dist``."""
+    meta, cols, rows = read_table(pipeline / "samples" / "pairs.txt", "pairs")
+    for r in rows:
+        r[cols.index("ref_samples")], r[cols.index("dist_samples")] = str(ref), str(dist)
+    pairs = tmp_path / "pairs.txt"
+    write_table(pairs, "pairs", cols, rows, meta=meta)
+    return pairs
+
+
+def _with_empty_samples(command):
+    """``command`` on pairs whose sample files hold k=0 samples: header, no rows."""
+    def args(pipeline, tmp_path):
+        ds = DirectionSet(*np.empty((5, 0)), seed=0, source_material="mat000")
+        ref, dist = tmp_path / "empty_ref.txt", tmp_path / "empty_dist.txt"
+        for path in (ref, dist):
+            write_samples(path, SampledBrdf(values=np.empty((0, 3)), directions=ds))
+        pairs = _pairs_on_sample_files(pipeline, tmp_path, ref, dist)
+        return {
+            "train": _train_args(pairs, pipeline / "labels.txt", pipeline / "splits.txt", tmp_path),
+            "augment": _augment_args(pairs, pipeline / "labels.txt", pipeline / "splits.txt", tmp_path / "aug"),
+            "eval-baselines": ["eval-baselines", "--pairs", str(pairs), "--out", str(tmp_path / "metrics.txt")],
+        }[command], "empty_ref.txt", "k=0"
+    return args
+
+
+def _train_on_decimal_samples(pipeline, tmp_path):
+    """A sample file in the decimal rows of format v1, as write_table writes them."""
+    _, cols, rows = read_table(pipeline / "samples" / "pairs.txt", "pairs")
+    ref = read_samples(rows[0][cols.index("ref_samples")])
+    d = ref.directions
+    v1 = tmp_path / "v1_ref.txt"
+    write_table(v1, "samples", SAMPLE_COLUMNS, np.column_stack((d.columns(), ref.values)).tolist(),
+                {"k": d.k, "seed": d.seed, "material": d.source_material})
+    pairs = _pairs_on_sample_files(pipeline, tmp_path, v1, rows[0][cols.index("dist_samples")])
+    return _train_args(pairs, pipeline / "labels.txt", pipeline / "splits.txt", tmp_path), "v1_ref.txt", "version 1"
+
+
 def _out_dir_is_a_file(command):
     def args(pipeline, tmp_path):
         blocker = tmp_path / "blocker"
@@ -773,10 +810,15 @@ def _out_dir_is_a_file(command):
     _label_with_negative_deitp,
     _fit_jod_with("deitp", -1.0),
     _fit_jod_with("jod", 11.0),
+    _with_empty_samples("train"),
+    _with_empty_samples("augment"),
+    _with_empty_samples("eval-baselines"),
+    _train_on_decimal_samples,
 ], ids=["sample-bad-severity", "split-no-material", "split-absent-test-material", "train-unknown-split",
         "train-no-training-pair", "sample-material-two-references", "correlate-predictions-other-pairs",
         "augment-own-output", "gen-synthetic-out-file", "sample-out-file", "augment-out-file",
-        "label-negative-deitp", "fit-jod-negative-deitp", "fit-jod-jod-above-10"])
+        "label-negative-deitp", "fit-jod-negative-deitp", "fit-jod-jod-above-10", "train-empty-samples",
+        "augment-empty-samples", "eval-baselines-empty-samples", "train-v1-decimal-samples"])
 def test_data_and_file_errors_end_in_one_line(pipeline, runner, tmp_path, case):
     args, *fragments = case(pipeline, tmp_path)
     _assert_one_line_error(runner.invoke(cli.main, args), *fragments)

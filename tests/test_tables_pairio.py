@@ -1,3 +1,5 @@
+import math
+import struct
 import tempfile
 from functools import partial
 from pathlib import Path
@@ -11,7 +13,7 @@ from brdfnqm import pairio, tables
 from brdfnqm.errors import FormatError, PairingError
 from brdfnqm.sampling import DirectionSet, SampledBrdf
 
-from conftest import flip_bit, tiny_direction_set
+from conftest import flip_bit, hex_bits, tiny_direction_set
 
 
 def test_table_roundtrip_bit_exact(tmp_path):
@@ -52,7 +54,7 @@ def test_table_missing_header_checked(tmp_path):
         tables.read_table(p, "alpha")
 
 
-@pytest.mark.parametrize("reader", [tables.read_table, tables.read_numeric_table])
+@pytest.mark.parametrize("reader", [tables.read_table])
 @pytest.mark.parametrize("text", [
     b"# brdfnqm-alpha v1\n# x y\n1.0\n",
     b"# brdfnqm-alpha v1\n# x y\n1.0 2.0\n3.0\n",
@@ -63,31 +65,19 @@ def test_table_missing_header_checked(tmp_path):
     b"# brdfnqm-alpha v1\n# x\n\xff\n",
 ])
 def test_both_readers_check_the_layout(tmp_path, reader, text):
+    """Each damaged layout is a FormatError naming the file. read_samples
+    runs the same checks through _read_parts; its row checks are below."""
     p = tmp_path / "bad.txt"
     p.write_bytes(text)
     with pytest.raises(FormatError, match="bad.txt"):
         reader(p, "alpha")
 
 
-def test_numeric_table_matches_read_table(tmp_path):
-    rows = [[0.1 + 0.2, -1e-300, 3.0], [-0.0, 7.0 / 3.0, -1.0]]
-    p = tmp_path / "t.txt"
-    tables.write_table(p, "demo", ["a", "b", "c"], rows, meta={"k": 2, "note": "x=y"})
-    meta, cols, str_rows = tables.read_table(p, "demo")
-    nmeta, ncols, data = tables.read_numeric_table(p, "demo")
-    assert (nmeta, ncols) == (meta, cols) == ({"k": "2", "note": "x=y"}, ["a", "b", "c"])
-    assert data.dtype == np.float64 and data.shape == (2, 3)
-    assert data.tobytes() == np.array([[float(v) for v in r] for r in str_rows]).tobytes()
-    tables.write_table(p, "demo", ["a", "b"], [])
-    assert tables.read_numeric_table(p, "demo")[2].shape == (0, 2)
-
-
-@pytest.mark.parametrize("token", ["0.1x", "nan", "-inf", "abc"])
-def test_numeric_table_rejects_bad_numbers(tmp_path, token):
-    p = tmp_path / "bad.txt"
-    p.write_text(f"# brdfnqm-alpha v1\n# x y\n1.0 2.0\n3.0 {token}\n")
-    with pytest.raises(FormatError, match="bad.txt"):
-        tables.read_numeric_table(p, "alpha")
+def _sample_lines(tmp_path, k=5) -> list[str]:
+    """The lines of a sample file of k rows; the first row is line 5."""
+    p = tmp_path / "s.txt"
+    pairio.write_samples(p, _sampled(seed=3, k=k))
+    return p.read_text().splitlines()
 
 
 def _sampled(seed=0, k=5):
@@ -150,13 +140,13 @@ def _pair_files(tmp_path, n_refs=3, dists_per_ref=3, k=6):
 def test_read_pairs_parses_each_reference_once(tmp_path, monkeypatch):
     rows = _pair_files(tmp_path)
     parsed = []
-    original = pairio.read_numeric_table
+    original = pairio._read_parts
 
-    def counting(path, kind):
+    def counting(path, kind, version):
         parsed.append(str(path))
-        return original(path, kind)
+        return original(path, kind, version)
 
-    monkeypatch.setattr(pairio, "read_numeric_table", counting)
+    monkeypatch.setattr(pairio, "_read_parts", counting)
     pairs = pairio.read_pairs(rows)
     assert len(pairs) == len(rows)
     assert sorted(parsed) == sorted({r for r, _ in rows} | {d for _, d in rows})
@@ -185,21 +175,51 @@ def test_read_pairs_rejects_mismatched_directions(tmp_path):
 
 
 def test_read_samples_rejects_ragged_short_and_bad_header_files(tmp_path):
-    p = tmp_path / "s.txt"
-    pairio.write_samples(p, _sampled(seed=3, k=5))
-    lines = p.read_text().splitlines()
-    ragged = tmp_path / "ragged.txt"
-    ragged.write_text("\n".join(lines[:-1] + [lines[-1].rsplit(" ", 1)[0]]) + "\n")
-    with pytest.raises(FormatError, match="ragged.txt"):
-        pairio.read_samples(ragged)
-    short = tmp_path / "short.txt"
-    short.write_text("\n".join(lines[:-1]) + "\n")
-    with pytest.raises(FormatError, match="row count 4"):
-        pairio.read_samples(short)
-    bad_k = tmp_path / "bad_k.txt"
-    bad_k.write_text("\n".join(line.replace("# k=5", "# k=five") for line in lines) + "\n")
-    with pytest.raises(FormatError, match="bad_k.txt"):
-        pairio.read_samples(bad_k)
+    lines = _sample_lines(tmp_path)
+    row = lines[-1]
+    cases = {
+        "seven_fields": (lines[:-1] + [row.rsplit(" ", 1)[0]], "row 5 has 7 fields"),
+        "nine_fields": (lines[:-1] + [row + " " + row[:16]], "row 5 has 9 fields"),
+        "short": (lines[:-1], "row count 4 != header k=5"),
+        "long": (lines + [row], "row count 6 != header k=5"),
+        "bad_k": ([line.replace("# k=5", "# k=five") for line in lines], "k=five"),
+        "zero_k": ([line.replace("# k=5", "# k=0") for line in lines[:5]], "k=0"),
+        "negative_k": ([line.replace("# k=5", "# k=-5") for line in lines], "k=-5"),
+        "no_k": ([line for line in lines if not line.startswith("# k=")], "k=None"),
+    }
+    for name, (text, words) in cases.items():
+        p = tmp_path / f"{name}.txt"
+        p.write_text("\n".join(text) + "\n")
+        with pytest.raises(FormatError, match=f"{name}.txt: .*{words}"):
+            pairio.read_samples(p)
+
+
+# a value field of the fifth row -> what it is replaced with; each is a FormatError naming the file
+_BAD_FIELDS = {
+    "0.1x": "3fb999999999999x",  # the bits of 0.1 with a last digit that is not hex
+    "abc": "abc",  # three hex digits
+    "15-digits": "3fb999999999999",
+    "17-digits": "3fb999999999999aa",
+    "space-in-field": "3fb9999 99999999",
+    "nan": hex_bits(math.nan),
+    "-inf": hex_bits(-math.inf),
+    "inf": hex_bits(math.inf),
+    "signalling-nan": "7ff0000000000001",
+}
+
+
+@pytest.mark.parametrize("token", list(_BAD_FIELDS))
+def test_numeric_table_rejects_bad_numbers(tmp_path, token):
+    lines = _sample_lines(tmp_path)
+    fields = lines[-1].split(" ")
+    fields[pairio.SAMPLE_COLUMNS.index("g")] = _BAD_FIELDS[token]
+    p = tmp_path / "bad.txt"
+    p.write_text("\n".join(lines[:-1] + [" ".join(fields)]) + "\n")
+    with pytest.raises(FormatError, match="bad.txt: ") as info:
+        pairio.read_samples(p)
+    assert "\n" not in str(info.value)
+    if len(_BAD_FIELDS[token]) != 16 or token == "0.1x":
+        assert f"row 5 field {_BAD_FIELDS[token]!r}" in str(info.value)
 
 
 _EXTREMES = [
@@ -220,15 +240,17 @@ _EXTREMES = [
     )
 )
 def test_numeric_reader_is_bit_exact_with_float(tmp_path, rows):
+    """write_samples -> read_samples returns every bit, -0.0, subnormals and
+    the extremes included, and equals decoding each field on its own."""
     data = np.array(rows, dtype=np.float64)
     ds = DirectionSet(*(data[:, j] for j in range(5)), seed=1, source_material="m")
     p = tmp_path / "s.txt"
     pairio.write_samples(p, SampledBrdf(values=data[:, 5:], directions=ds))
-    _, str_cols, str_rows = tables.read_table(p, "samples")
-    _, cols, parsed = tables.read_numeric_table(p, "samples")
-    assert cols == str_cols == pairio.SAMPLE_COLUMNS
-    by_float = np.array([[float(v) for v in r] for r in str_rows])
-    assert parsed.tobytes() == by_float.tobytes() == data.tobytes()
+    back = pairio.read_samples(p)
+    parsed = np.column_stack((back.directions.columns(), back.values))
+    body = [line for line in p.read_text().splitlines() if not line.startswith("#")]
+    by_field = np.array([[struct.unpack(">d", bytes.fromhex(f))[0] for f in line.split(" ")] for line in body])
+    assert parsed.tobytes() == by_field.tobytes() == data.tobytes()
 
 
 @pytest.mark.parametrize("where", ["values", "directions"])
@@ -252,13 +274,16 @@ def test_write_samples_refuses_what_read_samples_refuses(tmp_path, where, bad):
 
 
 def _assert_same_bytes_as_write_table(tmp_path, sampled, name):
-    """write_samples against the reference writer: every field through one write_table call."""
+    """write_samples against the reference writer: each field's hex bits
+    through one write_table call, under the samples version's kind line."""
     new, old = tmp_path / f"{name}.txt", tmp_path / f"{name}_ref.txt"
     pairio.write_samples(new, sampled)
     d = sampled.directions
     rows = np.column_stack((d.theta_h, d.theta_d, d.phi_d, d.cos_wi, d.cos_wo, sampled.values)).tolist()
-    tables.write_table(old, "samples", pairio.SAMPLE_COLUMNS, rows, {"k": d.k, "seed": d.seed, "material": d.source_material})
-    assert new.read_bytes() == old.read_bytes()
+    tables.write_table(old, "samples", pairio.SAMPLE_COLUMNS, [[hex_bits(v) for v in row] for row in rows],
+                       {"k": d.k, "seed": d.seed, "material": d.source_material})
+    expected = old.read_bytes().replace(b"# brdfnqm-samples v1\n", b"# brdfnqm-samples v2\n", 1)
+    assert new.read_bytes() == expected
 
 
 def test_write_samples_matches_write_table_on_extreme_values(tmp_path):
@@ -280,25 +305,6 @@ def test_write_samples_matches_write_table_on_one_set_and_after_a_read(tmp_path)
     assert (tmp_path / "again.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
 
 
-def test_direction_text_is_formatted_once_per_set(tmp_path, monkeypatch):
-    formatted = []
-    original = pairio._format_directions
-
-    def counting(path, d):
-        formatted.append(d)
-        return original(path, d)
-
-    monkeypatch.setattr(pairio, "_format_directions", counting)
-    a, b = _sampled(seed=7, k=6), _sampled(seed=8, k=6)
-    for i in range(10):
-        pairio.write_samples(tmp_path / f"a{i}.txt", SampledBrdf(values=a.values * (i + 1), directions=a.directions))
-    assert formatted == [a.directions]
-    for i in range(3):
-        pairio.write_samples(tmp_path / f"b{i}.txt", b)
-    assert formatted == [a.directions, b.directions]
-    assert pairio.read_samples(tmp_path / "a9.txt", directions=a.directions).values.tolist() == (a.values * 10).tolist()
-
-
 def test_direction_set_arrays_are_read_only_copies():
     arrays = [np.linspace(0.1, 0.5, 4) + j for j in range(5)]
     ds = DirectionSet(*arrays, seed=0, source_material="m")
@@ -312,21 +318,26 @@ def test_direction_set_arrays_are_read_only_copies():
 
 
 def test_read_samples_compares_all_five_direction_columns(tmp_path):
+    """The lowest bit of one direction field flipped, in any of the five
+    columns: the file loads alone, but against its reference's set it is a
+    PairingError."""
     ref = _sampled(seed=1, k=5)
     pr, pd = tmp_path / "r.txt", tmp_path / "d.txt"
     pairio.write_samples(pr, ref)
     pairio.write_samples(pd, SampledBrdf(values=ref.values * 0.5, directions=ref.directions))
-    lines = pd.read_text().splitlines()
-    body = next(i for i, line in enumerate(lines) if not line.startswith("#"))
-    fields = lines[body].split()
-    fields[3:5] = ["0.1", "0.2"]
-    lines[body] = " ".join(fields)
-    pd.write_text("\n".join(lines) + "\n")
-    assert pairio.read_samples(pd).directions.cos_wi[0] == 0.1
-    with pytest.raises(PairingError, match=r"d\.txt"):
-        pairio.read_samples(pd, directions=ref.directions)
-    with pytest.raises(PairingError, match=r"d\.txt"):
-        pairio.read_pair(pr, pd)
+    intact = pd.read_text().splitlines()
+    for column in range(5):
+        lines = list(intact)
+        fields = lines[5].split(" ")
+        fields[column] = f"{int(fields[column], 16) ^ 1:016x}"
+        lines[5] = " ".join(fields)
+        pd.write_text("\n".join(lines) + "\n")
+        loaded = pairio.read_samples(pd).directions.columns()
+        assert loaded[0, column] != ref.directions.columns()[0, column]
+        with pytest.raises(PairingError, match=r"d\.txt"):
+            pairio.read_samples(pd, directions=ref.directions)
+        with pytest.raises(PairingError, match=r"d\.txt"):
+            pairio.read_pair(pr, pd)
 
 
 def test_read_samples_rejects_wrong_columns(tmp_path):
