@@ -43,6 +43,12 @@ class TabulatedBrdf:
     values has shape (3, res_theta_h, res_theta_d, res_phi_d); entries are
     either >= 0 (sr^-1, calibrated) or negative (invalid sentinel).
 
+    A table is read-only once built: its values are made read-only, and a
+    float64 array passed in is not copied, so the caller's array is frozen
+    with them. What depends on the values alone, ``invalid_mask`` and
+    ``channel_floors``, is computed on first use and then held; since the
+    values cannot change, neither can go stale.
+
     A table read by load_merl holds ``raw`` instead: its unscaled on-disk
     payload as a read-only memmap. lookup then calibrates only the bins it
     reads, ``values`` calibrates the whole table (read-only) on first use,
@@ -55,6 +61,7 @@ class TabulatedBrdf:
             raise ValueError("a table takes either its values or its raw payload")
         if values is not None:
             self.values = np.asarray(values, dtype=np.float64)
+            self.values.flags.writeable = False
         self.name, self.raw = name, raw
         shape = self.values.shape if raw is None else raw.shape
         if len(shape) != 4 or shape[0] != 3 or min(shape[1:]) < 1:
@@ -71,9 +78,20 @@ class TabulatedBrdf:
     def resolution(self) -> tuple[int, int, int]:
         return (self.res_theta_h, self.res_theta_d, self.res_phi_d)
 
+    @functools.cached_property
     def invalid_mask(self) -> np.ndarray:
-        """Bins flagged invalid on any channel; shape (res_th, res_td, res_pd)."""
-        return np.any(self.values < 0.0, axis=0)
+        """Bins flagged invalid on any channel; shape (res_th, res_td, res_pd), read-only."""
+        mask = np.any(self.values < 0.0, axis=0)
+        mask.flags.writeable = False
+        return mask
+
+    @functools.cached_property
+    def channel_floors(self) -> np.ndarray:
+        """Each channel's smallest value over the valid bins, shape (3,); inf where no bin is valid."""
+        valid = ~self.invalid_mask
+        floors = np.array([np.min(ch, where=valid, initial=np.inf) for ch in self.values])
+        floors.flags.writeable = False
+        return floors
 
 
 def _scaled(raw: np.ndarray) -> np.ndarray:

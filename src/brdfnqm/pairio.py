@@ -19,14 +19,16 @@ _HEX_FIELD = re.compile(r"[0-9a-fA-F]{16}")
 
 
 def write_samples(path, sampled: SampledBrdf) -> None:
-    """Write a sample file; a NaN or infinite value raises FormatError before the file is opened."""
+    """Write a sample file; no samples, or a NaN or infinite value, raise FormatError before the file is opened."""
     d = sampled.directions
+    if d.k < 1:
+        raise FormatError(f"{path}: header k={d.k} is not a sample count of at least 1")
     data = np.column_stack((d.columns(), sampled.values))
     if not np.isfinite(data).all():
         raise FormatError(f"{path}: NaN or infinite values cannot be written")
     body = bytearray(data.astype(">f8").tobytes().hex(" ", 8) + "\n", "ascii")
     body[_ROW_WIDTH::_ROW_WIDTH + 1] = b"\n" * d.k  # the space after each row's last field ends the row
-    _write_lines(path, "samples", SAMPLE_COLUMNS, [body.decode()] if d.k else [],
+    _write_lines(path, "samples", SAMPLE_COLUMNS, [body.decode()],
                  {"k": d.k, "seed": d.seed, "material": d.source_material}, SAMPLES_VERSION)
 
 

@@ -131,9 +131,12 @@ def select_samples(
         raise ValueError(f"k must be >= 1, got {k}")
     cands = np.asarray(cands, dtype=float).reshape(-1, 3)
     cands = filter_grazing(cands)
-    # dedupe exact angle triples so the selection cannot repeat a direction;
-    # the rows come back sorted, so in canonical (theta_h, theta_d, phi_d) order
-    cands = np.unique(cands, axis=0)
+    # canonical (theta_h, theta_d, phi_d) order, then drop each row equal to
+    # the one before, so the selection cannot repeat a direction
+    cands = cands[np.lexsort(cands.T[::-1])]
+    keep = np.ones(len(cands), dtype=bool)
+    keep[1:] = (cands[1:] != cands[:-1]).any(axis=1)
+    cands = cands[keep]
     n = len(cands)
     if n < k:
         raise InsufficientCandidatesError(f"{n} candidates survive filtering, need {k}")

@@ -19,6 +19,9 @@ from .merl import CANONICAL_RES, Rgb, TabulatedBrdf, bin_centers
 
 INVALID_SENTINEL = -1.0
 
+# bins per block of whole theta_h rows that tabulate evaluates at once
+_BLOCK_BINS = 1 << 14
+
 # largest radius of a rough blur kernel, in theta_h bins: its 2r + 1 taps
 # take 8 bytes each, so an absurd level would allocate gigabytes, and every
 # tap past the axis only adds weight to an edge column
@@ -141,20 +144,23 @@ def tabulate(
     geometry is the bin geometry of res (see iter_dataset); it is built
     here when not given.
 
-    The model runs over one theta_h row of bins at a time, each written
-    straight into the one table, so its temporaries stay small and the call
-    allocates nothing of table size but the table itself. Every bin goes
-    through the same operations as in one whole-table pass, so the bytes
-    are those of that pass.
+    The model runs over blocks of whole theta_h rows, at most _BLOCK_BINS
+    bins each (one row when a row is larger), each written straight into the
+    table, so its temporaries stay small and the call allocates nothing of
+    table size but the table itself. Every bin goes through the same
+    elementwise operations as in one whole-table pass, so the bytes are
+    those of that pass.
     """
     if geometry is None:
         geometry = _bin_geometry(res)
     *cosines, below = geometry
     table = np.empty((3, *below.shape))
-    for i, row in enumerate(zip(*cosines)):
-        # cos_h's row is a shape-(1,) array, so n_h**2 stays numpy's square
-        _eval_analytic(params, *row, table[:, i])
-        np.copyto(table[:, i], INVALID_SENTINEL, where=below[i])
+    step = max(1, _BLOCK_BINS // below.shape[1])
+    for i in range(0, below.shape[0], step):
+        rows = slice(i, i + step)
+        # cos_h's block is a (rows, 1) array, so n_h**2 stays numpy's square
+        _eval_analytic(params, *(c[rows] for c in cosines), table[:, rows])
+        np.copyto(table[:, rows], INVALID_SENTINEL, where=below[rows])
     return TabulatedBrdf(name=name or params.model.value, values=table.reshape(3, *res))
 
 
@@ -164,9 +170,11 @@ def distort(brdf: TabulatedBrdf, spec: DistortionSpec) -> TabulatedBrdf:
     Valid bins stay non-negative: spec keeps them at or above their
     channel's floor, tint scales them by positive factors and rough blurs
     non-negative values with non-negative weights, so only noise clamps.
+    The invalid mask and spec's channel floors are the ones brdf holds, so
+    the levels of one reference compute them once.
     """
     v = brdf.values
-    invalid = brdf.invalid_mask()
+    invalid = brdf.invalid_mask
     m = spec.magnitude
     # spec and tint run over every bin: the sentinel bins are restored below
     if spec.kind is DistortionKind.GAUSSIAN_NOISE:
@@ -179,14 +187,14 @@ def distort(brdf: TabulatedBrdf, spec: DistortionSpec) -> TabulatedBrdf:
             out = v.copy()
     elif spec.kind is DistortionKind.SPECULAR_SCALE:
         # scale each channel's excess over its diffuse floor by (1 + m)
-        out = v.copy()
-        valid = ~invalid
-        if m > 0.0 and valid.any():
-            for ch in out:
-                base = np.min(ch, where=valid, initial=np.inf)
-                ch -= base
+        if m > 0.0 and not invalid.all():
+            out = np.empty(v.shape)
+            for ch, src, base in zip(out, v, brdf.channel_floors):
+                np.subtract(src, base, out=ch)
                 ch *= 1.0 + m
                 ch += base
+        else:
+            out = v.copy()
     elif spec.kind is DistortionKind.DIFFUSE_TINT:
         out = v.copy()
         out[0] *= 1.0 + m

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from brdfnqm import sampling, synth
+from brdfnqm import pairio, sampling, synth
 from brdfnqm.merl import Rgb, bin_centers
 from brdfnqm.sampling import DirectionSet, SampledBrdf
 
@@ -31,6 +31,15 @@ def ggx_table():
 def hex_bits(value: float) -> str:
     """A sample file's field for ``value``: its big-endian float64 bits as 16 hex digits."""
     return struct.pack(">d", value).hex()
+
+
+def write_empty_samples(path, material: str) -> None:
+    """A sample file of k=0 samples, a header and no rows, which write_samples
+    and read_samples both refuse: the bytes write_samples wrote before it did."""
+    header = [f"# brdfnqm-samples v{pairio.SAMPLES_VERSION}", "# k=0", "# seed=0", f"# material={material}",
+              "# " + " ".join(pairio.SAMPLE_COLUMNS)]
+    with open(path, "w", encoding="ascii") as f:
+        f.write("\n".join(header) + "\n")
 
 
 def flip_bit(data: bytes, bit: int) -> bytes:

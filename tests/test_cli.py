@@ -12,10 +12,9 @@ from click.testing import CliRunner
 from brdfnqm import cli, merl, sampling, synth
 from brdfnqm.merl import TabulatedBrdf
 from brdfnqm.pairio import SAMPLE_COLUMNS, read_samples, write_samples
-from brdfnqm.sampling import DirectionSet, SampledBrdf
 from brdfnqm.tables import read_table, write_table
 
-from conftest import hex_bits
+from conftest import hex_bits, write_empty_samples
 
 RES = ["--res", "12", "8", "16"]
 
@@ -756,10 +755,9 @@ def _pairs_on_sample_files(pipeline, tmp_path, ref, dist):
 def _with_empty_samples(command):
     """``command`` on pairs whose sample files hold k=0 samples: header, no rows."""
     def args(pipeline, tmp_path):
-        ds = DirectionSet(*np.empty((5, 0)), seed=0, source_material="mat000")
         ref, dist = tmp_path / "empty_ref.txt", tmp_path / "empty_dist.txt"
         for path in (ref, dist):
-            write_samples(path, SampledBrdf(values=np.empty((0, 3)), directions=ds))
+            write_empty_samples(path, "mat000")
         pairs = _pairs_on_sample_files(pipeline, tmp_path, ref, dist)
         return {
             "train": _train_args(pairs, pipeline / "labels.txt", pipeline / "splits.txt", tmp_path),

@@ -93,7 +93,7 @@ def test_invalid_entries_keep_sentinel_and_read_as_zero(tmp_path):
     _write_file(p, dims, raw)
     brdf = merl.load_merl(p)
     assert brdf.values[0, 0, 0, 0] == -1.0  # sentinel preserved in memory
-    mask = brdf.invalid_mask()
+    mask = brdf.invalid_mask
     assert mask[0, 0, 0] and not mask[0, 0, 1]
     th, td, pd = merl.bin_centers(dims)
     vals = merl.lookup(brdf, np.array([0.0]), np.array([0.0]), np.array([0.0]))

@@ -111,6 +111,16 @@ def test_select_samples_deterministic(ggx_table):
     np.testing.assert_array_equal(a.columns(), b.columns())
 
 
+def test_select_samples_drops_every_repeated_candidate(ggx_table):
+    """The default grid stacked on a shuffled copy of itself, so every row
+    comes twice and out of order, gives the directions of the plain grid."""
+    g = build_candidate_grid()
+    doubled = np.concatenate([g, np.random.default_rng(3).permutation(g)])
+    plain = select_samples(ggx_table, g, k=DEFAULT_K, seed=4)
+    twice = select_samples(ggx_table, doubled, k=DEFAULT_K, seed=4)
+    assert twice.columns().tobytes() == plain.columns().tobytes()
+
+
 def test_insufficient_candidates(lambert_table):
     g = build_candidate_grid(4, 3, 3)
     with pytest.raises(InsufficientCandidatesError):

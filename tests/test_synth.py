@@ -38,7 +38,7 @@ def test_param_validation():
 
 
 def test_lambert_bins_are_albedo_over_pi(lambert_table):
-    valid = ~lambert_table.invalid_mask()
+    valid = ~lambert_table.invalid_mask
     for c in range(3):
         vals = lambert_table.values[c][valid]
         np.testing.assert_allclose(vals, 0.5 / math.pi, rtol=1e-12)
@@ -110,7 +110,7 @@ def test_blinn_phong_peak_value():
 
 
 def test_tabulate_marks_below_horizon_invalid(ggx_table):
-    mask = ggx_table.invalid_mask()
+    mask = ggx_table.invalid_mask
     assert mask.any(), "expected some below-horizon bins at this resolution"
     th, td, pd = bin_centers(ggx_table.resolution)
     # the most grazing corner (max theta_h, max theta_d) must be invalid
@@ -138,7 +138,7 @@ def test_distort_zero_magnitude_is_identity(ggx_table, kind):
 )
 def test_distort_preserves_sentinels_and_nonnegativity(ggx_table, kind):
     out = synth.distort(ggx_table, DistortionSpec(kind, 0.4, seed=5))
-    mask = ggx_table.invalid_mask()
+    mask = ggx_table.invalid_mask
     np.testing.assert_array_equal(out.values[:, mask], ggx_table.values[:, mask])
     assert np.all(out.values[:, ~mask] >= 0.0)
     assert out.resolution == ggx_table.resolution
@@ -154,7 +154,7 @@ def test_noise_is_deterministic_in_seed(ggx_table):
 
 def test_specular_scale_grows_peak_keeps_floor(ggx_table):
     out = synth.distort(ggx_table, DistortionSpec(DistortionKind.SPECULAR_SCALE, 0.5))
-    valid = ~ggx_table.invalid_mask()
+    valid = ~ggx_table.invalid_mask
     for c in range(3):
         before = ggx_table.values[c][valid]
         after = out.values[c][valid]
@@ -164,7 +164,7 @@ def test_specular_scale_grows_peak_keeps_floor(ggx_table):
 
 def test_diffuse_tint_shifts_red_blue_ratio(ggx_table):
     out = synth.distort(ggx_table, DistortionSpec(DistortionKind.DIFFUSE_TINT, 0.2))
-    valid = ~ggx_table.invalid_mask()
+    valid = ~ggx_table.invalid_mask
     np.testing.assert_allclose(out.values[0][valid], ggx_table.values[0][valid] * 1.2, rtol=1e-12)
     np.testing.assert_allclose(out.values[1][valid], ggx_table.values[1][valid], rtol=1e-12)
     np.testing.assert_allclose(out.values[2][valid], ggx_table.values[2][valid] / 1.2, rtol=1e-12)
@@ -172,7 +172,7 @@ def test_diffuse_tint_shifts_red_blue_ratio(ggx_table):
 
 def test_roughness_shift_flattens_specular_ridge(ggx_table):
     out = synth.distort(ggx_table, DistortionSpec(DistortionKind.ROUGHNESS_SHIFT, 0.3))
-    valid = ~ggx_table.invalid_mask()
+    valid = ~ggx_table.invalid_mask
     # blurring along theta_h lowers the maximum of the sharp lobe
     assert out.values[1][valid].max() < ggx_table.values[1][valid].max()
 
@@ -184,7 +184,7 @@ def test_rough_blur_radius_bound():
     table = synth.tabulate(_ggx_params(), res=(12, 8, 16))
     bound = synth._MAX_BLUR_RADIUS
     at = synth.distort(table, DistortionSpec(DistortionKind.ROUGHNESS_SHIFT, bound / 48))
-    assert np.all(at.values[:, ~table.invalid_mask()] >= 0.0)
+    assert np.all(at.values[:, ~table.invalid_mask] >= 0.0)
     past = DistortionSpec(DistortionKind.ROUGHNESS_SHIFT, (bound + 1) / 48)
     with pytest.raises(ValueError, match=f"rough:{past.magnitude:g} "):
         synth.distort(table, past)
@@ -259,7 +259,7 @@ def test_noise_stream_is_keyed_by_seed_material_level():
     ]
     ref, dist, _ = list(synth.iter_dataset(2, levels, seed=5, res=SMALL))[3]  # material 1, level 1
     noise = np.random.default_rng((5, 1, 1)).normal(0.0, 0.02, size=ref.values.shape)
-    kept = (ref.values + noise > 0.0) & ~ref.invalid_mask()[None]
+    kept = (ref.values + noise > 0.0) & ~ref.invalid_mask[None]
     np.testing.assert_allclose((dist.values - ref.values)[kept], noise[kept], rtol=0, atol=1e-12)
     assert dist.values[1, 0, 0, 0] - ref.values[1, 0, 0, 0] == pytest.approx(-0.030220563344388243, abs=1e-12)
 
@@ -270,7 +270,7 @@ def test_noise_stream_is_keyed_by_seed_material_level():
 
 
 def _reference_distort(brdf, spec):
-    invalid = brdf.invalid_mask()
+    invalid = np.any(brdf.values < 0.0, axis=0)  # not the held mask: this reference must not share it
     valid = ~invalid
     out = brdf.values.copy()
     m = spec.magnitude
@@ -295,6 +295,20 @@ def _reference_distort(brdf, spec):
     return out
 
 
+def _reference_level(table, spec):
+    """_reference_distort, with a rough blur as the stacked matrix product
+    that distort forms bit for bit (scipy's tap loop agrees only to rounding)."""
+    if spec.kind is not DistortionKind.ROUGHNESS_SHIFT or spec.magnitude == 0.0:
+        return _reference_distort(table, spec)
+    v = table.values
+    invalid = np.any(v < 0.0, axis=0)
+    n = table.res_theta_h
+    op = synth._blur_operator(n, spec.magnitude * n)
+    out = np.matmul(op, np.where(invalid, 0.0, v).reshape(3, n, -1)).reshape(v.shape)
+    np.copyto(out, v, where=invalid)
+    return out
+
+
 def test_bin_geometry_matches_cartesian_reference():
     for res in (SMALL, (12, 8, 16), (45, 45, 90)):
         got = synth._bin_geometry(res)
@@ -313,17 +327,20 @@ def test_tabulate_matches_row_major_reference(model):
     params = synth.random_params(np.random.default_rng(2), model=model)
     table = synth.tabulate(params, res=SMALL)
     assert table.values.flags.c_contiguous
-    assert table.invalid_mask().any()
+    assert table.invalid_mask.any()
     assert table.values.tobytes() == reference_tabulate(params, SMALL).tobytes()
 
 
-@pytest.mark.parametrize("res", [(7, 5, 3), (12, 8, 16), (45, 45, 90)], ids=["7x5x3", "12x8x16", "45x45x90"])
+@pytest.mark.parametrize("res", [(7, 5, 3), (12, 8, 16), (45, 45, 90), (3, 91, 181)],
+                         ids=["7x5x3", "12x8x16", "45x45x90", "3x91x181"])
 @pytest.mark.parametrize("model", list(BrdfModel))
 def test_tabulate_blocks_match_whole_table_reference(model, res):
-    """tabulate's theta_h rows give the bytes of one whole-table pass."""
+    """tabulate's blocks of theta_h rows give the bytes of one whole-table
+    pass: blocks of many rows, a short last block (45 rows in blocks of 4),
+    and rows of more than _BLOCK_BINS bins, one to a block (3x91x181)."""
     params = synth.random_params(np.random.default_rng(5), model=model)
     table = synth.tabulate(params, res=res)
-    assert table.invalid_mask().any()
+    assert table.invalid_mask.any()
     assert table.values.tobytes() == reference_tabulate(params, res).tobytes()
 
 
@@ -333,20 +350,16 @@ def test_rough_channels_match_whole_table_reference(res):
     """The rough blur, one channel at a time through one buffer, gives the
     bytes of one stacked matrix product over the zero-filled table."""
     table = synth.tabulate(synth.random_params(np.random.default_rng(5)), res=res)
-    v, invalid = table.values, table.invalid_mask()
-    assert invalid.any()
-    n = res[0]
+    assert table.invalid_mask.any()
     for m in (0.01, 0.05, 0.3):
-        got = synth.distort(table, DistortionSpec(DistortionKind.ROUGHNESS_SHIFT, m))
-        want = np.matmul(synth._blur_operator(n, m * n), np.where(invalid, 0.0, v).reshape(3, n, -1)).reshape(v.shape)
-        np.copyto(want, v, where=invalid)
-        assert got.values.tobytes() == want.tobytes(), m
+        spec = DistortionSpec(DistortionKind.ROUGHNESS_SHIFT, m)
+        assert synth.distort(table, spec).values.tobytes() == _reference_level(table, spec).tobytes(), m
 
 
 @pytest.mark.parametrize("magnitude", [0.0, 0.3])
 @pytest.mark.parametrize("kind", list(DistortionKind))
 def test_distort_matches_boolean_index_reference(ggx_table, kind, magnitude):
-    assert ggx_table.invalid_mask().any()
+    assert ggx_table.invalid_mask.any()
     spec = DistortionSpec(kind, magnitude, seed=(3, 1, 4))
     out = synth.distort(ggx_table, spec)
     want = _reference_distort(ggx_table, spec)
@@ -355,6 +368,43 @@ def test_distort_matches_boolean_index_reference(ggx_table, kind, magnitude):
         np.testing.assert_allclose(out.values, want, rtol=1e-14, atol=0.0)
     else:
         assert out.values.tobytes() == want.tobytes()
+
+
+def test_levels_of_one_reference_share_nothing_with_the_next(ggx_table):
+    """Every kind at several magnitudes in a row on one reference, as
+    iter_dataset runs them, then on a second reference with other invalid bins
+    and other channel floors: each level is the reference kernel's result on a
+    fresh table, so no mask or floor held by a table leaks into another level
+    or another table."""
+    second = ggx_table.values.copy()
+    second[:, :, :3] = synth.INVALID_SENTINEL
+    second[0] += 0.25
+    second[2] *= 0.5
+    second[:, ggx_table.invalid_mask] = synth.INVALID_SENTINEL
+    refs = [synth.tabulate(_ggx_params(), res=SMALL, name="first"), TabulatedBrdf(name="second", values=second)]
+    levels = [(kind, m) for kind in DistortionKind for m in (0.0, 0.05, 0.3, 1.2)]
+    for mat, ref in enumerate(refs):
+        for li, (kind, m) in enumerate(levels):
+            spec = DistortionSpec(kind, m, seed=(8, mat, li))
+            got = synth.distort(ref, spec)
+            fresh = TabulatedBrdf(name=ref.name, values=ref.values.copy())
+            assert got.values.tobytes() == _reference_level(fresh, spec).tobytes(), (ref.name, kind, m)
+    assert not np.array_equal(refs[0].invalid_mask, refs[1].invalid_mask)
+    assert not np.array_equal(refs[0].channel_floors, refs[1].channel_floors)
+
+
+def test_tables_are_read_only_once_built(ggx_table):
+    """A table's values, and the mask and floors it holds, cannot be written,
+    whether tabulate, distort or a caller built it."""
+    by_hand = TabulatedBrdf(name="hand", values=np.ones((3, 2, 2, 4)))
+    spec = synth.distort(ggx_table, DistortionSpec(DistortionKind.SPECULAR_SCALE, 0.5))
+    tint = synth.distort(ggx_table, DistortionSpec(DistortionKind.DIFFUSE_TINT, 0.5))
+    for table in (ggx_table, spec, tint, by_hand):
+        for held in (table.values, table.invalid_mask, table.channel_floors):
+            with pytest.raises(ValueError, match="read-only"):
+                held[0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            table.values *= 2.0
 
 
 @pytest.mark.parametrize("n, sigma", [

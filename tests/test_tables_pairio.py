@@ -13,7 +13,7 @@ from brdfnqm import pairio, tables
 from brdfnqm.errors import FormatError, PairingError
 from brdfnqm.sampling import DirectionSet, SampledBrdf
 
-from conftest import flip_bit, hex_bits, tiny_direction_set
+from conftest import flip_bit, hex_bits, tiny_direction_set, write_empty_samples
 
 
 def test_table_roundtrip_bit_exact(tmp_path):
@@ -271,6 +271,20 @@ def test_write_samples_refuses_what_read_samples_refuses(tmp_path, where, bad):
     with pytest.raises(FormatError, match=r"s\.txt: NaN or infinite"):
         pairio.write_samples(p, s)
     assert not p.exists()
+
+
+def test_write_samples_refuses_an_empty_set_with_the_readers_error(tmp_path):
+    """A set of no samples is refused before the file is opened, in the one
+    line read_samples gives for a file that holds none."""
+    ds = DirectionSet(*np.empty((5, 0)), seed=0, source_material="m")
+    p = tmp_path / "s.txt"
+    with pytest.raises(FormatError) as wrote:
+        pairio.write_samples(p, SampledBrdf(values=np.empty((0, 3)), directions=ds))
+    assert not p.exists()
+    write_empty_samples(p, "m")
+    with pytest.raises(FormatError) as read:
+        pairio.read_samples(p)
+    assert str(wrote.value) == str(read.value) == f"{p}: header k=0 is not a sample count of at least 1"
 
 
 def _assert_same_bytes_as_write_table(tmp_path, sampled, name):
