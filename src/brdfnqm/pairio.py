@@ -1,4 +1,4 @@
-"""Reading and writing sampled-pair artifacts as structured text."""
+"""Reading and writing sampled-pair artifacts as structured text: one row per direction, its three angles, then r, g, b."""
 
 from __future__ import annotations
 
@@ -10,10 +10,10 @@ from .errors import FormatError, PairingError
 from .sampling import DirectionSet, SampledBrdf
 from .tables import _read_parts, _write_lines
 
-SAMPLE_COLUMNS = ["theta_h", "theta_d", "phi_d", "cos_wi", "cos_wo", "r", "g", "b"]
+SAMPLE_COLUMNS = ["theta_h", "theta_d", "phi_d", "r", "g", "b"]
 
-# v2 rows hold each float64 as the 16 hex digits of its big-endian IEEE-754 bits
-SAMPLES_VERSION = 2
+# v3 rows hold each float64 as the 16 hex digits of its big-endian IEEE-754 bits
+SAMPLES_VERSION = 3
 _ROW_WIDTH = 17 * len(SAMPLE_COLUMNS) - 1
 _HEX_FIELD = re.compile(r"[0-9a-fA-F]{16}")
 
@@ -33,7 +33,7 @@ def write_samples(path, sampled: SampledBrdf) -> None:
 
 
 def _malformed_row(path, rows) -> FormatError:
-    """The error naming the first row that is not eight 16-digit hex fields separated by single spaces."""
+    """The error naming the first row that is not six 16-digit hex fields separated by single spaces."""
     for i, row in enumerate(rows, start=1):
         fields = row.split(" ")
         bad = next((f for f in fields if not _HEX_FIELD.fullmatch(f)), None)
@@ -65,7 +65,7 @@ def read_samples(path, directions: DirectionSet | None = None) -> SampledBrdf:
         raise FormatError(f"{path}: row count {len(rows)} != header k={k}")
     # every 17th character separates two fields: a space within a row, a newline between rows
     text = "\n".join(rows)
-    if len(text) != (_ROW_WIDTH + 1) * k - 1 or text[16::17] != ((" " * 7 + "\n") * k)[:-1]:
+    if len(text) != (_ROW_WIDTH + 1) * k - 1 or text[16::17] != ((" " * (len(SAMPLE_COLUMNS) - 1) + "\n") * k)[:-1]:
         raise _malformed_row(path, rows)
     try:  # a field that holds whitespace decodes to fewer bytes, which do not reshape
         data = np.frombuffer(bytes.fromhex(text), ">f8").reshape(k, len(SAMPLE_COLUMNS)).astype(np.float64)
@@ -74,10 +74,10 @@ def read_samples(path, directions: DirectionSet | None = None) -> SampledBrdf:
     if not np.isfinite(data).all():
         raise FormatError(f"{path}: NaN or infinite values in the table")
     if directions is None:
-        directions = DirectionSet(*data[:, :5].T, seed=seed, source_material=meta.get("material", ""))
-    elif not np.array_equal(directions.columns(), data[:, :5]):
+        directions = DirectionSet(*data[:, :3].T, seed=seed, source_material=meta.get("material", ""))
+    elif not np.array_equal(directions.columns(), data[:, :3]):
         raise PairingError(f"{path}: directions differ from the shared set")
-    return SampledBrdf(values=data[:, 5:8].copy(), directions=directions)
+    return SampledBrdf(values=data[:, 3:].copy(), directions=directions)
 
 
 def read_pairs(paths) -> list[tuple[SampledBrdf, SampledBrdf]]:

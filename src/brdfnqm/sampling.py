@@ -2,14 +2,15 @@
 
 Candidates come from a cross-product grid that is uniform in theta_d and
 phi_d but quadratically warped in theta_h so density concentrates near the
-specular peak at theta_h = 0. Candidates whose reconstructed directions
-graze the horizon (either elevation above 75 degrees) are discarded, and
-the survivors are ranked by reflectance magnitude with an energy-weighted
-stratified rule.
+specular peak at theta_h = 0. `build_candidate_grid` drops the candidates
+whose reconstructed directions graze the horizon (either elevation above 75
+degrees); `select_samples` ranks the survivors by reflectance magnitude
+with an energy-weighted stratified rule.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,27 +29,23 @@ N_STRATA = 10
 
 @dataclass(frozen=True, eq=False)
 class DirectionSet:
-    """K half/diff directions with the cosines of their reconstructed pair.
+    """K half/diff directions, sorted canonically by (theta_h, theta_d, phi_d).
 
-    Angle arrays all have length K and are sorted canonically by
-    (theta_h, theta_d, phi_d). cos_wi/cos_wo are cos(theta) of the incoming
-    and outgoing directions reconstructed at phi_h = 0.
-
-    The five arrays are float64 copies of the ones passed in, made read-only,
-    so a set never changes after it is built; sets compare and hash by
-    identity.
+    The three angle arrays are float64 copies of the ones passed in, made
+    read-only, so a set never changes after it is built; sets compare and
+    hash by identity. cos_wi/cos_wo, cos(theta) of the incoming and outgoing
+    directions reconstructed at phi_h = 0, are computed from the angles on
+    first use.
     """
 
     theta_h: np.ndarray
     theta_d: np.ndarray
     phi_d: np.ndarray
-    cos_wi: np.ndarray
-    cos_wo: np.ndarray
     seed: int
     source_material: str
 
     def __post_init__(self):
-        for name in ("theta_h", "theta_d", "phi_d", "cos_wi", "cos_wo"):
+        for name in ("theta_h", "theta_d", "phi_d"):
             a = np.array(getattr(self, name), dtype=np.float64)
             a.flags.writeable = False
             object.__setattr__(self, name, a)
@@ -58,8 +55,23 @@ class DirectionSet:
         return len(self.theta_h)
 
     def columns(self) -> np.ndarray:
-        """(K, 5) array of the five direction columns, in sample-file order."""
-        return np.column_stack((self.theta_h, self.theta_d, self.phi_d, self.cos_wi, self.cos_wo))
+        """(K, 3) array of the three angle columns, in sample-file order."""
+        return np.column_stack((self.theta_h, self.theta_d, self.phi_d))
+
+    @functools.cached_property
+    def _cosines(self) -> tuple[np.ndarray, np.ndarray]:
+        cosines = _reconstruct_cosines(self.theta_h, self.theta_d, self.phi_d)
+        for c in cosines:
+            c.flags.writeable = False
+        return cosines
+
+    @property
+    def cos_wi(self) -> np.ndarray:
+        return self._cosines[0]
+
+    @property
+    def cos_wo(self) -> np.ndarray:
+        return self._cosines[1]
 
 
 @dataclass(frozen=True)
@@ -77,7 +89,7 @@ class SampledBrdf:
 
 
 def check_paired(a: SampledBrdf, b: SampledBrdf) -> None:
-    """Both members of a pair must be sampled with one DirectionSet: the same object, or equal in all five columns."""
+    """Both members of a pair must be sampled with one DirectionSet: the same object, or equal in all three angle columns."""
     if a.directions is b.directions:
         return
     if not np.array_equal(a.directions.columns(), b.directions.columns()):
@@ -85,10 +97,11 @@ def check_paired(a: SampledBrdf, b: SampledBrdf) -> None:
 
 
 def build_candidate_grid(n_th: int = DEFAULT_GRID[0], n_td: int = DEFAULT_GRID[1], n_pd: int = DEFAULT_GRID[2]) -> np.ndarray:
-    """Full cross product of candidate angles, shape (n_th*n_td*n_pd, 3).
+    """The cross product of candidate angles that passes `filter_grazing`, shape (n, 3).
 
     theta_h(i) = (pi/2) * (i/(n_th-1))^2; theta_d uniform on [0, 75deg];
-    phi_d uniform on [0, pi) excluding the endpoint.
+    phi_d uniform on [0, pi) excluding the endpoint. Each axis strictly
+    ascends, so the rows are in canonical order with no repeats.
     """
     if min(n_th, n_td, n_pd) < 2:
         raise ValueError("grid counts must be >= 2")
@@ -96,18 +109,18 @@ def build_candidate_grid(n_th: int = DEFAULT_GRID[0], n_td: int = DEFAULT_GRID[1
     td = np.linspace(0.0, GRAZING_LIMIT, n_td)
     pd = np.arange(n_pd) / n_pd * math.pi
     TH, TD, PD = np.meshgrid(th, td, pd, indexing="ij")
-    return np.stack([TH.ravel(), TD.ravel(), PD.ravel()], axis=1)
+    return filter_grazing(np.stack([TH.ravel(), TD.ravel(), PD.ravel()], axis=1))
 
 
-def _reconstruct_cosines(cands: np.ndarray):
-    ti, _, to, _ = halfdiff_to_io_arrays(cands[:, 0], cands[:, 1], cands[:, 2])
+def _reconstruct_cosines(theta_h, theta_d, phi_d):
+    ti, _, to, _ = halfdiff_to_io_arrays(theta_h, theta_d, phi_d)
     return np.cos(ti), np.cos(to)
 
 
 def filter_grazing(cands: np.ndarray) -> np.ndarray:
     """Keep candidates whose reconstructed wi and wo stay within 75 degrees."""
     cands = np.asarray(cands, dtype=float).reshape(-1, 3)
-    cos_i, cos_o = _reconstruct_cosines(cands)
+    cos_i, cos_o = _reconstruct_cosines(*cands.T)
     limit = math.cos(GRAZING_LIMIT)
     keep = (cos_i > limit) & (cos_o > limit)
     return cands[keep]
@@ -116,7 +129,7 @@ def filter_grazing(cands: np.ndarray) -> np.ndarray:
 def select_samples(
     ref: TabulatedBrdf, cands: np.ndarray, k: int = DEFAULT_K, seed: int = 0
 ) -> DirectionSet:
-    """Pick k directions, prioritizing reflectance energy.
+    """Pick k directions from ``cands``, rows of `build_candidate_grid`, prioritizing reflectance energy.
 
     Candidates are bucketed into up to N_STRATA equal-count strata by
     luminance quantile (duplicate quantile edges collapse, so a constant
@@ -130,13 +143,6 @@ def select_samples(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     cands = np.asarray(cands, dtype=float).reshape(-1, 3)
-    cands = filter_grazing(cands)
-    # canonical (theta_h, theta_d, phi_d) order, then drop each row equal to
-    # the one before, so the selection cannot repeat a direction
-    cands = cands[np.lexsort(cands.T[::-1])]
-    keep = np.ones(len(cands), dtype=bool)
-    keep[1:] = (cands[1:] != cands[:-1]).any(axis=1)
-    cands = cands[keep]
     n = len(cands)
     if n < k:
         raise InsufficientCandidatesError(f"{n} candidates survive filtering, need {k}")
@@ -165,16 +171,7 @@ def select_samples(
         chosen.append(top)
     idx = np.sort(np.concatenate(chosen))
     sel = cands[idx]
-    cos_i, cos_o = _reconstruct_cosines(sel)
-    return DirectionSet(
-        theta_h=sel[:, 0],
-        theta_d=sel[:, 1],
-        phi_d=sel[:, 2],
-        cos_wi=cos_i,
-        cos_wo=cos_o,
-        seed=seed,
-        source_material=ref.name,
-    )
+    return DirectionSet(theta_h=sel[:, 0], theta_d=sel[:, 1], phi_d=sel[:, 2], seed=seed, source_material=ref.name)
 
 
 def _allocate_quotas(weights: np.ndarray, sizes: list[int], k: int) -> list[int]:

@@ -196,9 +196,10 @@ def distort(brdf: TabulatedBrdf, spec: DistortionSpec) -> TabulatedBrdf:
         else:
             out = v.copy()
     elif spec.kind is DistortionKind.DIFFUSE_TINT:
-        out = v.copy()
-        out[0] *= 1.0 + m
-        out[2] /= 1.0 + m
+        out = np.empty(v.shape)
+        np.multiply(v[0], 1.0 + m, out=out[0])
+        np.copyto(out[1], v[1])
+        np.divide(v[2], 1.0 + m, out=out[2])
     elif spec.kind is DistortionKind.ROUGHNESS_SHIFT:
         # widen the specular lobe: gaussian blur along the theta_h axis
         if m > 0.0:

@@ -159,15 +159,7 @@ def tiny_direction_set(k: int = 4, seed: int = 0, material: str = "m") -> Direct
     th = np.sort(rng.uniform(0.0, 0.5, size=k))
     td = rng.uniform(0.0, 0.8, size=k)
     pd = rng.uniform(0.0, np.pi * 0.999, size=k)
-    return DirectionSet(
-        theta_h=th,
-        theta_d=td,
-        phi_d=pd,
-        cos_wi=rng.uniform(0.3, 1.0, size=k),
-        cos_wo=rng.uniform(0.3, 1.0, size=k),
-        seed=seed,
-        source_material=material,
-    )
+    return DirectionSet(theta_h=th, theta_d=td, phi_d=pd, seed=seed, source_material=material)
 
 
 def make_pair(seed: int = 0, k: int = 4) -> tuple[SampledBrdf, SampledBrdf]:

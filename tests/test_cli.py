@@ -767,16 +767,29 @@ def _with_empty_samples(command):
     return args
 
 
-def _train_on_decimal_samples(pipeline, tmp_path):
-    """A sample file in the decimal rows of format v1, as write_table writes them."""
-    _, cols, rows = read_table(pipeline / "samples" / "pairs.txt", "pairs")
-    ref = read_samples(rows[0][cols.index("ref_samples")])
-    d = ref.directions
-    v1 = tmp_path / "v1_ref.txt"
-    write_table(v1, "samples", SAMPLE_COLUMNS, np.column_stack((d.columns(), ref.values)).tolist(),
-                {"k": d.k, "seed": d.seed, "material": d.source_material})
-    pairs = _pairs_on_sample_files(pipeline, tmp_path, v1, rows[0][cols.index("dist_samples")])
-    return _train_args(pairs, pipeline / "labels.txt", pipeline / "splits.txt", tmp_path), "v1_ref.txt", "version 1"
+# the eight columns of sample-file formats v1 and v2, which stored the two cosines
+_V2_SAMPLE_COLUMNS = ["theta_h", "theta_d", "phi_d", "cos_wi", "cos_wo", "r", "g", "b"]
+
+
+def _on_old_samples(command, version):
+    """``command`` on pairs whose reference file is an eight-column sample file
+    of format v1 (decimal rows, as write_table writes them) or v2 (hex rows)."""
+    def args(pipeline, tmp_path):
+        _, cols, rows = read_table(pipeline / "samples" / "pairs.txt", "pairs")
+        ref = read_samples(rows[0][cols.index("ref_samples")])
+        d = ref.directions
+        data = np.column_stack((d.columns(), d.cos_wi, d.cos_wo, ref.values)).tolist()
+        old = tmp_path / f"v{version}_ref.txt"
+        if version == 2:
+            data = [[hex_bits(v) for v in row] for row in data]
+        write_table(old, "samples", _V2_SAMPLE_COLUMNS, data, {"k": d.k, "seed": d.seed, "material": d.source_material})
+        old.write_bytes(old.read_bytes().replace(b"# brdfnqm-samples v1\n", f"# brdfnqm-samples v{version}\n".encode(), 1))
+        pairs = _pairs_on_sample_files(pipeline, tmp_path, old, rows[0][cols.index("dist_samples")])
+        return {
+            "train": _train_args(pairs, pipeline / "labels.txt", pipeline / "splits.txt", tmp_path),
+            "eval-baselines": ["eval-baselines", "--pairs", str(pairs), "--out", str(tmp_path / "metrics.txt")],
+        }[command], old.name, f"version {version}"
+    return args
 
 
 def _out_dir_is_a_file(command):
@@ -811,12 +824,15 @@ def _out_dir_is_a_file(command):
     _with_empty_samples("train"),
     _with_empty_samples("augment"),
     _with_empty_samples("eval-baselines"),
-    _train_on_decimal_samples,
+    _on_old_samples("train", 1),
+    _on_old_samples("train", 2),
+    _on_old_samples("eval-baselines", 2),
 ], ids=["sample-bad-severity", "split-no-material", "split-absent-test-material", "train-unknown-split",
         "train-no-training-pair", "sample-material-two-references", "correlate-predictions-other-pairs",
         "augment-own-output", "gen-synthetic-out-file", "sample-out-file", "augment-out-file",
         "label-negative-deitp", "fit-jod-negative-deitp", "fit-jod-jod-above-10", "train-empty-samples",
-        "augment-empty-samples", "eval-baselines-empty-samples", "train-v1-decimal-samples"])
+        "augment-empty-samples", "eval-baselines-empty-samples", "train-v1-decimal-samples",
+        "train-v2-samples", "eval-baselines-v2-samples"])
 def test_data_and_file_errors_end_in_one_line(pipeline, runner, tmp_path, case):
     args, *fragments = case(pipeline, tmp_path)
     _assert_one_line_error(runner.invoke(cli.main, args), *fragments)

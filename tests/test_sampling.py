@@ -5,13 +5,14 @@ import pytest
 
 from brdfnqm import sampling, synth
 from brdfnqm.errors import InsufficientCandidatesError, PairingError
-from brdfnqm.merl import Rgb, lookup
+from brdfnqm.geometry import halfdiff_to_io_arrays
+from brdfnqm.merl import lookup
+from brdfnqm.pairio import read_samples, write_samples
 from brdfnqm.sampling import (
     DEFAULT_GRID,
     DEFAULT_K,
     GRAZING_LIMIT,
     LUMA_WEIGHTS,
-    DirectionSet,
     SampledBrdf,
     build_candidate_grid,
     check_paired,
@@ -29,16 +30,25 @@ def test_default_constants():
     assert GRAZING_LIMIT == pytest.approx(math.radians(75.0))
 
 
-def test_candidate_grid_shape_and_ranges():
-    g = build_candidate_grid(8, 5, 6)
-    assert g.shape == (8 * 5 * 6, 3)
-    th = np.unique(g[:, 0])
-    td = np.unique(g[:, 1])
-    pd = np.unique(g[:, 2])
+def _full_grid(n_th, n_td, n_pd):
+    """The unfiltered cross product of the candidate axes, in canonical order."""
     # theta_h quadratic warp: th(i) = (pi/2) * (i/(n-1))^2
-    np.testing.assert_allclose(th, math.pi / 2 * (np.arange(8) / 7) ** 2)
-    np.testing.assert_allclose(td, np.linspace(0, GRAZING_LIMIT, 5))
-    np.testing.assert_allclose(pd, np.arange(6) / 6 * math.pi)
+    th = math.pi / 2 * (np.arange(n_th) / (n_th - 1)) ** 2
+    td = np.linspace(0, GRAZING_LIMIT, n_td)
+    pd = np.arange(n_pd) / n_pd * math.pi
+    return np.stack([a.ravel() for a in np.meshgrid(th, td, pd, indexing="ij")], axis=1)
+
+
+def test_candidate_grid_shape_and_ranges():
+    """The grid is the grazing-filtered cross product of its three axes, in
+    canonical (theta_h, theta_d, phi_d) order with no repeats."""
+    g = build_candidate_grid(8, 5, 6)
+    full = _full_grid(8, 5, 6)
+    assert g.shape == (len(filter_grazing(full)), 3) and 0 < len(g) < len(full)
+    np.testing.assert_array_equal(g, filter_grazing(full))
+    np.testing.assert_array_equal(g, np.unique(g, axis=0))  # sorted and unique
+    ti, _, to, _ = halfdiff_to_io_arrays(g[:, 0], g[:, 1], g[:, 2])
+    assert np.all(np.maximum(ti, to) < GRAZING_LIMIT)
 
 
 def test_candidate_grid_rejects_tiny_axes():
@@ -48,17 +58,17 @@ def test_candidate_grid_rejects_tiny_axes():
 
 def test_filter_grazing_against_reconstruction_oracle():
     g = build_candidate_grid(12, 8, 8)
-    kept = filter_grazing(g)
-    assert 0 < len(kept) < len(g)
+    full = _full_grid(12, 8, 8)
+    np.testing.assert_array_equal(filter_grazing(g), g)  # the filter keeps every row of the filtered grid
+    kept = filter_grazing(full)
+    assert 0 < len(kept) < len(full)
     # oracle: reconstruct each kept candidate independently and check both
     # elevations; and verify at least one rejected candidate violates
-    from brdfnqm.geometry import halfdiff_to_io_arrays
-
     ti, _, to, _ = halfdiff_to_io_arrays(kept[:, 0], kept[:, 1], kept[:, 2])
     assert np.all(ti < GRAZING_LIMIT + 1e-12)
     assert np.all(to < GRAZING_LIMIT + 1e-12)
     kept_set = {tuple(row) for row in np.round(kept, 12)}
-    dropped = [row for row in g if tuple(np.round(row, 12)) not in kept_set]
+    dropped = [row for row in full if tuple(np.round(row, 12)) not in kept_set]
     ti, _, to, _ = halfdiff_to_io_arrays(
         np.array([r[0] for r in dropped]),
         np.array([r[1] for r in dropped]),
@@ -71,18 +81,15 @@ def test_select_constant_table_takes_canonical_topk(lambert_table):
     g = build_candidate_grid(10, 6, 6)
     ds = select_samples(lambert_table, g, k=20, seed=0)
     # constant luminance: one stratum, top-k falls back to canonical order,
-    # i.e. the first 20 surviving candidates in (th, td, pd) lexsort
-    surv = np.unique(filter_grazing(g), axis=0)
-    order = np.lexsort((surv[:, 2], surv[:, 1], surv[:, 0]))
-    expected = surv[order][:20]
-    np.testing.assert_allclose(ds.columns()[:, :3], expected)
+    # i.e. the first 20 rows of the grid, which is in (th, td, pd) order
+    np.testing.assert_array_equal(ds.columns(), g[:20])
 
 
 def test_select_samples_properties(ggx_table):
     g = build_candidate_grid(16, 10, 10)
     ds = select_samples(ggx_table, g, k=100, seed=7)
     assert ds.k == 100
-    a = ds.columns()[:, :3]
+    a = ds.columns()
     # canonical sort and uniqueness
     assert len(np.unique(a, axis=0)) == 100
     keys = [tuple(r) for r in a]
@@ -96,8 +103,7 @@ def test_select_samples_properties(ggx_table):
 def test_select_samples_favors_bright_candidates(ggx_table):
     g = build_candidate_grid(16, 10, 10)
     ds = select_samples(ggx_table, g, k=60, seed=0)
-    surv = np.unique(filter_grazing(g), axis=0)
-    vals_all = lookup(ggx_table, surv[:, 0], surv[:, 1], surv[:, 2])
+    vals_all = lookup(ggx_table, g[:, 0], g[:, 1], g[:, 2])
     lum_all = vals_all @ LUMA_WEIGHTS
     sel_vals = lookup(ggx_table, ds.theta_h, ds.theta_d, ds.phi_d)
     lum_sel = sel_vals @ LUMA_WEIGHTS
@@ -109,16 +115,6 @@ def test_select_samples_deterministic(ggx_table):
     a = select_samples(ggx_table, g, k=80, seed=1)
     b = select_samples(ggx_table, g, k=80, seed=1)
     np.testing.assert_array_equal(a.columns(), b.columns())
-
-
-def test_select_samples_drops_every_repeated_candidate(ggx_table):
-    """The default grid stacked on a shuffled copy of itself, so every row
-    comes twice and out of order, gives the directions of the plain grid."""
-    g = build_candidate_grid()
-    doubled = np.concatenate([g, np.random.default_rng(3).permutation(g)])
-    plain = select_samples(ggx_table, g, k=DEFAULT_K, seed=4)
-    twice = select_samples(ggx_table, doubled, k=DEFAULT_K, seed=4)
-    assert twice.columns().tobytes() == plain.columns().tobytes()
 
 
 def test_insufficient_candidates(lambert_table):
@@ -174,16 +170,23 @@ def test_check_paired_rejects_mismatched_sets():
         check_paired(a, b)
 
 
-def test_check_paired_compares_the_cosine_columns():
-    # equal angles, different reconstructed cosines: the cosine weights of the
-    # baselines would differ between the members, so the pair is refused
-    ds = tiny_direction_set(k=2, seed=0)
-    angles = dict(theta_h=ds.theta_h, theta_d=ds.theta_d, phi_d=ds.phi_d, seed=0, source_material="m")
-    a = SampledBrdf(values=np.ones((2, 3)), directions=DirectionSet(cos_wi=[0.9, 0.9], cos_wo=[0.8, 0.8], **angles))
-    b = SampledBrdf(values=np.ones((2, 3)), directions=DirectionSet(cos_wi=[0.1, 0.1], cos_wo=[0.1, 0.1], **angles))
-    for first, second in ((a, b), (b, a)):
-        with pytest.raises(PairingError):
-            check_paired(first, second)
+def test_cosines_are_a_function_of_the_angles(ggx_table, tmp_path):
+    """A selected set and the set read_samples rebuilds from its file hold the
+    same cosines bit for bit: cos of the theta_i and theta_o that
+    halfdiff_to_io_arrays reconstructs from the set's angles."""
+    ds = select_samples(ggx_table, build_candidate_grid(16, 10, 10), k=100, seed=5)
+    write_samples(tmp_path / "s.txt", sample_brdf(ggx_table, ds))
+    back = read_samples(tmp_path / "s.txt").directions
+    assert back is not ds
+    ti, _, to, _ = halfdiff_to_io_arrays(ds.theta_h, ds.theta_d, ds.phi_d)
+    for d in (ds, back):
+        assert d.cos_wi.tobytes() == np.cos(ti).tobytes()
+        assert d.cos_wo.tobytes() == np.cos(to).tobytes()
+        assert d.cos_wi is d.cos_wi and d.cos_wo is d.cos_wo  # computed once
+        with pytest.raises(ValueError):
+            d.cos_wi[0] = 1.0
+        with pytest.raises(AttributeError):
+            d.cos_wo = np.ones(d.k)
 
 
 def test_default_pipeline_yields_500_samples(ggx_table):

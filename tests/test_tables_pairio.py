@@ -178,8 +178,8 @@ def test_read_samples_rejects_ragged_short_and_bad_header_files(tmp_path):
     lines = _sample_lines(tmp_path)
     row = lines[-1]
     cases = {
-        "seven_fields": (lines[:-1] + [row.rsplit(" ", 1)[0]], "row 5 has 7 fields"),
-        "nine_fields": (lines[:-1] + [row + " " + row[:16]], "row 5 has 9 fields"),
+        "five_fields": (lines[:-1] + [row.rsplit(" ", 1)[0]], "row 5 has 5 fields"),
+        "seven_fields": (lines[:-1] + [row + " " + row[:16]], "row 5 has 7 fields"),
         "short": (lines[:-1], "row count 4 != header k=5"),
         "long": (lines + [row], "row count 6 != header k=5"),
         "bad_k": ([line.replace("# k=5", "# k=five") for line in lines], "k=five"),
@@ -234,7 +234,7 @@ _EXTREMES = [
     st.lists(
         st.lists(
             st.one_of(st.sampled_from(_EXTREMES), st.floats(allow_nan=False, allow_infinity=False)),
-            min_size=8, max_size=8,
+            min_size=6, max_size=6,
         ),
         min_size=1, max_size=6,
     )
@@ -243,9 +243,9 @@ def test_numeric_reader_is_bit_exact_with_float(tmp_path, rows):
     """write_samples -> read_samples returns every bit, -0.0, subnormals and
     the extremes included, and equals decoding each field on its own."""
     data = np.array(rows, dtype=np.float64)
-    ds = DirectionSet(*(data[:, j] for j in range(5)), seed=1, source_material="m")
+    ds = DirectionSet(*(data[:, j] for j in range(3)), seed=1, source_material="m")
     p = tmp_path / "s.txt"
-    pairio.write_samples(p, SampledBrdf(values=data[:, 5:], directions=ds))
+    pairio.write_samples(p, SampledBrdf(values=data[:, 3:], directions=ds))
     back = pairio.read_samples(p)
     parsed = np.column_stack((back.directions.columns(), back.values))
     body = [line for line in p.read_text().splitlines() if not line.startswith("#")]
@@ -263,10 +263,10 @@ def test_write_samples_refuses_what_read_samples_refuses(tmp_path, where, bad):
         s = SampledBrdf(values=vals, directions=s.directions)
     else:
         d = s.directions
-        cos_wo = d.cos_wo.copy()
-        cos_wo[3] = bad
+        phi_d = d.phi_d.copy()
+        phi_d[3] = bad
         s = SampledBrdf(values=s.values, directions=DirectionSet(
-            d.theta_h, d.theta_d, d.phi_d, d.cos_wi, cos_wo, seed=d.seed, source_material=d.source_material))
+            d.theta_h, d.theta_d, phi_d, seed=d.seed, source_material=d.source_material))
     p = tmp_path / "s.txt"
     with pytest.raises(FormatError, match=r"s\.txt: NaN or infinite"):
         pairio.write_samples(p, s)
@@ -276,7 +276,7 @@ def test_write_samples_refuses_what_read_samples_refuses(tmp_path, where, bad):
 def test_write_samples_refuses_an_empty_set_with_the_readers_error(tmp_path):
     """A set of no samples is refused before the file is opened, in the one
     line read_samples gives for a file that holds none."""
-    ds = DirectionSet(*np.empty((5, 0)), seed=0, source_material="m")
+    ds = DirectionSet(*np.empty((3, 0)), seed=0, source_material="m")
     p = tmp_path / "s.txt"
     with pytest.raises(FormatError) as wrote:
         pairio.write_samples(p, SampledBrdf(values=np.empty((0, 3)), directions=ds))
@@ -293,16 +293,16 @@ def _assert_same_bytes_as_write_table(tmp_path, sampled, name):
     new, old = tmp_path / f"{name}.txt", tmp_path / f"{name}_ref.txt"
     pairio.write_samples(new, sampled)
     d = sampled.directions
-    rows = np.column_stack((d.theta_h, d.theta_d, d.phi_d, d.cos_wi, d.cos_wo, sampled.values)).tolist()
+    rows = np.column_stack((d.theta_h, d.theta_d, d.phi_d, sampled.values)).tolist()
     tables.write_table(old, "samples", pairio.SAMPLE_COLUMNS, [[hex_bits(v) for v in row] for row in rows],
                        {"k": d.k, "seed": d.seed, "material": d.source_material})
-    expected = old.read_bytes().replace(b"# brdfnqm-samples v1\n", b"# brdfnqm-samples v2\n", 1)
+    expected = old.read_bytes().replace(b"# brdfnqm-samples v1\n", b"# brdfnqm-samples v3\n", 1)
     assert new.read_bytes() == expected
 
 
 def test_write_samples_matches_write_table_on_extreme_values(tmp_path):
     column = np.array([-0.0, 5e-324, 1e-5, 1e16, 1.7976931348623157e308, -1.0])
-    ds = DirectionSet(*(np.roll(column, j) for j in range(5)), seed=3, source_material="mat_x")
+    ds = DirectionSet(*(np.roll(column, j) for j in range(3)), seed=3, source_material="mat_x")
     vals = np.column_stack([np.roll(column, j) for j in (5, 2, 4)])
     _assert_same_bytes_as_write_table(tmp_path, SampledBrdf(values=vals, directions=ds), "extreme")
 
@@ -320,27 +320,29 @@ def test_write_samples_matches_write_table_on_one_set_and_after_a_read(tmp_path)
 
 
 def test_direction_set_arrays_are_read_only_copies():
-    arrays = [np.linspace(0.1, 0.5, 4) + j for j in range(5)]
+    arrays = [np.linspace(0.1, 0.5, 4) + j for j in range(3)]
     ds = DirectionSet(*arrays, seed=0, source_material="m")
+    cos_wo = ds.cos_wo.copy()
     for name in ("theta_h", "theta_d", "phi_d", "cos_wi", "cos_wo"):
         with pytest.raises(ValueError):
             getattr(ds, name)[0] = 9.0
     for a in arrays:
         assert a.flags.writeable
         a[0] = 9.0
-    assert ds.theta_h[0] == 0.1 and ds.cos_wo[0] == 4.1
+    assert ds.theta_h[0] == 0.1 and ds.phi_d[0] == 2.1
+    assert ds.cos_wo.tobytes() == cos_wo.tobytes()
 
 
-def test_read_samples_compares_all_five_direction_columns(tmp_path):
-    """The lowest bit of one direction field flipped, in any of the five
-    columns: the file loads alone, but against its reference's set it is a
-    PairingError."""
+def test_read_samples_compares_all_three_angle_columns(tmp_path):
+    """The lowest bit of one direction field flipped, in any of the three
+    angle columns: the file loads alone, but against its reference's set it
+    is a PairingError."""
     ref = _sampled(seed=1, k=5)
     pr, pd = tmp_path / "r.txt", tmp_path / "d.txt"
     pairio.write_samples(pr, ref)
     pairio.write_samples(pd, SampledBrdf(values=ref.values * 0.5, directions=ref.directions))
     intact = pd.read_text().splitlines()
-    for column in range(5):
+    for column in range(3):
         lines = list(intact)
         fields = lines[5].split(" ")
         fields[column] = f"{int(fields[column], 16) ^ 1:016x}"
