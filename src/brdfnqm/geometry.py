@@ -5,6 +5,9 @@ vector h = normalize(wi + wo): theta_h is the polar angle of h, and the
 difference vector is wi rotated into the frame that carries h onto the
 surface normal. Isotropic materials depend only on (theta_h, theta_d,
 phi_d), with phi_d folded into [0, pi) by reciprocity.
+
+The other way, only the normal components of wi and wo are computed, in
+closed form: they do not depend on phi_h, and wi . h is cos theta_d.
 """
 
 import math
@@ -13,43 +16,25 @@ import numpy as np
 
 from .errors import DegenerateGeometryError
 
-TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
 
 
-def halfdiff_to_io_arrays(theta_h, theta_d, phi_d, phi_h=0.0):
-    """Vectorized inverse transform.
+def halfdiff_to_io_arrays(theta_h, theta_d, phi_d):
+    """(cos_i, cos_o): the normal components of wi and wo at these angles.
 
-    The four angles broadcast against each other, so axis vectors shaped to
+    wi is d = (theta_d, phi_d) rotated by theta_h about y, so
+    cos_i = cos theta_h cos theta_d - sin theta_h sin theta_d cos phi_d; wo
+    is wi mirrored about h, so cos_o = 2 cos theta_h cos theta_d - cos_i.
+    The angles broadcast against each other, so axis vectors shaped to
     broadcast (as (n, 1, 1), (1, m, 1), (1, 1, k)) take every sin and cos on
-    their own values only. Returns (theta_i, phi_i, theta_o, phi_o) arrays
-    of the broadcast shape; directions are unit by construction and theta
-    may exceed pi/2 (below horizon).
+    their own values only. A cosine at or below 0 is a direction below the
+    horizon.
     """
-    theta_h, phi_h = np.asarray(theta_h, dtype=float), np.asarray(phi_h, dtype=float)
-    dx, dy, dz = _to_cartesian(theta_d, phi_d)
-    # wi: d rotated by theta_h about y, then by phi_h about z
-    c, s = np.cos(theta_h), np.sin(theta_h)
-    x = c * dx + s * dz
-    wiz = -s * dx + c * dz
-    cp, sp = np.cos(phi_h), np.sin(phi_h)
-    wix = cp * x - sp * dy
-    wiy = sp * x + cp * dy
-    del x  # each full-size temporary is freed once spent: 10 MB less peak RSS at 90x90x180
-    # wo: wi mirrored about h, the direction (theta_h, phi_h)
-    hx, hy, hz = s * cp, s * sp, c
-    dot2 = 2.0 * (wix * hx + wiy * hy + wiz * hz)
-    wox, woy, woz = dot2 * hx - wix, dot2 * hy - wiy, dot2 * hz - wiz
-    del dot2
-    norm = _norm(wox, woy, woz)
-    wox /= norm
-    woy /= norm
-    woz /= norm
-    del norm
-    ti, pi_ = _to_spherical(wix, wiy, wiz, TWO_PI)
-    del wix, wiy, wiz
-    to, po = _to_spherical(wox, woy, woz, TWO_PI)
-    return ti, pi_, to, po
+    theta_h, theta_d = np.asarray(theta_h, dtype=float), np.asarray(theta_d, dtype=float)
+    ch_cd = np.cos(theta_h) * np.cos(theta_d)
+    cos_i = ch_cd - np.sin(theta_h) * np.sin(theta_d) * np.cos(np.asarray(phi_d, dtype=float))
+    cos_o = 2.0 * ch_cd - cos_i
+    return cos_i, cos_o
 
 
 def io_to_halfdiff_arrays(theta_i, phi_i, theta_o, phi_o):

@@ -3,9 +3,9 @@
 Candidates come from a cross-product grid that is uniform in theta_d and
 phi_d but quadratically warped in theta_h so density concentrates near the
 specular peak at theta_h = 0. `build_candidate_grid` drops the candidates
-whose reconstructed directions graze the horizon (either elevation above 75
-degrees); `select_samples` ranks the survivors by reflectance magnitude
-with an energy-weighted stratified rule.
+whose incoming or outgoing direction grazes the horizon (either elevation
+above 75 degrees); `select_samples` ranks the survivors by reflectance
+magnitude with an energy-weighted stratified rule.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ class DirectionSet:
 
     The three angle arrays are float64 copies of the ones passed in, made
     read-only, so a set never changes after it is built; sets compare and
-    hash by identity. cos_wi/cos_wo, cos(theta) of the incoming and outgoing
-    directions reconstructed at phi_h = 0, are computed from the angles on
-    first use.
+    hash by identity. cos_wi/cos_wo, the normal components of the incoming
+    and outgoing directions (`halfdiff_to_io_arrays`), are computed from the
+    angles on first use.
     """
 
     theta_h: np.ndarray
@@ -60,7 +60,7 @@ class DirectionSet:
 
     @functools.cached_property
     def _cosines(self) -> tuple[np.ndarray, np.ndarray]:
-        cosines = _reconstruct_cosines(self.theta_h, self.theta_d, self.phi_d)
+        cosines = halfdiff_to_io_arrays(self.theta_h, self.theta_d, self.phi_d)
         for c in cosines:
             c.flags.writeable = False
         return cosines
@@ -96,15 +96,15 @@ def check_paired(a: SampledBrdf, b: SampledBrdf) -> None:
         raise PairingError("sampled BRDFs do not share a direction set")
 
 
-def build_candidate_grid(n_th: int = DEFAULT_GRID[0], n_td: int = DEFAULT_GRID[1], n_pd: int = DEFAULT_GRID[2]) -> np.ndarray:
+def build_candidate_grid() -> np.ndarray:
     """The cross product of candidate angles that passes `filter_grazing`, shape (n, 3).
 
+    DEFAULT_GRID holds the axis counts (n_th, n_td, n_pd):
     theta_h(i) = (pi/2) * (i/(n_th-1))^2; theta_d uniform on [0, 75deg];
     phi_d uniform on [0, pi) excluding the endpoint. Each axis strictly
     ascends, so the rows are in canonical order with no repeats.
     """
-    if min(n_th, n_td, n_pd) < 2:
-        raise ValueError("grid counts must be >= 2")
+    n_th, n_td, n_pd = DEFAULT_GRID
     th = HALF_PI * (np.arange(n_th) / (n_th - 1)) ** 2
     td = np.linspace(0.0, GRAZING_LIMIT, n_td)
     pd = np.arange(n_pd) / n_pd * math.pi
@@ -112,15 +112,10 @@ def build_candidate_grid(n_th: int = DEFAULT_GRID[0], n_td: int = DEFAULT_GRID[1
     return filter_grazing(np.stack([TH.ravel(), TD.ravel(), PD.ravel()], axis=1))
 
 
-def _reconstruct_cosines(theta_h, theta_d, phi_d):
-    ti, _, to, _ = halfdiff_to_io_arrays(theta_h, theta_d, phi_d)
-    return np.cos(ti), np.cos(to)
-
-
 def filter_grazing(cands: np.ndarray) -> np.ndarray:
-    """Keep candidates whose reconstructed wi and wo stay within 75 degrees."""
+    """Keep candidates whose wi and wo stay within 75 degrees of the normal."""
     cands = np.asarray(cands, dtype=float).reshape(-1, 3)
-    cos_i, cos_o = _reconstruct_cosines(*cands.T)
+    cos_i, cos_o = halfdiff_to_io_arrays(*cands.T)
     limit = math.cos(GRAZING_LIMIT)
     keep = (cos_i > limit) & (cos_o > limit)
     return cands[keep]

@@ -69,12 +69,13 @@ class DistortionSpec:
 
 
 def _eval_analytic(params: AnalyticBrdfParams, cos_i, cos_o, cos_h, cos_hi, out):
-    """Evaluate the model from the cosines of one direction pair into out.
+    """Evaluate the model from the cosines of a block of bins into out.
 
     cos_i, cos_o and cos_h are the normal components of the unit vectors
-    wi, wo and h; cos_hi is wi . h. cos_i, cos_o and cos_hi have one shape,
-    which cos_h broadcasts to; out is a channel-major (3, ...) array of that
-    shape, every element of which is written.
+    wi, wo and h; cos_hi is wi . h. cos_i and cos_o are (rows, n) arrays of
+    one shape, cos_h is the (rows, 1) column of the rows' theta_h and cos_hi
+    the (1, n) row that every theta_h row shares; out is a channel-major
+    (3, rows, n) array, every element of which is written.
     """
     diffuse = params.diffuse.as_array() / math.pi
     for c in range(3):
@@ -100,67 +101,44 @@ def _eval_analytic(params: AnalyticBrdfParams, cos_i, cos_o, cos_h, cos_hi, out)
     g1o = 2.0 * n_wo / (n_wo + np.sqrt(a2 + (1.0 - a2) * n_wo**2))
     lobe = d_term * g1i * g1o / (4.0 * n_wi * n_wo)
     for c in range(3):
+        # the Fresnel row broadcasts against the lobe's rows
         fresnel = spec[c] + (1.0 - spec[c]) * schlick
-        fresnel *= lobe
-        out[c] += fresnel
-
-
-def _bin_geometry(res: tuple[int, int, int]):
-    """What _eval_analytic reads at every bin center, plus the below-horizon mask.
-
-    Returns (cos_i, cos_o, cos_h, cos_hi, below), one row per theta_h bin:
-    cos_i, cos_o, cos_hi and below are (n_theta_h, n_theta_d * n_phi_d) in
-    table order, and cos_h, which only theta_h sets, is the (n_theta_h, 1)
-    column. It depends on the resolution alone, so a dataset builds it once
-    and shares it between all its materials.
-    """
-    th, td, pd = bin_centers(res)
-    th = th[:, None, None]
-    ti, pi_, to, _ = halfdiff_to_io_arrays(th, td[None, :, None], pd[None, None, :])
-    cos_i = np.cos(ti)
-    cos_o = np.cos(to)
-    cos_h = np.cos(th)
-    # wi . h with h = (sin theta_h, 0, cos theta_h): the x and z products of
-    # the unit vectors, in the order a cartesian dot product forms them (the
-    # y product is +-0 and changes no sum)
-    cos_hi = np.sin(ti)
-    cos_hi *= np.cos(pi_)
-    cos_hi *= np.sin(th)
-    cos_hi += cos_i * cos_h
-    below = (cos_i <= 1e-9) | (cos_o <= 1e-9)
-    return tuple(a.reshape(res[0], -1) for a in (cos_i, cos_o, cos_h, cos_hi, below))
+        out[c] += fresnel * lobe
 
 
 def tabulate(
     params: AnalyticBrdfParams,
     res: tuple[int, int, int] = CANONICAL_RES,
     name: str = "",
-    geometry=None,
 ) -> TabulatedBrdf:
     """Fill every bin by evaluating the model at the bin-center directions.
 
-    Bins whose reconstructed wi or wo falls below the horizon are marked
-    with the invalid sentinel, mirroring unmeasured regions of real tables.
-    geometry is the bin geometry of res (see iter_dataset); it is built
-    here when not given.
+    Bins whose wi or wo falls below the horizon are marked with the invalid
+    sentinel, mirroring unmeasured regions of real tables.
 
     The model runs over blocks of whole theta_h rows, at most _BLOCK_BINS
-    bins each (one row when a row is larger), each written straight into the
-    table, so its temporaries stay small and the call allocates nothing of
-    table size but the table itself. Every bin goes through the same
+    bins each (one row when a row is larger). Each block takes its cosines
+    from the three bin-center axes, in closed form (`halfdiff_to_io_arrays`),
+    and is written straight into the table, so its temporaries stay small,
+    the call allocates nothing of table size but the table itself and no
+    bin geometry outlives a block. Every bin goes through the same
     elementwise operations as in one whole-table pass, so the bytes are
     those of that pass.
     """
-    if geometry is None:
-        geometry = _bin_geometry(res)
-    *cosines, below = geometry
-    table = np.empty((3, *below.shape))
-    step = max(1, _BLOCK_BINS // below.shape[1])
-    for i in range(0, below.shape[0], step):
+    th, td, pd = bin_centers(res)
+    td, pd = td[None, :, None], pd[None, None, :]
+    n = res[1] * res[2]
+    # wi . h is cos theta_d, one row for every theta_h
+    cos_hi = np.broadcast_to(np.cos(td), (1, *res[1:])).reshape(1, n)
+    table = np.empty((3, res[0], n))
+    step = max(1, _BLOCK_BINS // n)
+    for i in range(0, res[0], step):
         rows = slice(i, i + step)
-        # cos_h's block is a (rows, 1) array, so n_h**2 stays numpy's square
-        _eval_analytic(params, *(c[rows] for c in cosines), table[:, rows])
-        np.copyto(table[:, rows], INVALID_SENTINEL, where=below[rows])
+        th_rows = th[rows, None, None]
+        cos_i, cos_o = (c.reshape(-1, n) for c in halfdiff_to_io_arrays(th_rows, td, pd))
+        # cos_h is a (rows, 1) column, so n_h**2 stays numpy's square
+        _eval_analytic(params, cos_i, cos_o, np.cos(th_rows).reshape(-1, 1), cos_hi, table[:, rows])
+        np.copyto(table[:, rows], INVALID_SENTINEL, where=(cos_i <= 1e-9) | (cos_o <= 1e-9))
     return TabulatedBrdf(name=name or params.model.value, values=table.reshape(3, *res))
 
 
@@ -256,12 +234,12 @@ def _blur_operator(n: int, sigma: float) -> np.ndarray:
     return op
 
 
-def random_params(rng: np.random.Generator, model: BrdfModel = BrdfModel.GGX_MICROFACET) -> AnalyticBrdfParams:
-    """Draw plausible material parameters for dataset generation."""
+def random_params(rng: np.random.Generator) -> AnalyticBrdfParams:
+    """Draw plausible GGX material parameters for dataset generation."""
     diffuse = Rgb(*rng.uniform(0.05, 0.6, size=3))
     specular = Rgb(*np.full(3, rng.uniform(0.02, 0.9)))
     roughness = float(rng.uniform(0.1, 0.7))
-    return AnalyticBrdfParams(model=model, diffuse=diffuse, specular=specular, roughness=roughness)
+    return AnalyticBrdfParams(model=BrdfModel.GGX_MICROFACET, diffuse=diffuse, specular=specular, roughness=roughness)
 
 
 def severity_scale(levels: list[DistortionSpec]) -> dict[DistortionKind, float]:
@@ -277,9 +255,10 @@ def iter_dataset(
     levels: list[DistortionSpec],
     seed: int,
     res: tuple[int, int, int] = CANONICAL_RES,
-    model: BrdfModel = BrdfModel.GGX_MICROFACET,
 ):
     """An iterator of (reference, distorted, severity) triples, one reference's levels at a time.
+
+    Each reference is a GGX material drawn by `random_params`.
 
     Deterministic in all arguments. Severity is the level magnitude
     normalized by the largest magnitude of the same kind, so it is strictly
@@ -297,16 +276,14 @@ def iter_dataset(
         raise ValueError("levels must be nonempty")
     for lv in levels:
         _check_level(lv, res[0])
-    return _triples(n_materials, levels, seed, res, model)
+    return _triples(n_materials, levels, seed, res)
 
 
-def _triples(n_materials, levels, seed, res, model):
+def _triples(n_materials, levels, seed, res):
     scale = severity_scale(levels)
     rng = np.random.default_rng(seed)
-    geometry = _bin_geometry(res)
     for mat in range(n_materials):
-        params = random_params(rng, model=model)
-        ref = tabulate(params, res=res, name=f"mat{mat:03d}", geometry=geometry)
+        ref = tabulate(random_params(rng), res=res, name=f"mat{mat:03d}")
         for li, lv in enumerate(levels):
             # per-pair noise stream keyed by (seed, material, level) on every build
             pair_spec = DistortionSpec(lv.kind, lv.magnitude, seed=(seed, mat, li))

@@ -49,8 +49,20 @@ def flip_bit(data: bytes, bit: int) -> bytes:
     return bytes(out)
 
 
-# The (n, 3) cartesian geometry chain that geometry's component-form
-# transforms replace, frozen as the reference they must match bit for bit.
+def full_candidate_grid() -> np.ndarray:
+    """The unfiltered cross product of the candidate axes, in canonical order."""
+    n_th, n_td, n_pd = sampling.DEFAULT_GRID
+    # theta_h quadratic warp: th(i) = (pi/2) * (i/(n-1))^2
+    th = math.pi / 2 * (np.arange(n_th) / (n_th - 1)) ** 2
+    td = np.linspace(0, sampling.GRAZING_LIMIT, n_td)
+    pd = np.arange(n_pd) / n_pd * math.pi
+    return np.stack([a.ravel() for a in np.meshgrid(th, td, pd, indexing="ij")], axis=1)
+
+
+# The (n, 3) cartesian geometry chain, frozen as an independent reference:
+# io_to_halfdiff_arrays's component form must match its forward transform
+# bit for bit, and halfdiff_to_io_arrays's closed-form cosines the cosines of
+# its inverse to rounding.
 
 
 def sph_to_cart(theta, phi):
@@ -100,25 +112,17 @@ def reference_io_to_halfdiff_arrays(theta_i, phi_i, theta_o, phi_o):
     return theta_h, theta_d, phi_d, phi_h
 
 
-# The bin geometry from the cartesian chain above, and the whole-table,
-# row-major model evaluation that synth.tabulate's per-row pass replaces,
-# frozen as the reference it must match bit for bit.
-
-
-def reference_bin_geometry(res):
-    th, td, pd = bin_centers(res)
-    TH, TD, PD = np.meshgrid(th, td, pd, indexing="ij")
-    ti, pi_, to, po = reference_halfdiff_to_io_arrays(TH.ravel(), TD.ravel(), PD.ravel())
-    wi = sph_to_cart(ti, pi_)
-    wo = sph_to_cart(to, po)
-    h = sph_to_cart(TH.ravel(), np.zeros_like(TH.ravel()))
-    cos_i, cos_o = wi[..., 2], wo[..., 2]
-    below = (cos_i <= 1e-9) | (cos_o <= 1e-9)
-    return cos_i, cos_o, h[..., 2], np.sum(wi * h, axis=-1), below
+# The whole-table, row-major model evaluation that synth.tabulate's blocks
+# of theta_h rows replace, with the closed-form cosines written out over
+# the whole meshgrid, frozen as the reference it must match bit for bit.
 
 
 def reference_tabulate(params, res):
-    cos_i, cos_o, cos_h, cos_hi, below = reference_bin_geometry(res)
+    TH, TD, PD = (a.ravel() for a in np.meshgrid(*bin_centers(res), indexing="ij"))
+    cos_i = np.cos(TH) * np.cos(TD) - np.sin(TH) * np.sin(TD) * np.cos(PD)
+    cos_o = 2.0 * (np.cos(TH) * np.cos(TD)) - cos_i
+    cos_h, cos_hi = np.cos(TH), np.cos(TD)
+    below = (cos_i <= 1e-9) | (cos_o <= 1e-9)
     out = np.broadcast_to(params.diffuse.as_array() / math.pi, (cos_i.size, 3)).copy()
     spec = params.specular.as_array()
     n_h = np.clip(cos_h, 0.0, 1.0)
@@ -168,17 +172,6 @@ def make_pair(seed: int = 0, k: int = 4) -> tuple[SampledBrdf, SampledBrdf]:
     ds = tiny_direction_set(k=k, seed=seed)
     ref = SampledBrdf(values=rng.uniform(0.0, 2.0, size=(k, 3)), directions=ds)
     dist = SampledBrdf(values=np.maximum(ref.values + rng.normal(0, 0.1, size=(k, 3)), 0.0), directions=ds)
-    return ref, dist
-
-
-@pytest.fixture
-def random_sampled_pair(ggx_table):
-    cands = sampling.build_candidate_grid(16, 8, 8)
-    ds = sampling.select_samples(ggx_table, cands, k=100, seed=3)
-    ref = sampling.sample_brdf(ggx_table, ds)
-    dist = sampling.sample_brdf(
-        synth.distort(ggx_table, synth.DistortionSpec(synth.DistortionKind.GAUSSIAN_NOISE, 0.05, seed=1)), ds
-    )
     return ref, dist
 
 

@@ -90,11 +90,11 @@ def test_gen_synthetic_refuses_a_blur_wider_than_the_bound(runner, tmp_path, mag
 
 def test_gen_synthetic_peak_memory_is_counted_in_tables(tmp_path):
     """At most this much is allocated at once while gen-synthetic runs:
-    the bin geometry (three float arrays and a mask, 25 bytes a bin), the
-    reference and the table being made (24 bytes a bin each), plus half a
-    table for rough's one-channel blur buffer, the bin masks and small
-    arrays. No distorted table outlives its save, save_merl writes in
-    chunks, and tabulate's per-row temporaries are small. numpy reports its
+    the reference and the table being made (24 bytes a bin each), plus half
+    a table for rough's one-channel blur buffer, the bin masks and small
+    arrays. No bin geometry is held, no distorted table outlives its save,
+    save_merl writes in chunks, and tabulate's per-block temporaries are
+    small. numpy reports its
     allocations to tracemalloc, so the traced peak is the same on every
     run; a warm-up run first does the lazy imports."""
     res = (45, 45, 90)
@@ -108,17 +108,16 @@ def test_gen_synthetic_peak_memory_is_counted_in_tables(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    bins = math.prod(res)
-    geometry, table = 25 * bins, 24 * bins
-    assert peak < geometry + 2 * table + table // 2, peak / table
+    table = 24 * math.prod(res)
+    assert peak < 2 * table + table // 2, peak / table
 
 
 def test_gen_synthetic_holds_no_table_when_the_next_material_starts(tmp_path, monkeypatch):
     """On entry to the second material's tabulate, every table of the first
-    is saved and nothing holds it: only the bin geometry (25 bytes a bin) and
-    small arrays, under a quarter table (24 bytes a bin), are traced. A
-    previous reference still held by the CLI loop or the generator would add
-    a whole table."""
+    is saved and nothing holds it: only small arrays, under a quarter table
+    (24 bytes a bin), are traced. A previous reference still held by the CLI
+    loop or the generator would add a whole table, and a bin geometry kept
+    for the next material about one more."""
     res = (45, 45, 90)
     levels = ["--level", "spec:0.5", "--level", "rough:0.03", "--level", "tint:0.2", "--level", "noise:0.01"]
     cli.main(["gen-synthetic", "--n", "1", *levels, "--res", "2", "2", "2", "--out-dir", str(tmp_path / "warm")],
@@ -137,10 +136,9 @@ def test_gen_synthetic_holds_no_table_when_the_next_material_starts(tmp_path, mo
                  standalone_mode=False)
     finally:
         tracemalloc.stop()
-    bins = math.prod(res)
-    geometry, table = 25 * bins, 24 * bins
+    table = 24 * math.prod(res)
     assert len(held) == 2
-    assert held[1] < geometry + table // 4, (held[1] - geometry) / table
+    assert held[1] < table // 4, held[1] / table
 
 
 @pytest.mark.parametrize("command, bad", [

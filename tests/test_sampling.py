@@ -21,7 +21,7 @@ from brdfnqm.sampling import (
     select_samples,
 )
 
-from conftest import tiny_direction_set
+from conftest import full_candidate_grid, tiny_direction_set
 
 
 def test_default_constants():
@@ -30,55 +30,39 @@ def test_default_constants():
     assert GRAZING_LIMIT == pytest.approx(math.radians(75.0))
 
 
-def _full_grid(n_th, n_td, n_pd):
-    """The unfiltered cross product of the candidate axes, in canonical order."""
-    # theta_h quadratic warp: th(i) = (pi/2) * (i/(n-1))^2
-    th = math.pi / 2 * (np.arange(n_th) / (n_th - 1)) ** 2
-    td = np.linspace(0, GRAZING_LIMIT, n_td)
-    pd = np.arange(n_pd) / n_pd * math.pi
-    return np.stack([a.ravel() for a in np.meshgrid(th, td, pd, indexing="ij")], axis=1)
-
-
 def test_candidate_grid_shape_and_ranges():
     """The grid is the grazing-filtered cross product of its three axes, in
     canonical (theta_h, theta_d, phi_d) order with no repeats."""
-    g = build_candidate_grid(8, 5, 6)
-    full = _full_grid(8, 5, 6)
+    g = build_candidate_grid()
+    full = full_candidate_grid()
     assert g.shape == (len(filter_grazing(full)), 3) and 0 < len(g) < len(full)
     np.testing.assert_array_equal(g, filter_grazing(full))
     np.testing.assert_array_equal(g, np.unique(g, axis=0))  # sorted and unique
-    ti, _, to, _ = halfdiff_to_io_arrays(g[:, 0], g[:, 1], g[:, 2])
-    assert np.all(np.maximum(ti, to) < GRAZING_LIMIT)
-
-
-def test_candidate_grid_rejects_tiny_axes():
-    with pytest.raises(ValueError):
-        build_candidate_grid(1, 4, 4)
+    cos_i, cos_o = halfdiff_to_io_arrays(g[:, 0], g[:, 1], g[:, 2])
+    assert np.all(np.minimum(cos_i, cos_o) > math.cos(GRAZING_LIMIT))
 
 
 def test_filter_grazing_against_reconstruction_oracle():
-    g = build_candidate_grid(12, 8, 8)
-    full = _full_grid(12, 8, 8)
+    g = build_candidate_grid()
+    full = full_candidate_grid()
     np.testing.assert_array_equal(filter_grazing(g), g)  # the filter keeps every row of the filtered grid
     kept = filter_grazing(full)
     assert 0 < len(kept) < len(full)
-    # oracle: reconstruct each kept candidate independently and check both
-    # elevations; and verify at least one rejected candidate violates
-    ti, _, to, _ = halfdiff_to_io_arrays(kept[:, 0], kept[:, 1], kept[:, 2])
-    assert np.all(ti < GRAZING_LIMIT + 1e-12)
-    assert np.all(to < GRAZING_LIMIT + 1e-12)
+    # oracle: each kept candidate's cosines are above the limit's, and each
+    # rejected candidate has one at or below it
+    limit = math.cos(GRAZING_LIMIT)
+    cos_i, cos_o = halfdiff_to_io_arrays(kept[:, 0], kept[:, 1], kept[:, 2])
+    assert np.all(cos_i > limit - 1e-12)
+    assert np.all(cos_o > limit - 1e-12)
     kept_set = {tuple(row) for row in np.round(kept, 12)}
-    dropped = [row for row in full if tuple(np.round(row, 12)) not in kept_set]
-    ti, _, to, _ = halfdiff_to_io_arrays(
-        np.array([r[0] for r in dropped]),
-        np.array([r[1] for r in dropped]),
-        np.array([r[2] for r in dropped]),
-    )
-    assert np.all(np.maximum(ti, to) >= GRAZING_LIMIT - 1e-9)
+    dropped = np.array([row for row in full if tuple(np.round(row, 12)) not in kept_set])
+    assert len(dropped) == len(full) - len(kept)
+    cos_i, cos_o = halfdiff_to_io_arrays(dropped[:, 0], dropped[:, 1], dropped[:, 2])
+    assert np.all(np.minimum(cos_i, cos_o) <= limit + 1e-9)
 
 
 def test_select_constant_table_takes_canonical_topk(lambert_table):
-    g = build_candidate_grid(10, 6, 6)
+    g = build_candidate_grid()
     ds = select_samples(lambert_table, g, k=20, seed=0)
     # constant luminance: one stratum, top-k falls back to canonical order,
     # i.e. the first 20 rows of the grid, which is in (th, td, pd) order
@@ -86,7 +70,7 @@ def test_select_constant_table_takes_canonical_topk(lambert_table):
 
 
 def test_select_samples_properties(ggx_table):
-    g = build_candidate_grid(16, 10, 10)
+    g = build_candidate_grid()
     ds = select_samples(ggx_table, g, k=100, seed=7)
     assert ds.k == 100
     a = ds.columns()
@@ -101,7 +85,7 @@ def test_select_samples_properties(ggx_table):
 
 
 def test_select_samples_favors_bright_candidates(ggx_table):
-    g = build_candidate_grid(16, 10, 10)
+    g = build_candidate_grid()
     ds = select_samples(ggx_table, g, k=60, seed=0)
     vals_all = lookup(ggx_table, g[:, 0], g[:, 1], g[:, 2])
     lum_all = vals_all @ LUMA_WEIGHTS
@@ -111,22 +95,22 @@ def test_select_samples_favors_bright_candidates(ggx_table):
 
 
 def test_select_samples_deterministic(ggx_table):
-    g = build_candidate_grid(16, 10, 10)
+    g = build_candidate_grid()
     a = select_samples(ggx_table, g, k=80, seed=1)
     b = select_samples(ggx_table, g, k=80, seed=1)
     np.testing.assert_array_equal(a.columns(), b.columns())
 
 
 def test_insufficient_candidates(lambert_table):
-    g = build_candidate_grid(4, 3, 3)
-    with pytest.raises(InsufficientCandidatesError):
-        select_samples(lambert_table, g, k=5000)
+    g = build_candidate_grid()
+    with pytest.raises(InsufficientCandidatesError, match=f"{len(g)} candidates survive filtering, need {len(g) + 1}"):
+        select_samples(lambert_table, g, k=len(g) + 1)
 
 
 @pytest.mark.parametrize("k", [0, -3])
 def test_select_samples_rejects_nonpositive_k(lambert_table, k):
     with pytest.raises(ValueError, match="k must be >= 1"):
-        select_samples(lambert_table, build_candidate_grid(4, 3, 3), k=k)
+        select_samples(lambert_table, build_candidate_grid(), k=k)
 
 
 def test_allocate_quotas_sums_and_floors():
@@ -172,16 +156,16 @@ def test_check_paired_rejects_mismatched_sets():
 
 def test_cosines_are_a_function_of_the_angles(ggx_table, tmp_path):
     """A selected set and the set read_samples rebuilds from its file hold the
-    same cosines bit for bit: cos of the theta_i and theta_o that
-    halfdiff_to_io_arrays reconstructs from the set's angles."""
-    ds = select_samples(ggx_table, build_candidate_grid(16, 10, 10), k=100, seed=5)
+    same cosines bit for bit: the ones halfdiff_to_io_arrays gives for the
+    set's angles."""
+    ds = select_samples(ggx_table, build_candidate_grid(), k=100, seed=5)
     write_samples(tmp_path / "s.txt", sample_brdf(ggx_table, ds))
     back = read_samples(tmp_path / "s.txt").directions
     assert back is not ds
-    ti, _, to, _ = halfdiff_to_io_arrays(ds.theta_h, ds.theta_d, ds.phi_d)
+    cos_i, cos_o = halfdiff_to_io_arrays(ds.theta_h, ds.theta_d, ds.phi_d)
     for d in (ds, back):
-        assert d.cos_wi.tobytes() == np.cos(ti).tobytes()
-        assert d.cos_wo.tobytes() == np.cos(to).tobytes()
+        assert d.cos_wi.tobytes() == cos_i.tobytes()
+        assert d.cos_wo.tobytes() == cos_o.tobytes()
         assert d.cos_wi is d.cos_wi and d.cos_wo is d.cos_wo  # computed once
         with pytest.raises(ValueError):
             d.cos_wi[0] = 1.0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ from brdfnqm.synth import (
     DistortionSpec,
 )
 
-from conftest import reference_bin_geometry, reference_tabulate
+from conftest import reference_tabulate
 
 SMALL = (16, 16, 32)
 
@@ -221,16 +222,17 @@ def test_gen_dataset_shape_severity_and_determinism():
 
 
 def test_dataset_references_equal_standalone_tabulate():
-    """iter_dataset shares one bin geometry between its materials; each
-    reference is still bit for bit what tabulate builds on its own."""
+    """Each of iter_dataset's references is bit for bit what tabulate builds
+    on its own from the GGX parameters random_params draws."""
     levels = [DistortionSpec(DistortionKind.DIFFUSE_TINT, 0.2)]
-    for model in BrdfModel:
-        rng = np.random.default_rng(11)
-        refs = [ref for ref, _, _ in synth.iter_dataset(3, levels, seed=11, res=SMALL, model=model)]
-        for i, ref in enumerate(refs):
-            alone = synth.tabulate(synth.random_params(rng, model=model), res=SMALL, name=f"mat{i:03d}")
-            assert ref.name == alone.name
-            assert ref.values.tobytes() == alone.values.tobytes()
+    rng = np.random.default_rng(11)
+    refs = [ref for ref, _, _ in synth.iter_dataset(3, levels, seed=11, res=SMALL)]
+    for i, ref in enumerate(refs):
+        params = synth.random_params(rng)
+        assert params.model is BrdfModel.GGX_MICROFACET
+        alone = synth.tabulate(params, res=SMALL, name=f"mat{i:03d}")
+        assert ref.name == alone.name
+        assert ref.values.tobytes() == alone.values.tobytes()
 
 
 def test_gen_dataset_validates_arguments():
@@ -265,7 +267,7 @@ def test_noise_stream_is_keyed_by_seed_material_level():
 
 
 # Reference kernels: the boolean-index distortions that synth's one-pass
-# kernels replace (the geometry and model references are in conftest). Every
+# kernels replace (the model reference is in conftest). Every
 # floating-point operation is the same, so results match bit for bit.
 
 
@@ -309,22 +311,9 @@ def _reference_level(table, spec):
     return out
 
 
-def test_bin_geometry_matches_cartesian_reference():
-    for res in (SMALL, (12, 8, 16), (45, 45, 90)):
-        got = synth._bin_geometry(res)
-        want = reference_bin_geometry(res)
-        assert len(got) == len(want) == 5
-        # one row per theta_h bin; cos_h is the theta_h column
-        want = [b.reshape(res[0], -1) for b in want]
-        want[2] = want[2][:, :1]
-        for a, b in zip(got, want):
-            assert a.shape == b.shape and a.dtype == b.dtype
-            assert a.tobytes() == np.ascontiguousarray(b).tobytes()
-
-
 @pytest.mark.parametrize("model", list(BrdfModel))
 def test_tabulate_matches_row_major_reference(model):
-    params = synth.random_params(np.random.default_rng(2), model=model)
+    params = dataclasses.replace(synth.random_params(np.random.default_rng(2)), model=model)
     table = synth.tabulate(params, res=SMALL)
     assert table.values.flags.c_contiguous
     assert table.invalid_mask.any()
@@ -338,7 +327,7 @@ def test_tabulate_blocks_match_whole_table_reference(model, res):
     """tabulate's blocks of theta_h rows give the bytes of one whole-table
     pass: blocks of many rows, a short last block (45 rows in blocks of 4),
     and rows of more than _BLOCK_BINS bins, one to a block (3x91x181)."""
-    params = synth.random_params(np.random.default_rng(5), model=model)
+    params = dataclasses.replace(synth.random_params(np.random.default_rng(5)), model=model)
     table = synth.tabulate(params, res=res)
     assert table.invalid_mask.any()
     assert table.values.tobytes() == reference_tabulate(params, res).tobytes()
